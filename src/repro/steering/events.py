@@ -340,10 +340,11 @@ class EventSequenceStore:
             self._demand_probes.append(fn)
 
     def live_demand(self) -> int:
-        """Waiters parked on this session right now, summed over probes.
+        """Watchers on this session right now, summed over probes.
 
         The primary backpressure signal: the web tier's probes report
-        each shard scheduler's parked-waiter count for this session, so
+        each shard scheduler's watcher count (parked polls plus push
+        streams) for this session, so
         "is anyone watching" is a live count, not an inference from how
         recently a poll happened to complete.  Boolean probes coerce to
         0/1; a broken probe contributes nothing rather than flapping the

@@ -8,9 +8,10 @@ exposing session-keyed XMLHttpRequest-style endpoints:
 * ``POST /api/sessions``       — start a new steered session,
 * ``GET /api/<sid>/state``     — merged component snapshot,
 * ``GET /api/<sid>/poll``      — long-poll event-sequence deltas (a
-  parked poll is a waiter record on the shared scheduler, not a thread),
+  parked poll is a subscriber record with a deadline on the shared
+  scheduler, not a thread),
 * ``GET /api/<sid>/stream``    — chunked-transfer SSE push stream (a
-  persistent subscriber on the session's owner shard),
+  persistent, deadline-less subscriber on the session's owner shard),
 * ``GET /api/<sid>/ws``        — WebSocket upgrade (RFC 6455) carrying
   pushed deltas; ``?images=b64|binary`` inlines image blobs,
 * ``GET /api/<sid>/image``     — fixed-size image file
@@ -25,12 +26,13 @@ exposing session-keyed XMLHttpRequest-style endpoints:
 used by tests and examples (``AjaxClient`` is its legacy alias); it
 speaks all three event transports behind one :meth:`events` generator
 with since-resume reconnects.  :class:`~repro.web.longpoll.LongPollScheduler`
-is the waiter/subscriber registry + deadline wheel behind the
-non-blocking polls and push streams.
+is the subscriber registry + deadline wheel behind the non-blocking
+polls and push streams; :mod:`repro.web.delivery` is the one path that
+frames a wake once per group and hands it to every transport.
 """
 
 from repro.web.client import AjaxClient, SteeringWebClient
-from repro.web.longpoll import LongPollScheduler, Subscriber, Waiter
+from repro.web.longpoll import LongPollScheduler, Subscriber
 from repro.web.server import AjaxWebServer
 
 __all__ = [
@@ -39,5 +41,4 @@ __all__ = [
     "AjaxWebServer",
     "LongPollScheduler",
     "Subscriber",
-    "Waiter",
 ]

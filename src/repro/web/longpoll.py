@@ -1,24 +1,24 @@
-"""Non-blocking long-poll scheduling: waiter records + deadline wheel.
+"""Non-blocking delivery scheduling: subscriber records + deadline wheel.
 
 The seed parked one server thread per outstanding ``/api/poll`` — N idle
-browsers cost N blocked threads.  Here a parked poll is a
-:class:`Waiter`: ~100 bytes of record (session key, cursor, deadline,
-opaque handle) in a shared :class:`LongPollScheduler`.  Publishers call
-:meth:`LongPollScheduler.notify` (O(waiters on that session)); expiry is
-driven by a deadline heap that the server's single IO loop consults for
-its select timeout.  Thousands of idle pollers therefore cost zero
-threads — the scheduler owns no threads at all; it is a passive,
-thread-safe registry the IO loop and publisher threads rendezvous on.
+browsers cost N blocked threads.  Here every client waiting for events
+is a :class:`Subscriber`: ~100 bytes of record (session key, cursor,
+framing, opaque connection handle) in a :class:`LongPollScheduler`.
+Thousands of idle watchers therefore cost zero threads — the scheduler
+owns no threads at all; it is a passive, thread-safe registry the IO
+loop and publisher threads rendezvous on.
 
-A :class:`Subscriber` generalizes the waiter for push transports (SSE,
-WebSocket): where a waiter is popped by the first publish and the
-connection must re-park with a fresh request, a subscriber *stays
-registered* across publishes.  :meth:`LongPollScheduler.push_targets`
-returns (without removing) every subscriber behind the new head; the IO
-loop appends the pre-framed delta to each connection and advances the
-subscriber's cursor in place — zero re-parks, zero request parsing per
-event.  Subscribers have no deadline: they live until the connection
-closes or the session is dropped.
+The record's ``deadline`` is the only thing that tells the transports
+apart here.  A parked long poll has one: the first publish past its
+cursor pops it (:meth:`LongPollScheduler.notify`), or the deadline heap
+does (:meth:`LongPollScheduler.expire_due`, which also bounds the IO
+loop's select timeout), and the connection re-parks with a fresh
+request.  A push stream (SSE, WebSocket) has ``deadline=None`` and *stays
+registered* across publishes: :meth:`LongPollScheduler.push_targets`
+returns (without removing) every stream behind the new head, and the IO
+loop advances its cursor in place as frames go out — zero re-parks, zero
+request parsing per event — until the connection closes or the session
+is dropped.
 """
 
 from __future__ import annotations
@@ -28,87 +28,67 @@ import itertools
 import threading
 from typing import Any
 
-__all__ = ["Waiter", "Subscriber", "LongPollScheduler"]
-
-
-class Waiter:
-    """One parked long poll: where it waits, since when, until when."""
-
-    __slots__ = ("id", "key", "since", "deadline", "handle", "done",
-                 "woken_at", "window")
-
-    def __init__(self, id: int, key: str, since: int, deadline: float, handle: Any,
-                 window: tuple | None = None) -> None:
-        self.id = id
-        self.key = key
-        self.since = since
-        self.deadline = deadline
-        self.handle = handle  # opaque: the server stores the parked connection here
-        self.done = False  # satisfied, expired or cancelled; heap entries may linger
-        # Stamped (monotonic) by the publish wake path so the serving
-        # shard can gauge wake->response latency for the ops dashboard.
-        self.woken_at = 0.0
-        # Sliding-window geometry key this poll watches (None = whole
-        # domain); part of the frame group a woken herd shares.
-        self.window = window
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"Waiter(id={self.id}, key={self.key!r}, since={self.since}, "
-                f"deadline={self.deadline:.3f}, done={self.done})")
+__all__ = ["Subscriber", "LongPollScheduler"]
 
 
 class Subscriber:
-    """One persistent push stream: stays registered across publishes.
+    """One client waiting for events: where, since when, framed how.
 
-    ``since`` is the delivery cursor and is advanced *in place* by the
-    owning IO loop as frames go out (only that loop touches it after
-    registration, so no lock is needed on the hot path).  ``transport``
-    names the wire framing for per-transport accounting ("sse", "ws");
-    ``framing`` names the delta encoding the event store should hand
-    back (see :meth:`EventSequenceStore.framed_delta`).  ``tier`` is the
-    delivery tier the adaptive controller currently assigns this stream
-    — also updated only by the owning IO loop, read at every push to
-    pick the (framing, tier) frame group the subscriber shares.
+    ``since`` is the delivery cursor; for a stream it is advanced *in
+    place* by the owning IO loop as frames go out (only that loop
+    touches it after registration, so no lock is needed on the hot
+    path).  ``transport`` names the wire transport for accounting
+    ("longpoll", "sse", "ws"); ``framing`` names the delta encoding the
+    event store should hand back (see
+    :meth:`EventSequenceStore.framed_delta`).  ``tier`` is the delivery
+    tier the adaptive controller currently assigns this connection and
+    ``window`` its sliding-window geometry key (None = whole domain) —
+    both written only by the owning IO loop, and together with
+    ``(key, since, framing)`` they name the frame group the record
+    shares at delivery.  ``deadline`` (monotonic seconds) marks a
+    one-shot parked poll; None marks a persistent stream.
     """
 
     __slots__ = ("id", "key", "since", "handle", "transport", "framing",
-                 "tier", "done", "window")
+                 "tier", "window", "deadline", "done", "woken_at")
 
-    def __init__(self, id: int, key: str, since: int, handle: Any,
-                 transport: str, framing: str, tier: int = 0,
-                 window: tuple | None = None) -> None:
-        self.id = id
+    def __init__(self, key: str, since: int, handle: Any, transport: str,
+                 framing: str, tier: int = 0, window: tuple | None = None,
+                 deadline: float | None = None) -> None:
+        self.id = 0  # assigned by LongPollScheduler.add
         self.key = key
         self.since = since
         self.handle = handle  # opaque: the server stores the connection here
         self.transport = transport
         self.framing = framing
         self.tier = tier
-        self.done = False  # unsubscribed or session dropped
-        # Sliding-window geometry key (None = whole domain), read at
-        # every push like ``tier`` to pick the shared frame group.
         self.window = window
+        self.deadline = deadline
+        self.done = False  # popped, removed or dropped; heap entries may linger
+        # Stamped (monotonic) by the publish wake path so the serving
+        # shard can gauge wake->delivery latency for the ops dashboard.
+        self.woken_at = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"Subscriber(id={self.id}, key={self.key!r}, "
                 f"since={self.since}, transport={self.transport!r}, "
-                f"done={self.done})")
+                f"deadline={self.deadline}, done={self.done})")
 
 
 class LongPollScheduler:
-    """Condition-variable-style registry of waiters plus a deadline wheel.
+    """Condition-variable-style registry of subscribers plus a deadline wheel.
 
-    All methods are thread-safe.  ``notify`` is called from publisher
-    threads (via event-store listeners); ``expire_due`` / ``next_deadline``
-    from the IO loop.  Popped waiters are handed back to the caller, which
-    owns delivering the response — the scheduler never touches sockets.
+    All methods are thread-safe.  ``notify`` / ``push_targets`` are
+    called from publisher threads (via event-store listeners);
+    ``expire_due`` / ``next_deadline`` from the IO loop.  Records are
+    handed back to the caller, which owns delivering the response — the
+    scheduler never touches sockets.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._by_key: dict[str, dict[int, Waiter]] = {}
-        self._subs_by_key: dict[str, dict[int, Subscriber]] = {}
-        self._heap: list[tuple[float, int, Waiter]] = []
+        self._by_key: dict[str, dict[int, Subscriber]] = {}
+        self._heap: list[tuple[float, int, Subscriber]] = []
         self._ids = itertools.count(1)
         self.registered_total = 0
         self.notified_total = 0
@@ -116,56 +96,23 @@ class LongPollScheduler:
         self.subscribed_total = 0
         self.pushed_total = 0
 
+    def add(self, record: Subscriber) -> Subscriber:
+        """Register a caller-built record (parked if it has a deadline)."""
+        with self._lock:
+            record.id = next(self._ids)
+            self._by_key.setdefault(record.key, {})[record.id] = record
+            if record.deadline is None:
+                self.subscribed_total += 1
+            else:
+                heapq.heappush(self._heap, (record.deadline, record.id, record))
+                self.registered_total += 1
+            return record
+
     def register(self, key: str, since: int, deadline: float, handle: Any = None,
-                 window: tuple | None = None) -> Waiter:
+                 window: tuple | None = None) -> Subscriber:
         """Park a poll: it will be returned by ``notify`` or ``expire_due``."""
-        with self._lock:
-            waiter = Waiter(next(self._ids), key, since, deadline, handle, window)
-            self._by_key.setdefault(key, {})[waiter.id] = waiter
-            heapq.heappush(self._heap, (deadline, waiter.id, waiter))
-            self.registered_total += 1
-            return waiter
-
-    def cancel(self, waiter: Waiter) -> bool:
-        """Remove a parked waiter (connection closed); False if already gone."""
-        with self._lock:
-            return self._remove_locked(waiter)
-
-    def _remove_locked(self, waiter: Waiter) -> bool:
-        if waiter.done:
-            return False
-        waiter.done = True  # lazy deletion: the heap entry expires harmlessly
-        bucket = self._by_key.get(waiter.key)
-        if bucket is not None:
-            bucket.pop(waiter.id, None)
-            if not bucket:
-                del self._by_key[waiter.key]
-        return True
-
-    def notify(self, key: str, seq: int) -> list[Waiter]:
-        """Publisher hook: pop every waiter on ``key`` with cursor < ``seq``."""
-        with self._lock:
-            bucket = self._by_key.get(key)
-            if not bucket:
-                return []
-            ready = [w for w in bucket.values() if w.since < seq]
-            for waiter in ready:
-                self._remove_locked(waiter)
-            self.notified_total += len(ready)
-            return ready
-
-    def drop_key(self, key: str) -> list[Waiter]:
-        """Pop every waiter on ``key`` (session evicted/closed)."""
-        with self._lock:
-            bucket = self._by_key.pop(key, None)
-            if not bucket:
-                return []
-            waiters = list(bucket.values())
-            for waiter in waiters:
-                waiter.done = True
-            return waiters
-
-    # -- persistent subscribers (SSE / WebSocket push streams) ---------------
+        return self.add(Subscriber(key, since, handle, "longpoll", "json",
+                                   0, window, deadline))
 
     def subscribe(self, key: str, since: int, handle: Any = None,
                   transport: str = "sse", framing: str = "json",
@@ -174,83 +121,76 @@ class LongPollScheduler:
 
         Unlike :meth:`register`, the record survives publishes: it is
         returned by every :meth:`push_targets` call whose head passes
-        its cursor until :meth:`unsubscribe` or :meth:`drop_subscribers`
-        removes it.
+        its cursor until :meth:`remove` or :meth:`drop_key` takes it out.
         """
-        with self._lock:
-            sub = Subscriber(next(self._ids), key, since, handle,
-                             transport, framing, tier, window)
-            self._subs_by_key.setdefault(key, {})[sub.id] = sub
-            self.subscribed_total += 1
-            return sub
+        return self.add(Subscriber(key, since, handle, transport, framing,
+                                   tier, window))
 
-    def unsubscribe(self, sub: Subscriber) -> bool:
-        """Remove a subscriber (connection closed); False if already gone."""
+    def remove(self, record: Subscriber) -> bool:
+        """Take a record out (connection closed); False if already gone."""
         with self._lock:
-            if sub.done:
-                return False
-            sub.done = True
-            bucket = self._subs_by_key.get(sub.key)
-            if bucket is not None:
-                bucket.pop(sub.id, None)
-                if not bucket:
-                    del self._subs_by_key[sub.key]
-            return True
+            return self._remove_locked(record)
 
-    def push_targets(self, key: str, seq: int) -> list[Subscriber]:
-        """Publisher hook: every live subscriber on ``key`` behind ``seq``.
+    def _remove_locked(self, record: Subscriber) -> bool:
+        if record.done:
+            return False
+        record.done = True  # lazy deletion: the heap entry expires harmlessly
+        bucket = self._by_key.get(record.key)
+        if bucket is not None:
+            bucket.pop(record.id, None)
+            if not bucket:
+                del self._by_key[record.key]
+        return True
 
-        Subscribers are returned *without* being removed — delivery
-        advances each cursor in place on the owning IO loop.  Reading
-        ``since`` here races that advance benignly: a stale read only
-        re-queues a subscriber whose delivery re-check will no-op.
-        """
+    def notify(self, key: str, seq: int) -> list[Subscriber]:
+        """Publisher hook: pop every parked poll on ``key`` with cursor < ``seq``."""
         with self._lock:
-            bucket = self._subs_by_key.get(key)
+            bucket = self._by_key.get(key)
             if not bucket:
                 return []
-            targets = [s for s in bucket.values() if s.since < seq]
+            ready = [r for r in bucket.values()
+                     if r.deadline is not None and r.since < seq]
+            for record in ready:
+                self._remove_locked(record)
+            self.notified_total += len(ready)
+            return ready
+
+    def push_targets(self, key: str, seq: int) -> list[Subscriber]:
+        """Publisher hook: every live stream on ``key`` behind ``seq``.
+
+        Streams are returned *without* being removed — delivery
+        advances each cursor in place on the owning IO loop.  Reading
+        ``since`` here races that advance benignly: a stale read only
+        re-queues a stream whose delivery re-check will no-op.
+        """
+        with self._lock:
+            bucket = self._by_key.get(key)
+            if not bucket:
+                return []
+            targets = [r for r in bucket.values()
+                       if r.deadline is None and r.since < seq]
             self.pushed_total += len(targets)
             return targets
 
-    def drop_subscribers(self, key: str) -> list[Subscriber]:
-        """Pop every subscriber on ``key`` (session evicted/closed)."""
+    def drop_key(self, key: str) -> list[Subscriber]:
+        """Pop every record on ``key`` (session evicted/closed)."""
         with self._lock:
-            bucket = self._subs_by_key.pop(key, None)
+            bucket = self._by_key.pop(key, None)
             if not bucket:
                 return []
-            subs = list(bucket.values())
-            for sub in subs:
-                sub.done = True
-            return subs
+            records = list(bucket.values())
+            for record in records:
+                record.done = True
+            return records
 
-    def subscribers(self) -> int:
-        with self._lock:
-            return sum(len(b) for b in self._subs_by_key.values())
-
-    def subscribers_for(self, key: str) -> int:
-        with self._lock:
-            return len(self._subs_by_key.get(key, ()))
-
-    def subscriber_counts(self) -> dict[str, int]:
-        """Live subscribers by transport (for per-transport stats)."""
-        counts: dict[str, int] = {}
-        with self._lock:
-            for bucket in self._subs_by_key.values():
-                for sub in bucket.values():
-                    counts[sub.transport] = counts.get(sub.transport, 0) + 1
-        return counts
-
-    def expire_due(self, now: float) -> list[Waiter]:
-        """Pop every waiter whose deadline has passed (the wheel tick)."""
-        expired: list[Waiter] = []
+    def expire_due(self, now: float) -> list[Subscriber]:
+        """Pop every parked poll whose deadline has passed (the wheel tick)."""
+        expired: list[Subscriber] = []
         with self._lock:
             while self._heap and self._heap[0][0] <= now:
-                _, _, waiter = heapq.heappop(self._heap)
-                if waiter.done:
-                    continue  # already notified or cancelled
-                self._remove_locked(waiter)
-                expired.append(waiter)
+                _, _, record = heapq.heappop(self._heap)
+                if self._remove_locked(record):  # else: notified or removed
+                    expired.append(record)
             self.expired_total += len(expired)
         return expired
 
@@ -261,23 +201,50 @@ class LongPollScheduler:
                 heapq.heappop(self._heap)  # drain lazily-deleted entries
             return self._heap[0][0] if self._heap else None
 
-    def pending(self) -> int:
+    def _count(self, parked: bool, key: str | None = None) -> int:
+        """Records with (``parked``) or without a deadline, on one key or all."""
         with self._lock:
-            return sum(len(bucket) for bucket in self._by_key.values())
+            buckets = (self._by_key.values() if key is None
+                       else (self._by_key.get(key, {}),))
+            return sum((r.deadline is not None) is parked
+                       for bucket in buckets for r in bucket.values())
+
+    def pending(self) -> int:
+        """Parked polls on every key."""
+        return self._count(True)
 
     def pending_for(self, key: str) -> int:
+        return self._count(True, key)
+
+    def subscribers(self) -> int:
+        """Live push streams on every key."""
+        return self._count(False)
+
+    def subscribers_for(self, key: str) -> int:
+        return self._count(False, key)
+
+    def watchers_for(self, key: str) -> int:
+        """Every record on ``key``, parked or streaming (the demand probe)."""
         with self._lock:
             return len(self._by_key.get(key, ()))
 
+    def subscriber_counts(self) -> dict[str, int]:
+        """Live records by transport (for per-transport stats)."""
+        counts: dict[str, int] = {}
+        with self._lock:
+            for bucket in self._by_key.values():
+                for record in bucket.values():
+                    counts[record.transport] = counts.get(record.transport, 0) + 1
+        return counts
+
     def stats(self) -> dict:
         """Lifetime counters plus current parked count (for /api/stats)."""
-        with self._lock:
-            return {
-                "parked": sum(len(b) for b in self._by_key.values()),
-                "subscribers": sum(len(b) for b in self._subs_by_key.values()),
-                "registered_total": self.registered_total,
-                "notified_total": self.notified_total,
-                "expired_total": self.expired_total,
-                "subscribed_total": self.subscribed_total,
-                "pushed_total": self.pushed_total,
-            }
+        return {
+            "parked": self.pending(),
+            "subscribers": self.subscribers(),
+            "registered_total": self.registered_total,
+            "notified_total": self.notified_total,
+            "expired_total": self.expired_total,
+            "subscribed_total": self.subscribed_total,
+            "pushed_total": self.pushed_total,
+        }

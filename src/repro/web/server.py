@@ -3,9 +3,10 @@
 The seed used ``ThreadingHTTPServer`` and parked one thread per
 outstanding ``/api/poll``.  This server is a set of ``shards`` selector
 loops (default 1): every connection is non-blocking, and a long poll
-with no fresh events becomes a :class:`~repro.web.longpoll.Waiter`
-record on its shard's :class:`~repro.web.longpoll.LongPollScheduler`.
-Publishes from simulation threads pop ready waiters and wake the owning
+with no fresh events becomes a :class:`~repro.web.longpoll.Subscriber`
+record with a deadline on its shard's
+:class:`~repro.web.longpoll.LongPollScheduler`.
+Publishes from simulation threads pop ready polls and wake the owning
 loop through its socketpair; each scheduler's deadline heap bounds that
 loop's select timeout so expired polls get their empty delta on time.
 Server-side thread count is a constant (``shards`` IO threads +
@@ -19,7 +20,7 @@ session to exactly one *owning* shard; a connection whose request
 addresses a session another shard owns is migrated once — unregistered
 from the accepting loop, handed (with its already-parsed request) to
 the owner over its wake socketpair — so all of a session's parked
-waiters live on one scheduler and a publish wakes exactly one loop.
+polls live on one scheduler and a publish wakes exactly one loop.
 Where ``SO_REUSEPORT`` is unavailable, shard 0 runs the single acceptor
 and round-robins fresh connections to its peers over the same handoff
 path.  Shards share the per-session event stores and their encode-once
@@ -38,10 +39,11 @@ pollers on one publish costs ~O(1 encode + N writes), not O(N encodes).
 per-event request/response cycle long polls pay.  ``GET
 /api/<sid>/stream`` turns the connection into a chunked-transfer SSE
 stream and ``GET /api/<sid>/ws`` upgrades it to a WebSocket (RFC 6455);
-either way the connection becomes a persistent
+either way the connection becomes a persistent (deadline-less)
 :class:`~repro.web.longpoll.Subscriber` on its session's *owning*
 shard (the crc32 router migrates it once, at stream start).  A publish
-then walks the subscriber list and appends the pre-framed delta — SSE
+then walks the subscriber list and :mod:`repro.web.delivery` (the one
+path polls and streams share) appends the pre-framed delta — SSE
 ``data:`` chunk or WS frame, memoized per ``(since, head)`` window
 alongside the JSON encode — to each connection's write deque: zero
 re-parks, zero request parsing per event, still ~1 encode + N vectored
@@ -57,7 +59,7 @@ header ``bytes`` plus a shared immutable body buffer, queued as
 (``sendmsg``) partial non-blocking writes.  A slow client accumulates
 backlog in its own queue only — never a copy of a shared frame — and is
 disconnected once the backlog exceeds the per-connection write budget,
-so one stalled reader can neither stall its loop nor other waiters.
+so one stalled reader can neither stall its loop nor other watchers.
 
 Heavy routes run off the IO loops: ``POST /api/sessions`` (CentralManager
 configure + simulation startup), cold-cache ``image.png`` re-encodes and
@@ -105,8 +107,9 @@ from repro.steering.events import (
     sse_comment_chunk,
     ws_server_frame,
 )
+from repro.web.delivery import TRANSPORTS, Delivery
 from repro.web.framing import parse_ws_frames, ws_accept_key
-from repro.web.longpoll import LongPollScheduler, Subscriber, Waiter
+from repro.web.longpoll import LongPollScheduler, Subscriber
 from repro.web.sharding import create_shard_listeners, default_shard_router
 from repro.web.static import DASHBOARD_HTML, INDEX_HTML
 from repro.window import WindowCursor
@@ -120,8 +123,6 @@ _MAX_IOV = 64  # buffers per vectored write (safely under IOV_MAX everywhere)
 _HAS_SENDMSG = hasattr(socket.socket, "sendmsg")
 _INDEX_BYTES = INDEX_HTML.encode("utf-8")  # encoded once, shared by every GET /
 _DASHBOARD_BYTES = DASHBOARD_HTML.encode("utf-8")  # GET /dashboard, same deal
-_SSE_TERMINAL = b"0\r\n\r\n"  # chunked-transfer end marker
-_TRANSPORTS = ("longpoll", "sse", "ws")
 
 _STATUS_TEXT = {
     200: "OK",
@@ -258,7 +259,7 @@ class _Request:
 
 
 class _Handler:
-    """One client connection: buffers, parse state, at most one parked poll.
+    """One client connection: buffers, parse state, at most one registration.
 
     Output is a deque of ``memoryview``s over immutable buffers — the
     response header is built per connection, but the body (a shared delta
@@ -271,7 +272,10 @@ class _Handler:
 
     ``mode`` starts as ``"http"`` (request/response parsing) and flips
     once, irreversibly, to ``"sse"`` or ``"ws"`` when a stream route
-    claims the connection; ``subscriber`` then holds its registration.
+    claims the connection.  ``subscriber`` is the connection's one
+    registration — its parked poll or its push stream; while it is set
+    no further request is parsed and the idle reaper leaves the
+    connection alone.
 
     ``tier``/``max_tier``/``estimator`` are the adaptive delivery plane's
     per-connection state: the current delivery tier (only the owning loop
@@ -281,10 +285,10 @@ class _Handler:
     """
 
     __slots__ = ("shard", "sock", "addr", "inbuf", "outq", "out_bytes",
-                 "close_after", "waiter", "subscriber", "mode", "busy",
+                 "close_after", "subscriber", "mode", "busy",
                  "closed", "keep_alive", "last_activity", "want_write",
                  "tier", "max_tier", "estimator", "deprecated",
-                 "window", "window_wid", "window_source", "lod_bias")
+                 "window_wid", "window_source", "lod_bias")
 
     def __init__(self, shard: "_IOShard", sock: socket.socket, addr) -> None:
         self.shard = shard
@@ -295,8 +299,7 @@ class _Handler:
         self.out_bytes = 0
         self.want_write = False  # EVENT_WRITE currently registered
         self.close_after = False
-        self.waiter: Waiter | None = None  # the parked poll, if any
-        self.subscriber: Subscriber | None = None  # the push stream, if any
+        self.subscriber: Subscriber | None = None  # parked poll or push stream
         self.mode = "http"  # "http" | "sse" | "ws"
         self.busy = False  # a worker-pool job owns the next response
         self.closed = False
@@ -310,10 +313,9 @@ class _Handler:
         # legacy (unversioned) alias and the response must say so.
         self.deprecated = False
         # Sliding-window state: the client's window id within its
-        # session, the owning session's domain source, the extra LOD
-        # coarsening the staleness ladder currently applies, and the
-        # last resolved geometry key (the frame-group component).
-        self.window: tuple | None = None
+        # session, the owning session's domain source and the extra LOD
+        # coarsening the staleness ladder currently applies; delivery
+        # resolves the three into the frame group's geometry key.
         self.window_wid: str | None = None
         self.window_source = None
         self.lod_bias = 0
@@ -420,7 +422,7 @@ class _IOShard:
     """One selector IO loop: its accept socket, scheduler and connections.
 
     Everything connection-shaped is shard-local — the selector, the wake
-    socketpair, the parked-waiter scheduler, the handler set, the
+    socketpair, the subscriber scheduler, the handler set, the
     serving counters — so shards never take each other's locks on the
     hot path.  Cross-shard traffic (connection migration, fallback
     accept handoff) travels through ``_incoming`` + the wake socketpair,
@@ -438,9 +440,9 @@ class _IOShard:
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_r.setblocking(False)
         self._wake_w.setblocking(False)
-        self._ready: deque[Waiter] = deque()  # popped by this loop only
-        self._push_queue: deque[Subscriber] = deque()  # publish -> push targets
-        self._farewells: deque[Subscriber] = deque()  # session evicted -> goodbye
+        # Records awaiting delivery: appended by publishers, the deadline
+        # wheel, eviction and the poll/stream routes; popped by this loop.
+        self._woken: deque[Subscriber] = deque()
         self._completions: deque = deque()  # (handler, code, body, ctype)
         # Connections handed to this shard: (handler, parsed request | None,
         # migrated?) — appended by peer shards / acceptors, popped here.
@@ -449,7 +451,6 @@ class _IOShard:
         self._replays: list[_ReplayPump] = []  # paced replays this loop pumps
         self._thread: threading.Thread | None = None
         self.started_mono = time.monotonic()  # refreshed by start()
-        self.polls_served = 0
         self.requests_served = 0
         self.bytes_sent = 0
         self.slow_client_disconnects = 0
@@ -460,23 +461,16 @@ class _IOShard:
         self.tier_demotions = 0  # ...or down (degrade-before-disconnect)
         self.lod_promotions = 0  # windowed client refined back toward its LOD
         self.lod_demotions = 0  # ...or was coarsened (staleness ladder)
-        # Satellite gauges for the ops tier: per-tier downscale savings
-        # (full-tier bytes minus sent bytes, accumulated per delivered
-        # delta) and an EWMA of publish-wake -> response latency sampled
-        # on woken long-poll waiters (push subscribers are delivered in
-        # the same loop pass, so waiters are the representative sample).
-        self.tier_bytes_saved = [0] * (MAX_TIER + 1)
-        self.wake_ewma_ms = 0.0
-        self.wakes_measured = 0
-        # Per-transport delivery accounting (events + payload bytes).
-        # ``bytes_sent`` here counts every payload byte the transport
-        # queued — deltas AND heartbeat/farewell/control frames — so it
-        # reconciles against the shard's raw ``bytes_sent`` (which adds
-        # only HTTP response heads on top).
-        self.transport_counters = {
-            t: {"delivered": 0, "bytes_sent": 0, "heartbeats": 0, "farewells": 0}
-            for t in _TRANSPORTS
-        }
+        # The one wake path (and its gauges: polls served, per-transport
+        # bytes, tier savings, wake latency, swallowed delivery errors).
+        self.delivery = Delivery(
+            events=server.manager.events,
+            enqueue=self._enqueue_and_flush,
+            close=self._close,
+            resume=self._process_input,
+            remove=self.scheduler.remove,
+            render_head=server._render_head,
+        )
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -506,15 +500,6 @@ class _IOShard:
         except (BlockingIOError, OSError):
             pass  # wake byte already pending, or server shutting down
 
-    def _note_wake(self, seconds: float) -> None:
-        """Fold one wake->response latency sample into the shard EWMA."""
-        ms = seconds * 1000.0
-        if self.wakes_measured == 0:
-            self.wake_ewma_ms = ms
-        else:
-            self.wake_ewma_ms = 0.9 * self.wake_ewma_ms + 0.1 * ms
-        self.wakes_measured += 1
-
     def _tier_gauges(self) -> list[int]:
         """Open connections per delivery tier (approximate while running).
 
@@ -536,25 +521,24 @@ class _IOShard:
 
     def stats(self) -> dict:
         """This shard's slice of the ``/api/stats`` payload."""
+        delivery = self.delivery
         active = self.scheduler.subscriber_counts()
         transports = {
-            name: {
-                "active": (self.scheduler.pending() if name == "longpoll"
-                           else active.get(name, 0)),
-                **counters,
-            }
-            for name, counters in self.transport_counters.items()
+            name: {"active": active.get(name, 0), **counters}
+            for name, counters in delivery.transports.items()
         }
+        scheduler = self.scheduler.stats()
         return {
             "shard": self.index,
             "io_threads": 1 if self.io_thread_alive() else 0,
-            "parked_polls": self.scheduler.pending(),
-            "subscribers": self.scheduler.subscribers(),
+            "parked_polls": scheduler["parked"],
+            "subscribers": scheduler["subscribers"],
             "transports": transports,
-            "polls_served": self.polls_served,
+            "polls_served": delivery.polls_served,
             "requests_served": self.requests_served,
             "bytes_sent": self.bytes_sent,
             "slow_client_disconnects": self.slow_client_disconnects,
+            "delivery_errors": delivery.delivery_errors,
             "migrations_in": self.migrations_in,
             "migrations_out": self.migrations_out,
             "accept_handoffs": self.accept_handoffs,
@@ -563,14 +547,14 @@ class _IOShard:
             "tier_demotions": self.tier_demotions,
             "lod_promotions": self.lod_promotions,
             "lod_demotions": self.lod_demotions,
-            "tier_bytes_saved": list(self.tier_bytes_saved),
-            "bytes_saved": sum(self.tier_bytes_saved),
-            "wake_ewma_ms": self.wake_ewma_ms,
-            "wakes_measured": self.wakes_measured,
+            "tier_bytes_saved": list(delivery.tier_bytes_saved),
+            "bytes_saved": sum(delivery.tier_bytes_saved),
+            "wake_ewma_ms": delivery.wake_ewma_ms,
+            "wakes_measured": delivery.wakes_measured,
             "replays_active": len(self._replays),
             "timestamp": time.time(),
             "uptime_s": time.monotonic() - self.started_mono,
-            "scheduler": self.scheduler.stats(),
+            "scheduler": scheduler,
         }
 
     # -- the IO loop ------------------------------------------------------------------
@@ -607,11 +591,11 @@ class _IOShard:
             self._adopt_incoming()
             if self._replays:
                 self._pump_replays(now)
-            self._deliver_ready()
-            self._deliver_push()
-            self._deliver_farewells()
             self._deliver_completions()
-            self._deliver_expired(now)
+            self._woken.extend(self.scheduler.expire_due(now))
+            while self._woken:  # a delivery may resume a parser that queues more
+                self.delivery.deliver(
+                    [self._woken.popleft() for _ in range(len(self._woken))])
             if now >= next_housekeeping:
                 next_housekeeping = now + server.housekeeping_interval
                 self._housekeeping()
@@ -680,7 +664,7 @@ class _IOShard:
                 if request is not None:
                     # The request that triggered the migration, already
                     # parsed by the source shard; dispatch it here where
-                    # the session's waiter list lives.
+                    # the session's subscriber list lives.
                     handler.keep_alive = request.keep_alive
                     self._dispatch_safe(handler, request)
                 if not handler.closed and handler.shard is self:
@@ -692,11 +676,8 @@ class _IOShard:
         if handler.closed:
             return
         handler.closed = True
-        if handler.waiter is not None:
-            self.scheduler.cancel(handler.waiter)
-            handler.waiter = None
         if handler.subscriber is not None:
-            self.scheduler.unsubscribe(handler.subscriber)
+            self.scheduler.remove(handler.subscriber)
             handler.subscriber = None
         try:
             self._selector.unregister(handler.sock)
@@ -742,7 +723,7 @@ class _IOShard:
 
         The backlog is per-connection memoryviews over shared immutable
         buffers, so dropping the client frees only queue entries — the
-        shared frames other waiters reference are untouched.
+        shared frames other connections reference are untouched.
         """
         self.slow_client_disconnects += 1
         self._close(handler)
@@ -817,7 +798,7 @@ class _IOShard:
             handler.inbuf.clear()
             return
         while (not handler.closed and handler.shard is self
-               and handler.waiter is None and not handler.busy
+               and handler.subscriber is None and not handler.busy
                and handler.mode == "http"):
             request = self._parse_one(handler)
             if request is None:
@@ -913,7 +894,7 @@ class _IOShard:
         assert sid is not None
         owner = server._shard_of(sid)
         if owner is not self:
-            # Session-keyed work belongs to the shard owning the waiter
+            # Session-keyed work belongs to the shard owning the subscriber
             # list; migrate the connection (with this parsed request) so
             # every future poll parks where the publish path wakes.
             self._migrate(handler, request, owner)
@@ -925,7 +906,7 @@ class _IOShard:
         """Hand this connection to ``target`` (runs on the source loop).
 
         Only reachable from dispatch, so the handler has no parked
-        waiter and no in-flight worker job; pending response bytes (a
+        poll and no in-flight worker job; pending response bytes (a
         pipelined earlier response) travel with it — the target
         re-registers for EVENT_WRITE if any remain.
         """
@@ -1033,7 +1014,6 @@ class _IOShard:
         handler.window_wid = wid
         handler.window_source = source
         handler.lod_bias = 0
-        handler.window = cursor.key()
         handler._send_json({
             "ok": True,
             "session": sid,
@@ -1254,150 +1234,22 @@ class _IOShard:
         server._apply_min_quality(handler, request)
         wkey = server._apply_window(handler, request, store)
         server._hook_store(sid, store)
+        poll = Subscriber(sid, since, handler, "longpoll", FRAME_JSON,
+                          handler.tier, wkey,
+                          deadline=time.monotonic() + timeout)
+        handler.subscriber = poll  # holds the parser until delivery detaches it
         if store.seq > since or timeout <= 0:
-            self.polls_served += 1
-            frame, head = store.framed_delta_with_head(since, FRAME_JSON,
-                                                       handler.tier, wkey)
-            if handler.tier:
-                self.tier_bytes_saved[handler.tier] += store.frame_saved(
-                    since, head, FRAME_JSON, handler.tier, wkey)
-            self._count_tx("longpoll", len(frame))
-            handler._send(200, frame)
+            self._woken.append(poll)  # answered this pass, never registered
             return
         # Park: register first, then re-check, so a publish racing this
-        # request is either seen by the re-check or pops the waiter.
-        waiter = self.scheduler.register(
-            sid, since, time.monotonic() + timeout, handler, window=wkey
-        )
-        handler.waiter = waiter
-        if store.seq > since and self.scheduler.cancel(waiter):
-            handler.waiter = None
-            self.polls_served += 1
-            frame, head = store.framed_delta_with_head(since, FRAME_JSON,
-                                                       handler.tier, wkey)
-            if handler.tier:
-                self.tier_bytes_saved[handler.tier] += store.frame_saved(
-                    since, head, FRAME_JSON, handler.tier, wkey)
-            self._count_tx("longpoll", len(frame))
-            handler._send(200, frame)
-        # else: the waiter is parked (or already in the ready queue); the
+        # request is either seen by the re-check or pops the record.
+        self.scheduler.add(poll)
+        if store.seq > since and self.scheduler.remove(poll):
+            self._woken.append(poll)
+        # else: the poll is parked (or already in the delivery queue); the
         # IO loop delivers the response.  Zero threads are held either way.
 
-    def _respond_waiter(self, waiter: Waiter) -> None:
-        handler: _Handler = waiter.handle
-        if handler.closed or handler.waiter is not waiter:
-            return
-        handler.waiter = None
-        sid = waiter.key
-        try:
-            store = self.server.manager.events(sid)
-            # The whole woken herd shares one encoded frame per cursor —
-            # this is the O(1 encode + N writes) wake path.
-            frame, head = store.framed_delta_with_head(waiter.since,
-                                                       FRAME_JSON,
-                                                       handler.tier,
-                                                       waiter.window)
-        except ReproError as exc:  # session evicted while parked
-            handler._send_error(404, "not_found", str(exc))
-            self._process_input(handler)
-            return
-        self.polls_served += 1
-        if handler.tier:
-            self.tier_bytes_saved[handler.tier] += store.frame_saved(
-                waiter.since, head, FRAME_JSON, handler.tier, waiter.window)
-        if waiter.woken_at:
-            self._note_wake(time.monotonic() - waiter.woken_at)
-        self._count_tx("longpoll", len(frame))
-        handler._send(200, frame)
-        self._process_input(handler)  # a pipelined request may be waiting
-
-    def _deliver_ready(self) -> None:
-        """Respond to woken waiters, herd-batched by (session, cursor, tier).
-
-        A publish typically wakes N waiters parked at the same cursor;
-        grouping them lets the whole herd share one delta frame *and*
-        one fully rendered response buffer — the wake path costs one
-        encode per tier group plus N queue-appends and N vectored writes.
-        """
-        while self._ready:  # publishers may append concurrently; re-check
-            groups: dict[tuple, list[Waiter]] = {}
-            while True:
-                try:
-                    waiter = self._ready.popleft()
-                except IndexError:
-                    break
-                handler = waiter.handle
-                tier = handler.tier if handler is not None else 0
-                deprecated = handler.deprecated if handler is not None else False
-                groups.setdefault(
-                    (waiter.key, waiter.since, tier, waiter.window, deprecated),
-                    []).append(waiter)
-            for (sid, since, tier, window, deprecated), herd in groups.items():
-                try:
-                    self._respond_herd(sid, since, tier, window, deprecated,
-                                       herd)
-                except Exception:  # one bad herd must not kill the IO loop
-                    for waiter in herd:
-                        if waiter.handle is not None:
-                            self._close(waiter.handle)
-
-    def _respond_herd(self, sid: str, since: int, tier: int,
-                      window: tuple | None, deprecated: bool,
-                      herd: list[Waiter]) -> None:
-        server = self.server
-        try:
-            store = server.manager.events(sid)
-            frame, head = store.framed_delta_with_head(since, FRAME_JSON,
-                                                       tier, window)
-        except ReproError:  # session evicted while parked
-            for waiter in herd:
-                self._respond_waiter(waiter)
-            return
-        saved = (store.frame_saved(since, head, FRAME_JSON, tier, window)
-                 if tier else 0)
-        now = time.monotonic()
-        shared: bytes | None = None
-        for waiter in herd:
-            handler: _Handler = waiter.handle
-            if handler.closed or handler.waiter is not waiter:
-                continue
-            handler.waiter = None
-            self.polls_served += 1
-            if tier:
-                self.tier_bytes_saved[tier] += saved
-            if waiter.woken_at:
-                self._note_wake(now - waiter.woken_at)
-            self._count_tx("longpoll", len(frame))
-            if handler.keep_alive:
-                # One render shared by the herd: header + frame in a
-                # single immutable buffer every connection references.
-                if shared is None:
-                    shared = server._render_head(
-                        200, "application/json", len(frame), True,
-                        deprecated=deprecated,
-                    ) + frame
-                self._enqueue_and_flush(handler, (shared,))
-            else:
-                handler._send(200, frame)
-            if not handler.closed and handler.inbuf:
-                self._process_input(handler)  # pipelined request waiting
-
     # -- push streams (SSE / WebSocket subscribers) --------------------------------
-
-    def _count_tx(self, transport: str, nbytes: int,
-                  kind: str | None = "delivered") -> None:
-        """Account ``nbytes`` of payload to ``transport``.
-
-        ``kind`` names the event counter to bump ("delivered",
-        "heartbeats", "farewells"); ``None`` counts bytes only (control
-        frames like WS pong/close echoes).  Every payload byte a
-        transport queues flows through here so the per-transport sums
-        reconcile against the shard's raw ``bytes_sent``.
-        """
-        counters = self.transport_counters[transport]
-        if kind is not None:
-            counters[kind] += 1
-        counters["bytes_sent"] += nbytes
 
     def _handle_stream(self, handler: _Handler, request: _Request,
                        sid: str, store) -> None:
@@ -1433,8 +1285,8 @@ class _IOShard:
                                        tier=handler.tier, window=wkey)
         handler.subscriber = sub
         self._enqueue_and_flush(handler, (head, sse_comment_chunk(b"ok")))
-        if not handler.closed and store.seq > since:
-            self._push_one(sub)  # backlog behind the cursor goes out now
+        if store.seq > since:
+            self._woken.append(sub)  # backlog behind the cursor goes out now
 
     def _handle_ws_upgrade(self, handler: _Handler, request: _Request,
                            sid: str, store) -> None:
@@ -1483,8 +1335,8 @@ class _IOShard:
                                        tier=handler.tier, window=wkey)
         handler.subscriber = sub
         self._enqueue_and_flush(handler, (head,))
-        if not handler.closed and store.seq > since:
-            self._push_one(sub)
+        if store.seq > since:
+            self._woken.append(sub)
         if not handler.closed and handler.inbuf:
             self._process_ws_input(handler)  # frames sent before our 101
 
@@ -1500,108 +1352,17 @@ class _IOShard:
                 return
             if opcode == WS_PING:
                 pong = ws_server_frame(payload, WS_PONG)
-                self._count_tx("ws", len(pong), kind=None)
+                self.delivery.count_tx("ws", len(pong), kind=None)
                 self._enqueue_and_flush(handler, (pong,))
             elif opcode == WS_CLOSE:
                 # Echo the status code (if any) and finish the closing
                 # handshake; close_after fires once the echo is flushed.
                 handler.close_after = True
                 echo = ws_server_frame(payload[:2], WS_CLOSE)
-                self._count_tx("ws", len(echo), kind=None)
+                self.delivery.count_tx("ws", len(echo), kind=None)
                 self._enqueue_and_flush(handler, (echo,))
                 return
             # Data and pong frames from the client carry nothing we act on.
-
-    def _deliver_push(self) -> None:
-        """Append fresh pre-framed deltas to woken subscribers.
-
-        Runs on the owning loop only — it is the only writer of each
-        subscriber's cursor, so delivery needs no lock beyond the
-        scheduler's internal one.  The whole queue is drained as one
-        batch so a lockstep herd (N subscribers at the same cursor)
-        pays one store lookup per session and one frame-cache hit per
-        (session, cursor, framing) group — mirroring the long-poll herd
-        path, which renders a single shared response buffer.
-        """
-        if not self._push_queue:
-            return
-        batch = list(self._push_queue)
-        self._push_queue.clear()
-        stores: dict[str, object] = {}
-        frames: dict[tuple, tuple] = {}
-        for sub in batch:
-            try:
-                self._push_one(sub, stores, frames)
-            except Exception:  # one bad connection must not kill the loop
-                if sub.handle is not None:
-                    self._close(sub.handle)
-
-    def _push_one(self, sub: Subscriber, stores: dict | None = None,
-                  frames: dict | None = None) -> None:
-        handler: _Handler = sub.handle
-        if (sub.done or handler is None or handler.closed
-                or handler.subscriber is not sub):
-            return
-        store = stores.get(sub.key) if stores is not None else None
-        if store is None:
-            try:
-                store = self.server.manager.events(sub.key)
-            except ReproError:  # session evicted between publish and delivery
-                self._farewell(sub)
-                return
-            if stores is not None:
-                stores[sub.key] = store
-        if store.seq <= sub.since:
-            return  # duplicate wake: an earlier delivery already covered it
-        if handler.window_source is not None and handler.window_wid is not None:
-            # Re-resolve the geometry each push: cursor moves and LOD
-            # demotions land between publishes, and subscribers sharing
-            # identical geometry must land in the same frame group.
-            sub.window = handler.window_source.window_key(
-                handler.window_wid, handler.lod_bias)
-        group = (sub.key, sub.since, sub.framing, sub.tier, sub.window)
-        framed = frames.get(group) if frames is not None else None
-        if framed is None:
-            framed = store.framed_delta_with_head(sub.since, sub.framing,
-                                                  sub.tier, sub.window)
-            if frames is not None:
-                frames[group] = framed
-        frame, head = framed
-        if sub.tier:
-            self.tier_bytes_saved[sub.tier] += store.frame_saved(
-                sub.since, head, sub.framing, sub.tier, sub.window)
-        sub.since = head  # advance to exactly what was framed
-        self._count_tx(sub.transport, len(frame))
-        self._enqueue_and_flush(handler, (frame,))
-
-    def _farewell(self, sub: Subscriber) -> None:
-        """End a push stream cleanly (its session is gone)."""
-        self.scheduler.unsubscribe(sub)
-        handler: _Handler = sub.handle
-        if handler is None or handler.closed:
-            return
-        if handler.subscriber is sub:
-            handler.subscriber = None
-        handler.close_after = True
-        if sub.transport == "ws":
-            goodbye = (ws_server_frame(b"\x03\xe8", WS_CLOSE),)  # 1000 normal
-        else:
-            goodbye = (sse_comment_chunk(b"session closed"), _SSE_TERMINAL)
-        self._count_tx(sub.transport, sum(len(b) for b in goodbye),
-                       kind="farewells")
-        self._enqueue_and_flush(handler, goodbye)
-
-    def _deliver_farewells(self) -> None:
-        while True:
-            try:
-                sub = self._farewells.popleft()
-            except IndexError:
-                return
-            try:
-                self._farewell(sub)
-            except Exception:  # one bad connection must not kill the loop
-                if sub.handle is not None:
-                    self._close(sub.handle)
 
     def _enqueue_and_flush(self, handler: _Handler, buffers) -> None:
         """The single home of the write policy: queue ``buffers`` (by
@@ -1652,11 +1413,7 @@ class _IOShard:
             self.lod_demotions += 1
         else:
             self.lod_promotions += 1
-        handler.lod_bias = bias
-        wkey = source.window_key(handler.window_wid, bias)
-        handler.window = wkey
-        if handler.subscriber is not None:
-            handler.subscriber.window = wkey
+        handler.lod_bias = bias  # delivery resolves the coarsened key
         return True
 
     def _shift_lod(self, handler: _Handler, delta: int = 0,
@@ -1780,14 +1537,6 @@ class _IOShard:
         for pump in finished:
             self._replays.remove(pump)
 
-    def _deliver_expired(self, now: float) -> None:
-        for waiter in self.scheduler.expire_due(now):
-            try:
-                self._respond_waiter(waiter)
-            except Exception:  # one bad connection must not kill the IO loop
-                if waiter.handle is not None:
-                    self._close(waiter.handle)
-
     def _housekeeping(self) -> None:
         server = self.server
         self._retier()  # adaptive controller pass: piggybacks, 0 threads
@@ -1801,18 +1550,14 @@ class _IOShard:
                 except Exception:
                     pass
             # Session eviction is a service-wide sweep: run it once (on
-            # shard 0) and push each evicted session's parked waiters to
-            # the shard owning them; that loop answers with the 404.
-            evicted = server.manager.evict_idle()
-            for sid in evicted:
+            # shard 0) and push each evicted session's records to the
+            # shard owning them; that loop says goodbye by transport
+            # (404 / SSE terminal chunk / WS close).
+            for sid in server.manager.evict_idle():
                 owner = server._shard_of(sid)
                 dropped = owner.scheduler.drop_key(sid)
                 if dropped:
-                    owner._ready.extend(dropped)
-                subs = owner.scheduler.drop_subscribers(sid)
-                if subs:
-                    owner._farewells.extend(subs)
-                if dropped or subs:
+                    owner._woken.extend(dropped)
                     owner._wake()
         # Reap half-open keep-alive connections past the advertised
         # Keep-Alive timeout.  `last_activity` only advances on
@@ -1825,22 +1570,24 @@ class _IOShard:
         for handler in list(self._handlers):
             sub = handler.subscriber
             if sub is not None:
-                # Push streams are never idle-reaped: an idle stream is a
-                # quiet simulation, not a dead client.  Heartbeat instead
-                # (WS ping / SSE comment) — a dead peer RSTs the next
-                # write, a stalled one accumulates backlog until the
-                # write budget drops it.
-                if handler.last_activity < beat_cutoff and not handler.closed:
+                # A registered connection is never idle-reaped: a parked
+                # poll has its own deadline, and an idle stream is a
+                # quiet simulation, not a dead client.  Streams heartbeat
+                # instead (WS ping / SSE comment) — a dead peer RSTs the
+                # next write, a stalled one accumulates backlog until
+                # the write budget drops it.
+                if (sub.deadline is None and not handler.closed
+                        and handler.last_activity < beat_cutoff):
                     beat = (ws_server_frame(b"", WS_PING)
                             if sub.transport == "ws" else sse_comment_chunk())
-                    self._count_tx(sub.transport, len(beat), kind="heartbeats")
+                    self.delivery.count_tx(sub.transport, len(beat),
+                                           kind="heartbeats")
                     try:
                         self._enqueue_and_flush(handler, (beat,))
                     except Exception:
                         self._close(handler)
                 continue
-            if (handler.waiter is not None or handler.busy
-                    or handler.last_activity >= cutoff):
+            if handler.busy or handler.last_activity >= cutoff:
                 continue
             if handler.outq:
                 self._drop_slow(handler)
@@ -2034,7 +1781,7 @@ class AjaxWebServer:
 
     @property
     def polls_served(self) -> int:
-        return sum(shard.polls_served for shard in self._shards)
+        return sum(shard.delivery.polls_served for shard in self._shards)
 
     @property
     def requests_served(self) -> int:
@@ -2049,7 +1796,7 @@ class AjaxWebServer:
         return sum(shard.slow_client_disconnects for shard in self._shards)
 
     def parked_polls(self) -> int:
-        """Waiters parked across every shard's scheduler."""
+        """Polls parked across every shard's scheduler."""
         return sum(shard.scheduler.pending() for shard in self._shards)
 
     def subscribers(self) -> int:
@@ -2067,7 +1814,7 @@ class AjaxWebServer:
         transports = {
             name: {"active": 0, "delivered": 0, "bytes_sent": 0,
                    "heartbeats": 0, "farewells": 0}
-            for name in _TRANSPORTS
+            for name in TRANSPORTS
         }
         for s in shard_stats:
             for name, t in s["transports"].items():
@@ -2095,6 +1842,7 @@ class AjaxWebServer:
             "slow_client_disconnects": sum(
                 s["slow_client_disconnects"] for s in shard_stats
             ),
+            "delivery_errors": sum(s["delivery_errors"] for s in shard_stats),
             "parked_polls": sum(s["parked_polls"] for s in shard_stats),
             "subscribers": sum(s["subscribers"] for s in shard_stats),
             "transports": transports,
@@ -2149,7 +1897,7 @@ class AjaxWebServer:
     # -- publish -> wake path ------------------------------------------------------------
 
     def _shard_of(self, sid: str) -> _IOShard:
-        """The shard owning ``sid``'s waiter list (the session router)."""
+        """The shard owning ``sid``'s subscriber list (the session router)."""
         return self._shards[self._router(sid) % len(self._shards)]
 
     def _accept_target(self, acceptor: _IOShard) -> _IOShard:
@@ -2178,32 +1926,26 @@ class AjaxWebServer:
                 return
             self._hooked.add(store)
         store.add_listener(lambda seq, sid=sid: self._on_publish(sid, seq))
-        # Parked waiters and push subscribers read nothing while they
-        # wait; expose them as live demand (a watcher count) so the
-        # executor's backpressure probe never demotes a watched session.
-        def demand(sid=sid) -> int:
-            scheduler = self._shard_of(sid).scheduler
-            return scheduler.pending_for(sid) + scheduler.subscribers_for(sid)
-
-        store.attach_demand_probe(demand)
+        # Parked polls and push streams read nothing while they wait;
+        # expose them as live demand (a watcher count) so the executor's
+        # backpressure probe never demotes a watched session.
+        store.attach_demand_probe(
+            lambda sid=sid: self._shard_of(sid).scheduler.watchers_for(sid))
 
     def _on_publish(self, sid: str, seq: int) -> None:
         """Called from publisher (simulation) threads after every event.
 
-        Routes the wake to the single shard owning the session's waiter
-        list — the other K-1 loops never even wake up.
+        Routes the wake to the single shard owning the session's
+        subscriber list — the other K-1 loops never even wake up.
         """
         shard = self._shard_of(sid)
-        ready = shard.scheduler.notify(sid, seq)
-        targets = shard.scheduler.push_targets(sid, seq)
-        if ready:
+        woken = (shard.scheduler.notify(sid, seq)
+                 + shard.scheduler.push_targets(sid, seq))
+        if woken:
             woken_at = time.monotonic()
-            for waiter in ready:
-                waiter.woken_at = woken_at  # wake->response latency gauge
-            shard._ready.extend(ready)
-        if targets:
-            shard._push_queue.extend(targets)
-        if ready or targets:
+            for record in woken:
+                record.woken_at = woken_at  # wake->delivery latency gauge
+            shard._woken.extend(woken)
             shard._wake()
 
     # -- routing helpers ---------------------------------------------------------------
@@ -2300,7 +2042,6 @@ class AjaxWebServer:
         if wid is None:
             handler.window_wid = None
             handler.window_source = None
-            handler.window = None
             return None
         source = store.window_source()
         if source is None:
@@ -2312,7 +2053,6 @@ class AjaxWebServer:
                 f"unknown window {wid!r}: register it via POST .../window first")
         handler.window_wid = wid
         handler.window_source = source
-        handler.window = wkey
         return wkey
 
     # -- view operations -------------------------------------------------------------------

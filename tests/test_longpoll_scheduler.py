@@ -1,11 +1,11 @@
 """LongPollScheduler edge cases + the Subscriber registry.
 
-The subscriber refactor (push transports) shares the scheduler with the
-long-poll waiter wheel; these tests pin the waiter behaviours the
-refactor must preserve — drop_key flushing an evicted session, expiry
-with tied deadlines, cancel racing notify — and the subscriber registry
-semantics the push path relies on (persistence across publishes,
-cursor-gated targeting, per-transport accounting).
+Parked polls (records with a deadline) and push streams (records
+without) share one registry; these tests pin the parked-poll behaviours
+— drop_key flushing an evicted session, expiry with tied deadlines,
+remove racing notify — and the stream semantics the push path relies on
+(persistence across publishes, cursor-gated targeting, per-transport
+accounting).
 """
 
 from __future__ import annotations
@@ -52,12 +52,12 @@ class TestWaiterEdgeCases:
 
     def test_cancel_of_already_notified_waiter_is_noop(self):
         """A connection closing right after its poll was answered must
-        not corrupt the registry: cancel sees done=True and declines."""
+        not corrupt the registry: remove sees done=True and declines."""
         sched = LongPollScheduler()
         w = sched.register("s", since=0, deadline=100.0)
         assert sched.notify("s", seq=1) == [w]
         assert w.done
-        assert sched.cancel(w) is False
+        assert sched.remove(w) is False
         assert sched.pending() == 0
         # and the heap entry left behind expires harmlessly
         assert sched.expire_due(10**9) == []
@@ -66,7 +66,7 @@ class TestWaiterEdgeCases:
         sched = LongPollScheduler()
         w = sched.register("s", since=0, deadline=1.0)
         assert sched.expire_due(2.0) == [w]
-        assert sched.cancel(w) is False
+        assert sched.remove(w) is False
 
 
 class TestSubscriberRegistry:
@@ -91,8 +91,8 @@ class TestSubscriberRegistry:
     def test_unsubscribe_removes_and_is_idempotent(self):
         sched = LongPollScheduler()
         sub = sched.subscribe("s", since=0)
-        assert sched.unsubscribe(sub) is True
-        assert sched.unsubscribe(sub) is False
+        assert sched.remove(sub) is True
+        assert sched.remove(sub) is False
         assert sched.subscribers() == 0
         assert sched.push_targets("s", seq=99) == []
 
@@ -100,10 +100,13 @@ class TestSubscriberRegistry:
         sched = LongPollScheduler()
         subs = [sched.subscribe("dead", since=0) for _ in range(3)]
         keeper = sched.subscribe("live", since=0)
-        dropped = sched.drop_subscribers("dead")
-        assert sorted(s.id for s in dropped) == sorted(s.id for s in subs)
+        parked = sched.register("dead", since=0, deadline=100.0)
+        dropped = sched.drop_key("dead")  # one verb flushes polls and streams
+        assert sorted(s.id for s in dropped) == sorted(
+            s.id for s in [*subs, parked])
         assert all(s.done for s in dropped)
         assert sched.subscribers_for("dead") == 0
+        assert sched.watchers_for("dead") == 0
         assert sched.push_targets("live", seq=1) == [keeper]
 
     def test_subscriber_counts_by_transport(self):
@@ -123,13 +126,15 @@ class TestSubscriberRegistry:
         assert sched.push_targets("s", seq=1) == [sub]
         assert sched.pending() == 0
         assert sched.subscribers() == 1
+        assert sched.watchers_for("s") == 1
+        assert waiter.deadline == 100.0 and sub.deadline is None
 
     def test_stats_cover_subscriber_counters(self):
         sched = LongPollScheduler()
         sched.register("s", since=0, deadline=100.0)
         sub = sched.subscribe("s", since=0)
         sched.push_targets("s", seq=1)
-        sched.unsubscribe(sub)
+        sched.remove(sub)
         stats = sched.stats()
         assert stats["parked"] == 1
         assert stats["subscribers"] == 0

@@ -498,7 +498,7 @@ class TestObsHttp:
         assert len(shards) == 2
         for key in ("polls_served", "requests_served", "bytes_sent",
                     "parked_polls", "subscribers", "bytes_saved",
-                    "tier_promotions", "tier_demotions"):
+                    "tier_promotions", "tier_demotions", "delivery_errors"):
             assert stats[key] == sum(s[key] for s in shards), key
         for i, total in enumerate(stats["tier_bytes_saved"]):
             assert total == sum(s["tier_bytes_saved"][i] for s in shards)

@@ -167,8 +167,8 @@ class TestLongPollScheduler:
     def test_cancel_prevents_delivery(self):
         sched = LongPollScheduler()
         w = sched.register("s", since=0, deadline=1.0)
-        assert sched.cancel(w) is True
-        assert sched.cancel(w) is False  # already gone
+        assert sched.remove(w) is True
+        assert sched.remove(w) is False  # already gone
         assert sched.notify("s", seq=5) == []
         assert sched.expire_due(2.0) == []
 

@@ -303,6 +303,85 @@ class TestParkedPollDemand:
                 conn.close()
 
 
+def _park_poll(server, path: str, parked: int = 1) -> http.client.HTTPConnection:
+    """Send a poll that must park; return once the scheduler holds it."""
+    conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30.0)
+    conn.request("GET", path)
+    deadline = time.monotonic() + 5.0
+    while server.scheduler.pending() < parked and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert server.scheduler.pending() == parked
+    return conn
+
+
+class TestOneDeliveryPath:
+    def test_parked_windowed_poll_is_answered_for_the_moved_window(self, cm):
+        """A pan that lands while a ``poll?window=w`` is parked must shape
+        the woken delta, exactly as it shapes an SSE/WS client's next
+        push: the geometry key is resolved at delivery, not at parking."""
+        from repro.data.grid import StructuredGrid
+        from repro.data.octree import Octree
+        from repro.web import SteeringWebClient
+        from repro.window import WindowedDomainSource
+
+        client = SteeringClient(cm)
+        with AjaxWebServer(client, port=0) as server:
+            store = client.manager.open_monitor("pan")
+            rng = np.random.default_rng(5)
+            tree = Octree(StructuredGrid(rng.random((33, 33, 33),
+                                                    dtype=np.float32)),
+                          leaf_cells=16)
+            store.set_window_source(WindowedDomainSource(tree))
+            store.publish_window_step(0)
+            mover = SteeringWebClient(server.url, session="pan")
+            mover.set_window((0, 0, 0), (17, 17, 17), lod=0, wid="w")
+            conn = _park_poll(
+                server,
+                f"/api/v1/pan/poll?since={store.seq}&timeout=20&window=w")
+            try:
+                moved = mover.set_window((8, 8, 8), (25, 25, 25), lod=0,
+                                         wid="w")["window"]
+                store.publish_window_step(1)
+                delta = json.loads(conn.getresponse().read())
+            finally:
+                conn.close()
+            assert delta["window"] == moved
+            assert delta["window"]["lo"] == [8, 8, 8]
+
+    def test_swallowed_delivery_failure_is_counted_in_stats(self, cm):
+        """A store that raises while framing costs its own watchers their
+        connections — and shows up in ``/api/v1/stats`` instead of
+        vanishing into the loop's ``except``."""
+        client = SteeringClient(cm)
+        with AjaxWebServer(client, port=0) as server:
+            bad = client.manager.open_monitor("bad")
+            good = client.manager.open_monitor("good")
+            doomed = _park_poll(
+                server, f"/api/v1/bad/poll?since={bad.seq}&timeout=20")
+            healthy = _park_poll(
+                server, f"/api/v1/good/poll?since={good.seq}&timeout=20",
+                parked=2)
+
+            def boom(*args, **kwargs):
+                raise RuntimeError("frame cache exploded")
+
+            bad.framed_delta_with_head = boom
+            try:
+                bad.publish_status("session", tick=1)
+                good.publish_status("session", tick=1)
+                assert healthy.getresponse().status == 200
+                with pytest.raises((http.client.HTTPException, OSError)):
+                    doomed.getresponse()
+            finally:
+                doomed.close()
+                healthy.close()
+            stats = server.stats()
+            assert stats["delivery_errors"] == 1
+            assert stats["delivery_errors"] == sum(
+                shard["delivery_errors"] for shard in stats["shards"])
+            assert server.io_thread_count() == 1
+
+
 class TestMalformedPipelinedRequest:
     def test_bad_content_length_behind_parked_poll_does_not_kill_server(self, cm):
         """A malformed request delivered through the herd-wake path

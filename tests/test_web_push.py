@@ -95,6 +95,8 @@ class TestSSEStream:
             # the defining push property: no long-poll re-park per event
             assert server.scheduler.registered_total == registered_after_connect
             assert server.subscribers() == 1
+            # ...and pushed wakes feed the wake-latency gauge like polls do
+            assert server.stats()["wakes_measured"] >= 5
         finally:
             gen.close()
         assert wc.since == store.seq
