@@ -1,11 +1,17 @@
-"""Setup shim for environments without PEP 660 editable-install support.
+"""Packaging for the ``repro`` package under ``src/``.
 
 ``pip install -e .`` requires the ``wheel`` package; on offline machines
 without it, ``python setup.py develop`` (or adding ``src`` to a ``.pth``
-file) installs the package equivalently.  Configuration lives in
-``pyproject.toml``.
+file, or ``PYTHONPATH=src``) makes the package importable equivalently.
+All packaging configuration is in this file.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="1.0.0",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+)

@@ -21,10 +21,9 @@ from repro.errors import SteeringError
 from repro.mapping.model import link_bandwidth
 from repro.mapping.vrt import VisualizationRoutingTable
 from repro.net.topology import Topology
-from repro.viz.camera import OrthoCamera
 from repro.viz.filtering import SubsetFilter
 from repro.viz.image import Image
-from repro.viz.isosurface import TriangleMesh, extract_isosurface
+from repro.viz.isosurface import extract_isosurface
 from repro.viz.render import render_mesh
 
 __all__ = ["LoopResult", "StageTiming", "VisualizationLoopRunner"]
@@ -105,14 +104,8 @@ class VisualizationLoopRunner:
             mesh = extract_isosurface(data, params["isovalue"])
             return mesh, float(mesh.nbytes)
         if name == "geometry-render":
-            camera = params.get("camera")
-            if camera is None:
-                lo, hi = (
-                    data.bounds() if isinstance(data, TriangleMesh) else data.bounds()
-                )
-                camera = OrthoCamera.framing(lo, hi)
             img = render_mesh(
-                data, camera, max_triangles=params.get("max_triangles")
+                data, params.get("camera"), max_triangles=params.get("max_triangles")
             )
             return img, float(img.nbytes)
         if name == "raycast":

@@ -17,6 +17,7 @@ on a thread budget that does not grow with session count.
 from __future__ import annotations
 
 import threading
+from collections import deque
 
 from repro.costmodel.base import compute_dataset_stats
 from repro.errors import SteeringError
@@ -39,6 +40,10 @@ __all__ = ["SteeringSession"]
 #: the old 5-second decay window kept unwatched sessions hot for
 #: seconds after their last consumer vanished.
 STALLED_POLL_GRACE = 1.0
+
+#: How many of the most recent loop results (each holding its rendered
+#: frame) a session keeps; a long-lived session must not retain them all.
+LOOP_RESULTS_KEPT = 32
 
 
 class SteeringSession:
@@ -93,7 +98,7 @@ class SteeringSession:
         self.meta["variable"] = self.variable
         self.decision = None
         self.runner: VisualizationLoopRunner | None = None
-        self.loop_results: list = []
+        self.loop_results: deque = deque(maxlen=LOOP_RESULTS_KEPT)
         self._camera = OrthoCamera(width=192, height=192)
         self.dedicated_thread = bool(dedicated_thread)
         self._executor = executor
@@ -135,7 +140,7 @@ class SteeringSession:
         session._sim_kwargs = {}
         session.decision = None
         session.runner = None
-        session.loop_results = []
+        session.loop_results = deque(maxlen=LOOP_RESULTS_KEPT)
         session._camera = OrthoCamera(width=192, height=192)
         session.dedicated_thread = False
         session._executor = None

@@ -300,6 +300,33 @@ class TestSteeringSessionIntegration:
         manager.close_all()
 
 
+class TestLoopResultRetention:
+    def test_loop_results_keep_only_the_most_recent(self, cm):
+        from repro.steering.session import LOOP_RESULTS_KEPT, SteeringSession
+
+        session = SteeringSession(
+            cm, session_id="retain", simulator="heat", sim_kwargs={"shape": (8, 8, 8)}
+        )
+        session.configure()
+        grid = session.simulation.get_field(session.variable)
+        pushes = LOOP_RESULTS_KEPT + 5
+        published = session.events.seq
+        for cycle in range(pushes):
+            session._on_data_push(grid, cycle)
+        assert len(session.loop_results) == LOOP_RESULTS_KEPT
+        assert session.loop_results[-1].cycle == pushes - 1  # newest last
+        assert session.loop_results[0].cycle == 5  # oldest dropped first
+        # every push was still published, whatever the window kept
+        assert session.events.seq == published + pushes
+
+    def test_monitor_only_session_is_bounded_too(self):
+        from repro.steering.events import EventSequenceStore
+        from repro.steering.session import LOOP_RESULTS_KEPT, SteeringSession
+
+        session = SteeringSession.monitor_only("ext", EventSequenceStore())
+        assert session.loop_results.maxlen == LOOP_RESULTS_KEPT
+
+
 class TestComputingServiceAsync:
     def test_execute_async_matches_inline_execution(self, executor):
         from repro.mapping.vrt import VRTEntry
