@@ -5,10 +5,7 @@ The acceptance demo for the shared-executor refactor: 50 concurrent
 executor mode the total process thread count must stay within
 ``baseline + 1 IO thread + web workers + executor workers + slack``
 — the publish-side twin of the web tier's "threads do not scale with
-parked polls" guarantee.  The legacy ``dedicated_threads`` escape hatch
-is measured alongside as the ablation: it spawns one simulation thread
-per session (50 at 50 sessions), which is exactly the curve the
-executor flattens.
+parked polls" guarantee.
 
 Records the scaling table and the ``BENCH_executor.json`` artifact CI
 uploads.  Set ``RICSA_BENCH_QUICK=1`` (CI) for fewer cycles per
@@ -77,11 +74,6 @@ def sweep() -> ExecutorScalingResult:
         n_sessions=SESSIONS, cycles=CYCLES, push_every=PUSH_EVERY,
         executor_workers=EXECUTOR_WORKERS, thread_slack=THREAD_SLACK,
     ))
-    result.cells.append(run_executor_scaling(
-        n_sessions=SESSIONS, cycles=CYCLES, push_every=PUSH_EVERY,
-        executor_workers=EXECUTOR_WORKERS, thread_slack=THREAD_SLACK,
-        dedicated=True,
-    ))
     return result
 
 
@@ -117,17 +109,6 @@ class TestBenchExecutor:
             f"{cell.web_workers} web workers + "
             f"{cell.executor_workers} executor workers + {THREAD_SLACK})"
         )
-        # and no per-session simulation thread was ever spawned
-        assert cell.sim_threads_spawned == 0
-
-    def test_dedicated_mode_spawns_thread_per_session(self, benchmark, sweep):
-        """The ablation: the legacy escape hatch scales threads with
-        sessions — one spawned simulation thread each."""
-        benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-        cell = sweep.cell("dedicated", SESSIONS)
-        assert cell.sim_threads_spawned == SESSIONS
-        executor_cell = sweep.cell("executor", SESSIONS)
-        assert cell.max_threads > executor_cell.max_threads
 
     def test_every_session_ran_to_completion(self, benchmark, sweep):
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
@@ -139,7 +120,7 @@ class TestBenchExecutor:
         assert executor_cell.sessions_completed == SESSIONS
 
     def test_executor_counters_live_over_http(self, benchmark, sweep):
-        """GET /api/stats surfaced the executor mid-run."""
+        """GET /api/v1/stats surfaced the executor mid-run."""
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
         stats = sweep.cell("executor", SESSIONS).stats_http
         assert stats["io_threads"] == 1

@@ -5,7 +5,7 @@ Reproduces the Fig. 6 scenario and goes one step further: a VH1-style
 bow-shock run AND a heat-diffusion run are served *simultaneously* by one
 multi-session server — each browser (or programmatic Ajax client) picks
 its session with ``/?session=<name>`` and long-polls
-``/api/<name>/poll``.  The bow shock is steered mid-flight — the wind
+``/api/v1/<name>/poll``.  The bow shock is steered mid-flight — the wind
 speed is raised, visibly strengthening the shock.
 
 Two modes:
@@ -36,9 +36,9 @@ the server additionally serves
 
 * ``GET /dashboard`` — a dependency-free live ops page (sparkline
   charts of wake latency, bytes/s, tier distribution, executor load),
-* ``GET /api/metrics`` — recorder/journal/store health + series names,
-* ``GET /api/metrics/history?series=&since=&step=`` — windowed samples,
-* ``POST /api/replay/<sid>`` — re-hydrate a finished session's journal
+* ``GET /api/v1/metrics`` — recorder/journal/store health + series names,
+* ``GET /api/v1/metrics/history?series=&since=&step=`` — windowed samples,
+* ``POST /api/v1/replay/<sid>`` — re-hydrate a finished session's journal
   as a fresh read-only session (``{"rate_hz": N}`` paces it live).
 
 With a PATH argument the metrics and journal also persist to a
@@ -194,9 +194,9 @@ def main() -> None:
         print(f"client transport: {transport}")
         if dashboard:
             print(f"ops dashboard:  {server.url}/dashboard")
-            print(f"  metrics API:  {server.url}/api/metrics  "
-                  f"and /api/metrics/history?series=&since=&step=")
-            print(f"  replay API:   POST {server.url}/api/replay/<session>")
+            print(f"  metrics API:  {server.url}/api/v1/metrics  "
+                  f"and /api/v1/metrics/history?series=&since=&step=")
+            print(f"  replay API:   POST {server.url}/api/v1/replay/<session>")
             if isinstance(dashboard, str):
                 print(f"  durable store: {dashboard} (history survives restart)")
         print("starting bow-shock simulation (VH1 sweeps + RICSA hooks) ...")

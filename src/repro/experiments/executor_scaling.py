@@ -7,18 +7,11 @@ count.  This is the publish-side twin of the web-concurrency
 experiment: PR 1-2 decoupled client count from serving threads; the
 shared executor decouples session count from simulation threads.
 
-Two modes per cell:
+Sessions run as step-slices on the bounded executor pool; the peak
+thread count must stay within ``baseline + 1 IO + web workers +
+executor workers (+ slack)`` however many sessions step.
 
-* ``executor`` (default) — sessions run as step-slices on the bounded
-  executor pool; the peak thread count must stay within
-  ``baseline + 1 IO + web workers + executor workers (+ slack)``
-  however many sessions step.
-* ``dedicated`` — the legacy thread-per-session escape hatch
-  (``dedicated_threads=True``); the peak tracks the session count
-  (~50 extra threads at 50 sessions), which is exactly the curve the
-  executor flattens.
-
-The executor counters are read over live HTTP (``GET /api/stats``)
+The executor counters are read over live HTTP (``GET /api/v1/stats``)
 mid-run, so a cell also proves the monitoring surface works.
 """
 
@@ -53,9 +46,9 @@ SIM_KWARGS = {"shape": (8, 8, 8)}
 
 @dataclass
 class ExecutorCell:
-    """One (mode, sessions) measurement."""
+    """One (mode, sessions) measurement; ``mode`` is always "executor"."""
 
-    mode: str  # "executor" | "dedicated"
+    mode: str
     sessions: int
     cycles: int
     executor_workers: int
@@ -63,7 +56,6 @@ class ExecutorCell:
     baseline_threads: int
     max_threads: int
     thread_budget: int
-    sim_threads_spawned: int
     steps_executed: int
     sessions_completed: int
     deprioritized_steps: int
@@ -102,13 +94,13 @@ class ExecutorScalingResult:
     def to_table(self) -> str:
         lines = [
             "Shared simulation executor - sessions vs process threads",
-            f"  {'mode':>10} {'sessions':>8} {'spawned':>8} {'threads':>8} "
+            f"  {'mode':>10} {'sessions':>8} {'threads':>8} "
             f"{'extra':>6} {'budget':>7} {'steps':>7} {'depth':>6} "
             f"{'wall s':>7}",
         ]
         for c in self.cells:
             lines.append(
-                f"  {c.mode:>10} {c.sessions:>8} {c.sim_threads_spawned:>8} "
+                f"  {c.mode:>10} {c.sessions:>8} "
                 f"{c.max_threads:>8} {c.extra_threads:>6} {c.thread_budget:>7} "
                 f"{c.steps_executed:>7} {c.max_queue_depth:>6} "
                 f"{c.wall_seconds:>7.2f}"
@@ -119,7 +111,7 @@ class ExecutorScalingResult:
 def _http_stats(port: int) -> dict:
     conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10.0)
     try:
-        conn.request("GET", "/api/stats")
+        conn.request("GET", "/api/v1/stats")
         return json.loads(conn.getresponse().read().decode("utf-8"))
     finally:
         conn.close()
@@ -130,7 +122,6 @@ def run_executor_scaling(
     cycles: int = 8,
     push_every: int = 4,
     executor_workers: int = 4,
-    dedicated: bool = False,
     thread_slack: int = 2,
     cm: CentralManager | None = None,
 ) -> ExecutorCell:
@@ -138,8 +129,7 @@ def run_executor_scaling(
 
     ``thread_budget`` is ``baseline + 1 IO thread + web workers +
     executor workers + thread_slack`` — the number the benchmark guard
-    asserts the executor mode never exceeds.  In dedicated mode the
-    budget is reported but expected to be blown (that is the point).
+    asserts the peak never exceeds.
     """
     if cm is None:
         topo, roles = build_paper_testbed(with_cross_traffic=False)
@@ -149,7 +139,6 @@ def run_executor_scaling(
         cm,
         capacity=n_sessions + 8,
         executor_workers=executor_workers,
-        dedicated_threads=dedicated,
     )
     client = SteeringClient(cm, manager=manager)
     max_threads = baseline
@@ -159,8 +148,7 @@ def run_executor_scaling(
     def sample() -> None:
         nonlocal max_threads, max_depth
         max_threads = max(max_threads, threading.active_count())
-        if not dedicated:
-            max_depth = max(max_depth, manager.executor_stats()["executor_queue_depth"])
+        max_depth = max(max_depth, manager.executor_stats()["executor_queue_depth"])
 
     t0 = time.monotonic()
     with AjaxWebServer(client, port=0, housekeeping_interval=5.0) as server:
@@ -168,9 +156,7 @@ def run_executor_scaling(
             baseline + 1 + server.workers + executor_workers + thread_slack
         )
         # Configure every session first, then start them together, so the
-        # whole fleet is stepping concurrently when threads are sampled
-        # (sequential create+start lets early dedicated threads retire
-        # before late ones exist, hiding the per-session thread cost).
+        # whole fleet is stepping concurrently when threads are sampled.
         sessions = [
             manager.create(
                 f"sweep{i}",
@@ -195,10 +181,9 @@ def run_executor_scaling(
         wall = time.monotonic() - t0
         executor_stats = manager.executor_stats()
         completed = sum(s.simulation.cycle for s in sessions)
-        spawned = sum(1 for s in sessions if s.background_thread is not None)
         manager.close_all()
     return ExecutorCell(
-        mode="dedicated" if dedicated else "executor",
+        mode="executor",
         sessions=n_sessions,
         cycles=cycles,
         executor_workers=executor_workers,
@@ -206,7 +191,6 @@ def run_executor_scaling(
         baseline_threads=baseline,
         max_threads=max_threads,
         thread_budget=budget,
-        sim_threads_spawned=spawned,
         steps_executed=executor_stats["steps_executed"],
         sessions_completed=executor_stats["sessions_completed"],
         deprioritized_steps=executor_stats["deprioritized_steps"],

@@ -251,7 +251,7 @@ class _PollClient(threading.Thread):
         # as an error and retry, never strand the other gate waiters.
         sock: socket.socket | None = None
         buf = bytearray()
-        path = f"/api/{self.sid}/poll".encode("ascii")
+        path = f"/api/v1/{self.sid}/poll".encode("ascii")
         since = 0
         self.start_gate.wait()
         skip_until: float | None = None
@@ -439,7 +439,7 @@ class _SSEClient(_StreamClientBase):
     def _open(self, sock: socket.socket, buf: bytearray) -> None:
         self._eventbuf.clear()
         sock.sendall(
-            b"GET /api/%s/stream?since=%d HTTP/1.1\r\n"
+            b"GET /api/v1/%s/stream?since=%d HTTP/1.1\r\n"
             b"Host: 127.0.0.1\r\n\r\n"
             % (self.sid.encode("ascii"), self.since)
         )
@@ -472,7 +472,7 @@ class _WSClient(_StreamClientBase):
         images_q = (b"&images=%s" % self.images.encode("ascii")
                     if self.images else b"")
         sock.sendall(
-            b"GET /api/%s/ws?since=%d%s HTTP/1.1\r\n"
+            b"GET /api/v1/%s/ws?since=%d%s HTTP/1.1\r\n"
             b"Host: 127.0.0.1\r\n"
             b"Upgrade: websocket\r\nConnection: Upgrade\r\n"
             b"Sec-WebSocket-Key: %s\r\n\r\n"
@@ -813,7 +813,7 @@ def measure_image_frame_sizes(file_size: int = 64 * 1024) -> dict:
     """WS binary vs base64-JSON frame bytes for one published image.
 
     Both framings carry the image blob inline (a push stream has no
-    request channel to fetch ``/api/<sid>/image`` over); the binary
+    request channel to fetch ``/api/v1/<sid>/image`` over); the binary
     frame appends the raw fixed-size container after the JSON header
     where the b64 variant inflates it by 4/3 inside the JSON.
     """

@@ -1,6 +1,6 @@
 """Durable ops tier: metrics history, session event journal, replay.
 
-``/api/stats`` is a point-in-time snapshot; this package is its memory.
+``/api/v1/stats`` is a point-in-time snapshot; this package is its memory.
 :class:`Observability` bundles the three pieces the web tier wires up:
 
 * :class:`~repro.obs.metrics.MetricsRecorder` — samples every counter

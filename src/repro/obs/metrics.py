@@ -1,6 +1,6 @@
 """Time-series capture of every counter surface the server exposes.
 
-:class:`MetricsRecorder` turns the nested ``/api/stats`` payload into
+:class:`MetricsRecorder` turns the nested ``/api/v1/stats`` payload into
 flat dotted series (``shards.0.bytes_sent``, ``executor.
 executor_queue_depth``, ``tiers.2`` ...) plus psutil-style process
 diagnostics sourced from ``/proc`` and the stdlib — the container bakes

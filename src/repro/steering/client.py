@@ -41,17 +41,8 @@ class SteeringClient:
         initial_params: dict | None = None,
         sim_kwargs: dict | None = None,
         push_every: int = 1,
-        dedicated_thread: bool | None = None,
     ) -> SteeringSession:
-        """Begin a monitored run of ``simulator`` in a new named session.
-
-        ``dedicated_thread=True`` opts this session out of the shared
-        simulation executor (legacy one-thread-per-session mode);
-        ``None`` defers to the manager's default.
-        """
-        extra = {} if dedicated_thread is None else {
-            "dedicated_thread": bool(dedicated_thread)
-        }
+        """Begin a monitored run of ``simulator`` in a new named session."""
         session = self.manager.create(
             session_id,
             configure=True,
@@ -61,7 +52,6 @@ class SteeringClient:
             variable=variable,
             sim_kwargs=sim_kwargs,
             push_every=push_every,
-            **extra,
         )
         self.session = session
         if background:

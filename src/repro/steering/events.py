@@ -637,7 +637,7 @@ class EventSequenceStore:
         """Delta plus the (component, record) pairs needing inline blobs.
 
         A push subscriber has no request/response channel to fetch
-        ``/api/<sid>/image?v=N`` over, so the blob rides in the delta.
+        ``/api/v1/<sid>/image?v=N`` over, so the blob rides in the delta.
         Only the pairing happens under the store lock; the caller
         attaches the (possibly tier-encoded) blobs outside it via
         :meth:`_attach_blobs`, so publishers never block behind an image

@@ -23,8 +23,9 @@ whose pollers are all stalled (its ``backpressure`` probe returns true —
 for steering sessions, "nobody polled this session's event store
 recently") requeues onto the **cold** deque and only runs when no hot
 work exists, or on an anti-starvation tick every
-``starvation_limit`` hot pops.  Stepping a session nobody is watching
-never delays one being watched.
+:data:`STARVATION_LIMIT` hot pops.  Stepping a session nobody is watching
+never delays one being watched.  That policy is :class:`RunQueue`; the
+process backend's workers drive the same class.
 
 Lifecycle: per-session :meth:`pause` / :meth:`resume` / :meth:`cancel`
 take effect at slice boundaries (cooperative — a slice is never
@@ -32,7 +33,7 @@ interrupted mid-step), and :meth:`shutdown` cancels queued and paused
 work so joiners are released instead of hanging.  Counters
 (``steps_executed``, ``sessions_runnable``, ``executor_queue_depth``,
 ``deprioritized_steps``) are exposed through :meth:`stats` and surfaced
-by the web tier's ``GET /api/stats`` route.
+by the web tier's ``GET /api/v1/stats`` route.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from collections import deque
 
 from repro.errors import SteeringError
 
-__all__ = ["SessionTask", "CallHandle", "SimulationExecutor"]
+__all__ = ["RunQueue", "SessionTask", "CallHandle", "SimulationExecutor"]
 
 # Task states.  RUNNABLE tasks sit on exactly one of the two run queues;
 # RUNNING tasks are owned by a worker; PAUSED tasks are held aside in
@@ -54,6 +55,58 @@ RUNNING = "running"
 PAUSED = "paused"
 DONE = "done"
 CANCELLED = "cancelled"
+
+#: Consecutive hot pops after which a waiting cold item gets one turn.
+STARVATION_LIMIT = 4
+
+
+class RunQueue:
+    """Two-level run queue: hot before cold, plus an anti-starvation tick.
+
+    ``pop`` serves the hot deque first; a cold item runs when no hot work
+    exists, or after :data:`STARVATION_LIMIT` consecutive hot pops, so a
+    fully loaded hot deque cannot park cold items forever.  Not
+    thread-safe: the owner serialises access (the thread pool under its
+    condition, a worker process by being single-threaded).
+    """
+
+    __slots__ = ("_hot", "_cold", "_hot_streak")
+
+    def __init__(self) -> None:
+        self._hot: deque = deque()
+        self._cold: deque = deque()
+        self._hot_streak = 0
+
+    def __len__(self) -> int:
+        return len(self._hot) + len(self._cold)
+
+    def push(self, item, cold: bool = False) -> None:
+        (self._cold if cold else self._hot).append(item)
+
+    def discard(self, item) -> None:
+        """Remove a queued item from whichever deque holds it (no-op if none)."""
+        for queue in (self._hot, self._cold):
+            try:
+                queue.remove(item)
+                return
+            except ValueError:
+                pass
+
+    def pop(self):
+        if self._cold and (
+            not self._hot or self._hot_streak >= STARVATION_LIMIT
+        ):
+            self._hot_streak = 0
+            return self._cold.popleft()
+        self._hot_streak += 1
+        return self._hot.popleft()
+
+    def drain(self) -> list:
+        """Empty both deques, returning everything that was queued."""
+        items = [*self._hot, *self._cold]
+        self._hot.clear()
+        self._cold.clear()
+        return items
 
 
 class SessionTask:
@@ -139,20 +192,16 @@ class SimulationExecutor:
         self,
         workers: int | None = None,
         name: str = "ricsa-sim-exec",
-        starvation_limit: int = 4,
     ) -> None:
         if workers is not None and workers < 1:
             raise SteeringError("executor workers must be >= 1")
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
         self.name = name
-        self.starvation_limit = max(1, int(starvation_limit))
         self._cond = threading.Condition()
-        self._hot: deque[SessionTask] = deque()
-        self._cold: deque[SessionTask] = deque()
+        self._queue = RunQueue()
         self._tasks: dict[str, SessionTask] = {}
         self._threads: list[threading.Thread] = []
         self._active = 0  # tasks currently inside a worker's slice
-        self._hot_streak = 0
         self._stop = False
         self._call_ids = itertools.count()
         self.steps_executed = 0
@@ -179,7 +228,7 @@ class SimulationExecutor:
         return sum(1 for t in self._threads if t.is_alive())
 
     #: Every key :meth:`stats` reports; the single source for the
-    #: "executor not started yet" zero payload in ``/api/stats``.
+    #: "executor not started yet" zero payload in ``/api/v1/stats``.
     STAT_KEYS = (
         "workers", "worker_threads", "worker_processes", "steps_executed",
         "sessions_runnable", "executor_queue_depth", "sessions_registered",
@@ -188,7 +237,7 @@ class SimulationExecutor:
 
     def stats(self) -> dict:
         with self._cond:
-            depth = len(self._hot) + len(self._cold)
+            depth = len(self._queue)
             return {
                 "backend": self.backend,
                 "worker_processes": 0,  # slices run in-process on threads
@@ -260,7 +309,7 @@ class SimulationExecutor:
         with self._cond:
             task = self._registered(session_id)
             if task.state == RUNNABLE:
-                self._dequeue_locked(task)
+                self._queue.discard(task)
                 task.state = PAUSED
             elif task.state == RUNNING:
                 task.pause_requested = True  # honoured at the slice boundary
@@ -285,7 +334,7 @@ class SimulationExecutor:
             task = self._registered(session_id)
             task.cancel_requested = True
             if task.state == RUNNABLE:
-                self._dequeue_locked(task)
+                self._queue.discard(task)
                 self._finish_locked(task, cancelled=True)
                 finished = task
             elif task.state == PAUSED:
@@ -306,11 +355,9 @@ class SimulationExecutor:
         """
         with self._cond:
             self._stop = True
-            pending = list(self._hot) + list(self._cold) + [
+            pending = self._queue.drain() + [
                 t for t in self._tasks.values() if t.state == PAUSED
             ]
-            self._hot.clear()
-            self._cold.clear()
             for task in pending:
                 task.cancel_requested = True
                 self._finish_locked(task, cancelled=True)
@@ -344,27 +391,7 @@ class SimulationExecutor:
                 cold = False  # a broken probe must not strand the session
         if cold:
             self.deprioritized_steps += 1
-            self._cold.append(task)
-        else:
-            self._hot.append(task)
-
-    def _dequeue_locked(self, task: SessionTask) -> None:
-        try:
-            self._hot.remove(task)
-        except ValueError:
-            self._cold.remove(task)
-
-    def _pop_locked(self) -> SessionTask:
-        # Hot first; cold when no hot work exists, plus an anti-starvation
-        # pop every `starvation_limit` consecutive hot slices so a fully
-        # loaded hot queue cannot park cold sessions forever.
-        if self._cold and (
-            not self._hot or self._hot_streak >= self.starvation_limit
-        ):
-            self._hot_streak = 0
-            return self._cold.popleft()
-        self._hot_streak += 1
-        return self._hot.popleft()
+        self._queue.push(task, cold)
 
     def _finish_locked(self, task: SessionTask, cancelled: bool) -> None:
         task.state = CANCELLED if cancelled else DONE
@@ -380,11 +407,11 @@ class SimulationExecutor:
     def _run(self) -> None:
         while True:
             with self._cond:
-                while not self._stop and not (self._hot or self._cold):
+                while not self._stop and not self._queue:
                     self._cond.wait()
                 if self._stop:
                     return
-                task = self._pop_locked()
+                task = self._queue.pop()
                 task.state = RUNNING
                 self._active += 1
             more = False

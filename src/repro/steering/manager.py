@@ -18,9 +18,7 @@ lightweight monitor-only channels, giving the web tier a real lifecycle:
   run their simulation loops as step-slices on one bounded
   :class:`~repro.steering.executor.SimulationExecutor` (lazily created,
   ``executor_workers`` threads), so 50 stepping sessions cost the same
-  thread count as one.  ``dedicated_threads=True`` (or per-create
-  ``dedicated_thread=True``) restores the legacy thread-per-session
-  mode.
+  thread count as one.
 
 Every session owns one :class:`~repro.steering.events.EventSequenceStore`,
 the single versioning scheme images, status and steering events share.
@@ -69,7 +67,6 @@ class SessionManager:
         clock=time.monotonic,
         executor: SimulationExecutor | None = None,
         executor_workers: int | None = None,
-        dedicated_threads: bool = False,
         executor_backend: str = "thread",
         journal=None,
     ) -> None:
@@ -91,7 +88,6 @@ class SessionManager:
         self._counter = 0
         self.evictions = 0
         self.executor_workers = executor_workers
-        self.dedicated_threads = bool(dedicated_threads)
         self.executor_backend = executor_backend
         self._executor = executor
         self._owns_executor = executor is None
@@ -147,7 +143,7 @@ class SessionManager:
             return self._executor
 
     def executor_stats(self) -> dict:
-        """Executor counters for ``/api/stats`` (zeros before first use)."""
+        """Executor counters for ``/api/v1/stats`` (zeros before first use)."""
         with self._executor_lock:
             executor = self._executor
         if executor is None:
@@ -190,11 +186,9 @@ class SessionManager:
         **session_kwargs,
     ) -> SteeringSession:
         """Create (and optionally configure/start) a new named session."""
-        session_kwargs.setdefault("dedicated_thread", self.dedicated_threads)
-        if not session_kwargs["dedicated_thread"]:
-            # Resolve the shared executor outside the registry lock (the
-            # lazy-create path takes its own lock).
-            session_kwargs.setdefault("executor", self.executor)
+        # Resolve the shared executor outside the registry lock (the
+        # lazy-create path takes its own lock).
+        session_kwargs.setdefault("executor", self.executor)
         now = self._clock()
         with self._lock:
             sid = session_id or self._next_id()
@@ -314,7 +308,7 @@ class SessionManager:
     # -- registry view -----------------------------------------------------------
 
     def sessions(self) -> dict[str, dict]:
-        """Summary of every live session (the ``/api/sessions`` payload)."""
+        """Summary of every live session (the ``/api/v1/sessions`` payload)."""
         now = self._clock()
         with self._lock:
             out = {}
@@ -334,10 +328,10 @@ class SessionManager:
     def _pop_locked(self, session_id: str) -> None:
         """Drop a session from the registry and request (async) shutdown.
 
-        Eviction never joins the simulation thread — joining under the
-        registry lock (or on the web server's IO thread) would stall
-        every other session for seconds.  The daemon thread winds down
-        on its own once it sees the shutdown message.
+        Eviction never joins the run — joining under the registry lock
+        (or on the web server's IO thread) would stall every other
+        session for seconds.  The run retires on its own at the slice
+        boundary where it sees the shutdown message.
         """
         entry = self._sessions.pop(session_id)
         self.evictions += 1

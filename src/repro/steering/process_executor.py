@@ -43,7 +43,6 @@ import os
 import pickle
 import threading
 import time
-from collections import deque
 
 from repro.errors import SteeringError
 from repro.steering.executor import (
@@ -53,55 +52,32 @@ from repro.steering.executor import (
     RUNNABLE,
     RUNNING,
     CallHandle,
+    RunQueue,
+    SessionTask,
 )
 
 __all__ = ["ProcessTask", "ProcessSimulationExecutor"]
 
 
-class ProcessTask:
+class ProcessTask(SessionTask):
     """Parent-side handle for one session run living in a worker process.
 
-    Mirrors the :class:`~repro.steering.executor.SessionTask` surface
-    (``state`` / ``error`` / ``slices`` / ``cancelled`` / ``finished`` /
-    ``join``) so sessions and tests treat both backends uniformly.
+    The :class:`~repro.steering.executor.SessionTask` record (``state`` /
+    ``error`` / ``slices`` / ``cancelled`` / ``finished`` / ``join``)
+    plus what only a worker-resident run has: the event ``sink``, the
+    owning worker and the priority that worker was last told.
     """
 
-    __slots__ = (
-        "session_id", "_sink", "_on_done", "_backpressure", "state",
-        "error", "done", "slices", "worker_index", "_was_cold",
-    )
+    __slots__ = ("_sink", "worker_index", "_was_cold")
 
     def __init__(self, session_id, sink=None, on_done=None,
                  backpressure=None, worker_index: int = -1) -> None:
-        self.session_id = session_id
+        super().__init__(session_id, None, on_done=on_done,
+                         backpressure=backpressure)
+        self.state = RUNNING  # handed to its worker at construction
         self._sink = sink
-        self._on_done = on_done
-        self._backpressure = backpressure
-        self.state = RUNNABLE
-        self.error: BaseException | None = None
-        self.done = threading.Event()
-        self.slices = 0
         self.worker_index = worker_index
         self._was_cold = False  # last priority the worker was told
-
-    @property
-    def cancelled(self) -> bool:
-        return self.state == CANCELLED
-
-    @property
-    def finished(self) -> bool:
-        return self.done.is_set()
-
-    def join(self, timeout: float | None = None) -> bool:
-        return self.done.wait(timeout)
-
-    def _fire_done(self) -> None:
-        if self._on_done is not None:
-            try:
-                self._on_done(self)
-            except Exception:
-                pass  # completion callbacks must never kill the drain thread
-        self.done.set()
 
 
 class _WorkerHandle:
@@ -174,32 +150,23 @@ class _WorkerSession:
         return self.ran < self.n_cycles and not self.stop_requested
 
 
-def _worker_main(conn, starvation_limit: int) -> None:
-    """The worker process loop: control messages between slices, hot/cold
-    fairness across its sessions — a single-threaded mirror of the
-    threaded executor's scheduling."""
+def _worker_main(conn) -> None:
+    """The worker process loop: control messages between slices, its
+    sessions interleaved by the same :class:`RunQueue` policy the
+    threaded executor uses."""
     sessions: dict[str, _WorkerSession] = {}
-    hot: deque[str] = deque()
-    cold: deque[str] = deque()
-    hot_streak = 0
-
-    def dequeue(sid: str) -> None:
-        for q in (hot, cold):
-            try:
-                q.remove(sid)
-            except ValueError:
-                pass
+    queue = RunQueue()
 
     def finish(sid: str, error_repr: str | None, cancelled: bool) -> None:
         sess = sessions.pop(sid, None)
-        dequeue(sid)
+        queue.discard(sid)
         cycle = sess.sim.cycle if sess is not None else 0
         conn.send(("done", sid, error_repr, cancelled, cycle))
 
     while True:
         # Block when idle; between slices just drain what is pending.
         try:
-            while conn.poll(None if not (hot or cold) else 0):
+            while conn.poll(0 if queue else None):
                 msg = conn.recv()
                 kind = msg[0]
                 if kind == "shutdown":
@@ -209,7 +176,7 @@ def _worker_main(conn, starvation_limit: int) -> None:
                     _, sid, spec = msg
                     try:
                         sessions[sid] = _WorkerSession(sid, spec)
-                        (cold if sessions[sid].cold else hot).append(sid)
+                        queue.push(sid, sessions[sid].cold)
                     except BaseException as exc:
                         conn.send(("done", sid, repr(exc), False, 0))
                 elif kind == "call":
@@ -222,13 +189,13 @@ def _worker_main(conn, starvation_limit: int) -> None:
                 elif kind == "pause":
                     sess = sessions.get(msg[1])
                     if sess is not None and not sess.paused:
-                        dequeue(sess.sid)
+                        queue.discard(sess.sid)
                         sess.paused = True
                 elif kind == "resume":
                     sess = sessions.get(msg[1])
                     if sess is not None and sess.paused:
                         sess.paused = False
-                        (cold if sess.cold else hot).append(sess.sid)
+                        queue.push(sess.sid, sess.cold)
                 elif kind == "cancel":
                     if msg[1] in sessions:
                         finish(msg[1], None, True)
@@ -252,19 +219,13 @@ def _worker_main(conn, starvation_limit: int) -> None:
                     if sess is not None and sess.cold != bool(msg[2]):
                         sess.cold = bool(msg[2])
                         if not sess.paused:
-                            dequeue(sess.sid)
-                            (cold if sess.cold else hot).append(sess.sid)
+                            queue.discard(sess.sid)
+                            queue.push(sess.sid, sess.cold)
         except (EOFError, OSError):
             return  # parent died: nothing left to report to
-        if not (hot or cold):
+        if not queue:
             continue
-        # Hot first; cold on an anti-starvation tick, as in the thread pool.
-        if cold and (not hot or hot_streak >= starvation_limit):
-            hot_streak = 0
-            sid = cold.popleft()
-        else:
-            hot_streak += 1
-            sid = hot.popleft()
+        sid = queue.pop()
         sess = sessions[sid]
         try:
             more = sess.run_slice(conn)
@@ -279,7 +240,7 @@ def _worker_main(conn, starvation_limit: int) -> None:
         if not more:
             finish(sid, None, False)
         elif not sess.paused:
-            (cold if sess.cold else hot).append(sid)
+            queue.push(sid, sess.cold)
 
 
 class ProcessSimulationExecutor:
@@ -298,13 +259,11 @@ class ProcessSimulationExecutor:
         self,
         workers: int | None = None,
         name: str = "ricsa-sim-proc",
-        starvation_limit: int = 4,
     ) -> None:
         if workers is not None and workers < 1:
             raise SteeringError("executor workers must be >= 1")
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
         self.name = name
-        self.starvation_limit = max(1, int(starvation_limit))
         try:
             self._ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - no fork on this platform
@@ -371,7 +330,7 @@ class ProcessSimulationExecutor:
             parent_conn, child_conn = self._ctx.Pipe(duplex=True)
             proc = self._ctx.Process(
                 target=_worker_main,
-                args=(child_conn, self.starvation_limit),
+                args=(child_conn,),
                 daemon=True,
                 name=f"{self.name}-{i}",
             )
@@ -438,7 +397,6 @@ class ProcessSimulationExecutor:
                 session_id, sink=sink, on_done=on_done,
                 backpressure=backpressure, worker_index=handle.index,
             )
-            task.state = RUNNING
             self._tasks[session_id] = task
             handle.sids.add(session_id)
         try:
@@ -464,7 +422,6 @@ class ProcessSimulationExecutor:
             call_id = f"{label}#{self._call_counter}"
             handle = self._pick_worker_locked()
             task = ProcessTask(call_id, worker_index=handle.index)
-            task.state = RUNNING
             box: list = []
             self._calls[call_id] = (task, box)
         try:

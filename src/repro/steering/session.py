@@ -5,11 +5,10 @@ deployment ties them together across sites: the client sends a
 SIMULATION_REQUEST; the CM configures the loop (DP -> VRT); the steering
 server runs the simulation's instrumented main loop as cooperative
 step-slices on the shared
-:class:`~repro.steering.executor.SimulationExecutor` (or, with
-``dedicated_thread=True``, on a private daemon thread — the legacy
-one-thread-per-session mode); each data push travels the VRT (live viz
-modules + modelled transport) and lands in the session's event-sequence
-store, where Ajax clients long-poll.  Sessions are owned by a
+:class:`~repro.steering.executor.SimulationExecutor`; each data push
+travels the VRT (live viz modules + modelled transport) and lands in the
+session's event-sequence store, where Ajax clients long-poll
+``/api/v1/<sid>/poll``.  Sessions are owned by a
 :class:`~repro.steering.manager.SessionManager`; many run concurrently
 on a thread budget that does not grow with session count.
 """
@@ -61,33 +60,21 @@ class SteeringSession:
         isovalue_fraction: float = 0.5,
         push_every: int = 1,
         sim_kwargs: dict | None = None,
-        dedicated_thread: bool = False,
         executor: SimulationExecutor | None = None,
     ) -> None:
-        self.cm = cm
-        self.events = events if events is not None else EventSequenceStore()
-        self.bus = bus if bus is not None else MessageBus()
-        self.session_id = session_id
-        self.simulator_name = simulator
-        self.technique = technique
-        self.isovalue_fraction = isovalue_fraction
-        self.push_every = push_every
-        self.meta: dict = {
-            "simulator": simulator,
-            "technique": technique,
-        }
-
-        self.simulation = None
-        self.server = None
-        self.variable = variable
-        # Kept for the process-executor path: the worker rebuilds the
-        # simulation from (simulator, sim_kwargs, params) on its side.
-        self._sim_kwargs = dict(sim_kwargs or {})
+        self._init_state(
+            cm,
+            events if events is not None else EventSequenceStore(),
+            bus if bus is not None else MessageBus(),
+            session_id, simulator, technique,
+            variable=variable, isovalue_fraction=isovalue_fraction,
+            push_every=push_every, sim_kwargs=sim_kwargs, executor=executor,
+        )
         if cm is not None:
             from repro.sims.registry import create_simulation
             from repro.steering.api import RICSA_StartupSimulationServer
 
-            self.simulation = create_simulation(simulator, **(sim_kwargs or {}))
+            self.simulation = create_simulation(simulator, **self._sim_kwargs)
             self.variable = variable or self.simulation.variables()[0]
             self.server = RICSA_StartupSimulationServer(
                 self.simulation,
@@ -96,18 +83,38 @@ class SteeringSession:
                 data_consumer=self._on_data_push,
             )
         self.meta["variable"] = self.variable
+        self.events.publish_status("session", **self.meta)
+
+    def _init_state(
+        self, cm, events, bus, session_id, simulator, technique, *,
+        variable=None, isovalue_fraction=0.5, push_every=1, sim_kwargs=None,
+        executor=None,
+    ) -> None:
+        """Every instance attribute, assigned here for both constructors."""
+        self.cm = cm
+        self.events = events
+        self.bus = bus
+        self.session_id = session_id
+        self.simulator_name = simulator
+        self.technique = technique
+        self.isovalue_fraction = isovalue_fraction
+        self.push_every = push_every
+        self.meta: dict = {"simulator": simulator, "technique": technique}
+        self.simulation = None
+        self.server = None
+        self.variable = variable
+        # Kept for the process-executor path: the worker rebuilds the
+        # simulation from (simulator, sim_kwargs, params) on its side.
+        self._sim_kwargs = dict(sim_kwargs or {})
         self.decision = None
         self.runner: VisualizationLoopRunner | None = None
         self.loop_results: deque = deque(maxlen=LOOP_RESULTS_KEPT)
         self._camera = OrthoCamera(width=192, height=192)
-        self.dedicated_thread = bool(dedicated_thread)
         self._executor = executor
-        self._task = None  # SessionTask when running on the shared executor
+        self._task = None  # SessionTask while (and after) a background run
         self._done = threading.Event()
-        self._thread: threading.Thread | None = None
-        self._thread_error: BaseException | None = None
+        self._run_error: BaseException | None = None
         self._lock = threading.Lock()
-        self.events.publish_status("session", **self.meta)
 
     @classmethod
     def monitor_only(
@@ -124,31 +131,8 @@ class SteeringSession:
         and must not grow by an extra announcement event.
         """
         session = cls.__new__(cls)
-        session.cm = None
-        session.events = events
-        session.bus = None
-        session.session_id = session_id
-        session.simulator_name = "external"
-        session.technique = "external"
-        session.isovalue_fraction = 0.5
-        session.push_every = 1
-        session.meta = {"simulator": "external", "technique": "external",
-                        "variable": None, **(meta or {})}
-        session.simulation = None
-        session.server = None
-        session.variable = None
-        session._sim_kwargs = {}
-        session.decision = None
-        session.runner = None
-        session.loop_results = deque(maxlen=LOOP_RESULTS_KEPT)
-        session._camera = OrthoCamera(width=192, height=192)
-        session.dedicated_thread = False
-        session._executor = None
-        session._task = None
-        session._done = threading.Event()
-        session._thread = None
-        session._thread_error = None
-        session._lock = threading.Lock()
+        session._init_state(None, events, None, session_id, "external", "external")
+        session.meta.update(variable=None, **(meta or {}))
         if announce:
             events.publish_status("session", **session.meta)
         return session
@@ -244,17 +228,13 @@ class SteeringSession:
     def start_background(self, n_cycles: int):
         """Run the simulation loop without blocking the caller.
 
-        Default mode submits the run as cooperative step-slices to the
-        shared :class:`SimulationExecutor` (session count decoupled from
-        thread count); ``dedicated_thread=True`` keeps the legacy
-        one-daemon-thread-per-session behaviour.  Returns the executor
-        task or the thread, respectively.
+        The run is submitted as cooperative step-slices to the shared
+        :class:`SimulationExecutor` (session count decoupled from thread
+        count).  Returns the executor task.
         """
         self._require_simulation()
         if self.is_running():
             raise SteeringError(f"session {self.session_id!r} is already running")
-        if self.dedicated_thread:
-            return self._start_dedicated(n_cycles)
         executor = self._executor if self._executor is not None \
             else SimulationExecutor.shared()
         if getattr(executor, "backend", "thread") == "process":
@@ -274,7 +254,7 @@ class SteeringSession:
             except StopIteration:
                 return False
 
-        self._thread_error = None
+        self._run_error = None
         self._done.clear()
         self._task = executor.submit(
             self.session_id,
@@ -305,7 +285,7 @@ class SteeringSession:
             # Everything already applied or staged locally seeds the worker.
             "params": {**sim.params, **sim._pending},
         }
-        self._thread_error = None
+        self._run_error = None
         self._done.clear()
         self._task = executor.submit(
             self.session_id,
@@ -342,26 +322,6 @@ class SteeringSession:
                 "session", steer_error=str(payload.get("error"))
             )
 
-    def _start_dedicated(self, n_cycles: int) -> threading.Thread:
-        """The compat escape hatch: one private daemon thread (web-demo mode)."""
-
-        def _worker():
-            try:
-                self.run(n_cycles)
-            except BaseException as exc:  # surfaced via .join_background()
-                self._thread_error = exc
-
-        self._thread = threading.Thread(
-            target=_worker, daemon=True, name=f"ricsa-sim-{self.session_id}"
-        )
-        self._thread.start()
-        return self._thread
-
-    @property
-    def background_thread(self) -> threading.Thread | None:
-        """The private simulation thread, if running in compat mode."""
-        return self._thread
-
     def _pollers_stalled(self) -> bool:
         """Backpressure probe: nobody is consuming this session's events.
 
@@ -374,26 +334,21 @@ class SteeringSession:
         return not self.events.recently_polled(STALLED_POLL_GRACE)
 
     def _on_executor_done(self, task) -> None:
-        self._thread_error = task.error
+        self._run_error = task.error
         self._done.set()
 
     def is_running(self) -> bool:
-        """True while a background run (thread or executor task) is live."""
-        if self._thread is not None and self._thread.is_alive():
-            return True
+        """True while a background run is live on the executor."""
         return self._task is not None and not self._done.is_set()
 
     def join_background(self, timeout: float | None = None) -> None:
-        if self._thread is not None:
-            self._thread.join(timeout=timeout)
-        elif self._task is not None:
-            self._done.wait(timeout=timeout)
-        else:
+        if self._task is None:
             return
-        if self._thread_error is not None:
+        self._done.wait(timeout=timeout)
+        if self._run_error is not None:
             raise SteeringError(
-                f"steering session failed: {self._thread_error!r}"
-            ) from self._thread_error
+                f"steering session failed: {self._run_error!r}"
+            ) from self._run_error
 
     # -- client-facing ops ----------------------------------------------------------
 

@@ -1,9 +1,9 @@
 """Programmatic web client (the browser stand-in for tests/examples).
 
 Speaks exactly the protocols of the embedded page: XHR-style long polls
-against ``/api/<session>/poll``, EventSource-style SSE streams against
-``/api/<session>/stream``, WebSocket upgrades against
-``/api/<session>/ws``, image fetches keyed by version, steering POSTs.
+against ``/api/v1/<session>/poll``, EventSource-style SSE streams against
+``/api/v1/<session>/stream``, WebSocket upgrades against
+``/api/v1/<session>/ws``, image fetches keyed by version, steering POSTs.
 One client addresses one session; give it a ``session`` name or let
 :meth:`resolve_session` adopt the first session the server lists.
 
@@ -34,7 +34,6 @@ import time
 import urllib.error
 import urllib.parse
 import urllib.request
-import warnings
 
 from repro.errors import WebServerError
 from repro.steering.events import WS_BINARY, WS_CLOSE, WS_PING, WS_PONG, WS_TEXT
@@ -49,12 +48,11 @@ from repro.web.framing import (
     ws_client_frame,
 )
 
-__all__ = ["SteeringWebClient", "AjaxClient"]
+__all__ = ["SteeringWebClient"]
 
 TRANSPORTS = ("longpoll", "sse", "ws")
 
-#: Canonical API mount point; the unversioned ``/api/...`` aliases still
-#: answer (with a ``Deprecation`` header) but this client never uses them.
+#: The API mount point every route lives under.
 API_PREFIX = "/api/v1"
 
 
@@ -504,7 +502,7 @@ class SteeringWebClient:
     # -- observability (metrics + journal replay) -----------------------------------
 
     def server_stats(self) -> dict:
-        """The merged ``/api/stats`` payload."""
+        """The merged ``/api/v1/stats`` payload."""
         return self._get_json(f"{API_PREFIX}/stats")
 
     def metrics(self) -> dict:
@@ -513,7 +511,7 @@ class SteeringWebClient:
 
     def metrics_history(self, series=(), since: float = 0.0,
                         step: float = 0.0, limit: int = 2000) -> dict:
-        """Windowed samples from ``/api/metrics/history``.
+        """Windowed samples from ``/api/v1/metrics/history``.
 
         ``series`` is an iterable of series names (empty means all),
         ``since`` a wall-clock lower bound, ``step`` an optional
@@ -552,18 +550,3 @@ class SteeringWebClient:
         self.since = 0
         self.tier = 0
         return self.session
-
-
-class AjaxClient(SteeringWebClient):
-    """Back-compat name from the seed's browser stand-in (deprecated).
-
-    Identical to :class:`SteeringWebClient`; construct that directly.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        warnings.warn(
-            "AjaxClient is deprecated; use SteeringWebClient",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(*args, **kwargs)

@@ -12,8 +12,8 @@ Nothing here touches a socket: the shard hands in its enqueue / close /
 resume callables and the manager's ``events`` lookup, so the path runs
 against stub connections and a real ``EventSequenceStore``.  A
 connection must offer ``closed``, ``subscriber``, ``keep_alive``,
-``deprecated``, ``close_after``, ``inbuf``, the ``window_source`` /
-``window_wid`` / ``lod_bias`` triple and ``_send_error``.
+``close_after``, ``inbuf``, the ``window_source`` / ``window_wid`` /
+``lod_bias`` triple and ``_send_error``.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ class Delivery:
         frame, head = store.framed_delta_with_head(since, framing, tier, window)
         saved = store.frame_saved(since, head, framing, tier, window) if tier else 0
         now = time.monotonic()
-        responses: dict[tuple, bytes] = {}
+        responses: dict[bool, bytes] = {}
         for rec in members:
             conn = rec.handle
             self.tier_bytes_saved[tier] += saved
@@ -148,12 +148,11 @@ class Delivery:
                 conn.close_after = True
             # One render shared by the herd: header + frame in a single
             # immutable buffer every connection references.
-            shape = (conn.keep_alive, conn.deprecated)
-            response = responses.get(shape)
+            response = responses.get(conn.keep_alive)
             if response is None:
-                response = responses[shape] = self._render_head(
-                    200, "application/json", len(frame), conn.keep_alive,
-                    deprecated=conn.deprecated) + frame
+                response = responses[conn.keep_alive] = self._render_head(
+                    200, "application/json", len(frame),
+                    conn.keep_alive) + frame
             self._enqueue(conn, (response,))
             if not conn.closed and conn.inbuf:
                 self._resume(conn)  # a pipelined request was waiting

@@ -1,10 +1,12 @@
-"""Wire-level helpers for the push transports (RFC 6455 + SSE parsing).
+"""Wire-level parsers: HTTP request framing, RFC 6455 and SSE.
 
 The *server->client* framing byte-math lives in
 :mod:`repro.steering.events` next to the encode-once memoization (so
 pre-framed delta buffers can be cached per window); this module owns the
 complementary pieces the serving loop and the programmatic clients need:
 
+* the incremental HTTP/1.x request parser the IO shards feed their
+  connection buffers through,
 * the WebSocket opening-handshake accept key (SHA-1 over the client key
   and the RFC 6455 GUID),
 * an incremental WebSocket frame parser usable on both sides — the
@@ -14,7 +16,7 @@ complementary pieces the serving loop and the programmatic clients need:
 * the binary delta payload decoder (``[u32 json length][json][blobs]``)
   matching ``EventSequenceStore.framed_delta(..., FRAME_WS_BINARY)``,
 * an incremental chunked-transfer decoder plus an SSE event splitter
-  for the client side of ``GET /api/<sid>/stream``.
+  for the client side of ``GET /api/v1/<sid>/stream``.
 
 Everything here is pure byte manipulation: no sockets, no threads, no
 imports from the serving loop, so both ``server.py`` and ``client.py``
@@ -29,6 +31,7 @@ import hashlib
 import json
 import os
 import struct
+import urllib.parse
 
 from repro.errors import WebServerError
 
@@ -38,6 +41,8 @@ from repro.errors import WebServerError
 from repro.window.bricks import decode_brick_payload
 
 __all__ = [
+    "HttpRequest",
+    "parse_request",
     "WS_GUID",
     "ws_accept_key",
     "ws_client_frame",
@@ -53,6 +58,82 @@ WS_GUID = b"258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 #: Frames past this size are a protocol violation for our tiny control
 #: and steering payloads — treat as an attack / corruption and drop.
 _MAX_WS_PAYLOAD = 16 * 1024 * 1024
+
+_MAX_HEADER_BYTES = 64 * 1024
+_MAX_BODY_BYTES = 4 * 1024 * 1024
+
+
+class HttpRequest:
+    """One parsed HTTP request."""
+
+    __slots__ = ("method", "path", "query", "headers", "body", "http11")
+
+    def __init__(self, method: str, target: str, version: str,
+                 headers: dict[str, str], body: bytes) -> None:
+        parsed = urllib.parse.urlparse(target)
+        self.method = method
+        self.path = parsed.path
+        self.query = urllib.parse.parse_qs(parsed.query)
+        self.headers = headers
+        self.body = body
+        self.http11 = version == "HTTP/1.1"
+
+    @property
+    def keep_alive(self) -> bool:
+        token = self.headers.get("connection", "").lower()
+        if self.http11:
+            return token != "close"
+        return token == "keep-alive"
+
+    def json_body(self) -> dict:
+        if not self.body:
+            return {}
+        try:
+            return json.loads(self.body.decode("utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            raise WebServerError("malformed JSON body")
+
+
+def parse_request(buf: bytearray) -> HttpRequest | None:
+    """Consume one complete HTTP/1.x request from the front of ``buf``.
+
+    Incremental: returns None (leaving ``buf`` untouched) until the head
+    and the ``Content-Length`` body are both buffered.  Raises
+    :class:`WebServerError` for a head the connection cannot recover
+    from — oversized, a malformed request line, a ``Content-Length``
+    that is not plain ASCII digits or exceeds the body cap, or any
+    ``Transfer-Encoding`` (request bodies are length-framed only; a
+    chunked body read as length 0 would be parsed as the next request).
+    """
+    end = buf.find(b"\r\n\r\n")
+    if end < 0:
+        if len(buf) > _MAX_HEADER_BYTES:
+            raise WebServerError("request head exceeds the header limit")
+        return None
+    lines = bytes(buf[:end]).decode("latin-1").split("\r\n")
+    parts = lines[0].split()
+    if len(parts) != 3 or parts[2] not in ("HTTP/1.0", "HTTP/1.1"):
+        raise WebServerError("malformed request line")
+    headers: dict[str, str] = {}
+    for line in lines[1:]:
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    if "transfer-encoding" in headers:
+        raise WebServerError("Transfer-Encoding request bodies are not supported")
+    raw_length = headers.get("content-length") or "0"
+    # ASCII digits only: int() would also take "1_0", "+10" and "١٠".  The
+    # length cap keeps int() away from its own digit-count limit.
+    if not (raw_length.isascii() and raw_length.isdigit()) or len(raw_length) > 18:
+        raise WebServerError(f"malformed Content-Length {raw_length[:32]!r}")
+    length = int(raw_length)
+    if length > _MAX_BODY_BYTES:
+        raise WebServerError(f"request body of {length} bytes is too large")
+    total = end + 4 + length
+    if len(buf) < total:
+        return None
+    body = bytes(buf[end + 4:total])
+    del buf[:total]
+    return HttpRequest(parts[0], parts[1], parts[2], headers, body)
 
 
 def ws_accept_key(client_key: str) -> str:

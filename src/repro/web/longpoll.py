@@ -1,6 +1,6 @@
 """Non-blocking delivery scheduling: subscriber records + deadline wheel.
 
-The seed parked one server thread per outstanding ``/api/poll`` — N idle
+The seed parked one server thread per outstanding long poll — N idle
 browsers cost N blocked threads.  Here every client waiting for events
 is a :class:`Subscriber`: ~100 bytes of record (session key, cursor,
 framing, opaque connection handle) in a :class:`LongPollScheduler`.
@@ -238,7 +238,7 @@ class LongPollScheduler:
         return counts
 
     def stats(self) -> dict:
-        """Lifetime counters plus current parked count (for /api/stats)."""
+        """Lifetime counters plus current parked count (for /api/v1/stats)."""
         return {
             "parked": self.pending(),
             "subscribers": self.subscribers(),

@@ -1,7 +1,7 @@
 """The Ajax web server: sharded non-blocking long polls, session routes.
 
 The seed used ``ThreadingHTTPServer`` and parked one thread per
-outstanding ``/api/poll``.  This server is a set of ``shards`` selector
+outstanding long poll.  This server is a set of ``shards`` selector
 loops (default 1): every connection is non-blocking, and a long poll
 with no fresh events becomes a :class:`~repro.web.longpoll.Subscriber`
 record with a deadline on its shard's
@@ -27,8 +27,8 @@ path.  Shards share the per-session event stores and their encode-once
 ``DeltaFrameCache`` buffers, so a publish still costs ~1 JSON encode +
 N vectored writes however many shards serve the herd.
 
-Routes are keyed by session — ``/api/<session>/poll``,
-``/api/<session>/image`` ... — served out of the per-session
+Routes are keyed by session — ``/api/v1/<session>/poll``,
+``/api/v1/<session>/image`` ... — served out of the per-session
 :class:`~repro.steering.events.EventSequenceStore` owned by the
 :class:`~repro.steering.manager.SessionManager`.  Each image is encoded
 once per version; all N clients receive the cached blob, and each poll
@@ -37,8 +37,8 @@ pollers on one publish costs ~O(1 encode + N writes), not O(N encodes).
 
 **Push transports** ride the same encode-once core without the
 per-event request/response cycle long polls pay.  ``GET
-/api/<sid>/stream`` turns the connection into a chunked-transfer SSE
-stream and ``GET /api/<sid>/ws`` upgrades it to a WebSocket (RFC 6455);
+/api/v1/<sid>/stream`` turns the connection into a chunked-transfer SSE
+stream and ``GET /api/v1/<sid>/ws`` upgrades it to a WebSocket (RFC 6455);
 either way the connection becomes a persistent (deadline-less)
 :class:`~repro.web.longpoll.Subscriber` on its session's *owning*
 shard (the crc32 router migrates it once, at stream start).  A publish
@@ -61,7 +61,7 @@ backlog in its own queue only — never a copy of a shared frame — and is
 disconnected once the backlog exceeds the per-connection write budget,
 so one stalled reader can neither stall its loop nor other watchers.
 
-Heavy routes run off the IO loops: ``POST /api/sessions`` (CentralManager
+Heavy routes run off the IO loops: ``POST /api/v1/sessions`` (CentralManager
 configure + simulation startup), cold-cache ``image.png`` re-encodes and
 large component snapshots execute on a small fixed worker pool shared by
 all shards; completions are queued back through the owning shard's
@@ -71,7 +71,7 @@ however many clients connect — and with simulations on the shared
 :class:`~repro.steering.executor.SimulationExecutor` (or its
 multiprocess sibling), the whole process obeys
 ``shards + workers + executor_workers`` however many sessions step.
-``GET /api/stats`` surfaces per-shard and merged serving counters plus
+``GET /api/v1/stats`` surfaces per-shard and merged serving counters plus
 the executor's block (including its backend and worker-process count).
 """
 
@@ -85,7 +85,6 @@ import selectors
 import socket
 import threading
 import time
-import urllib.parse
 import weakref
 from collections import deque
 
@@ -108,7 +107,14 @@ from repro.steering.events import (
     ws_server_frame,
 )
 from repro.web.delivery import TRANSPORTS, Delivery
-from repro.web.framing import parse_ws_frames, ws_accept_key
+from repro.web.framing import (
+    _MAX_BODY_BYTES,
+    _MAX_HEADER_BYTES,
+    HttpRequest,
+    parse_request,
+    parse_ws_frames,
+    ws_accept_key,
+)
 from repro.web.longpoll import LongPollScheduler, Subscriber
 from repro.web.sharding import create_shard_listeners, default_shard_router
 from repro.web.static import DASHBOARD_HTML, INDEX_HTML
@@ -117,8 +123,6 @@ from repro.window import WindowCursor
 __all__ = ["API_ROUTES", "AjaxWebServer"]
 
 _MAX_POLL_TIMEOUT = 30.0
-_MAX_HEADER_BYTES = 64 * 1024
-_MAX_BODY_BYTES = 4 * 1024 * 1024
 _MAX_IOV = 64  # buffers per vectored write (safely under IOV_MAX everywhere)
 _HAS_SENDMSG = hasattr(socket.socket, "sendmsg")
 _INDEX_BYTES = INDEX_HTML.encode("utf-8")  # encoded once, shared by every GET /
@@ -161,20 +165,15 @@ class _Route:
     """One declarative API route: method + path pattern + action name.
 
     ``pattern`` is a tuple of path segments below the API prefix;
-    ``"{sid}"`` binds the session id.  ``offload`` marks routes whose
-    handler always runs on the worker pool (informational — the handler
-    owns the actual submit), so the table documents the full routing
-    policy in one place.
+    ``"{sid}"`` binds the session id.
     """
 
-    __slots__ = ("method", "pattern", "action", "offload")
+    __slots__ = ("method", "pattern", "action")
 
-    def __init__(self, method: str, pattern: tuple, action: str,
-                 offload: bool = False) -> None:
+    def __init__(self, method: str, pattern: tuple, action: str) -> None:
         self.method = method
         self.pattern = pattern
         self.action = action
-        self.offload = offload
 
     def match(self, method: str | None, segments: list) -> tuple[bool, str | None]:
         """(matched, bound sid); ``method=None`` probes the path alone
@@ -196,18 +195,16 @@ class _Route:
                 f" -> {self.action})")
 
 
-#: The whole API surface, declaratively.  Mounted under ``/api/v1/...``;
-#: the bare ``/api/...`` aliases serve the same table with a
-#: ``Deprecation`` response header.  Literal patterns precede ``{sid}``
-#: wildcards of the same length so ``/api/v1/replay/<x>`` can never be
-#: captured as a session route.
+#: The whole API surface, declaratively, mounted under ``/api/v1/...``.
+#: Literal patterns precede ``{sid}`` wildcards of the same length so
+#: ``/api/v1/replay/<x>`` can never be captured as a session route.
 API_ROUTES = (
     _Route("GET", ("sessions",), "sessions.list"),
-    _Route("POST", ("sessions",), "sessions.create", offload=True),
+    _Route("POST", ("sessions",), "sessions.create"),
     _Route("GET", ("stats",), "stats"),
-    _Route("GET", ("metrics",), "metrics", offload=True),
-    _Route("GET", ("metrics", "history"), "metrics.history", offload=True),
-    _Route("POST", ("replay", "{sid}"), "replay", offload=True),
+    _Route("GET", ("metrics",), "metrics"),
+    _Route("GET", ("metrics", "history"), "metrics.history"),
+    _Route("POST", ("replay", "{sid}"), "replay"),
     _Route("GET", ("{sid}", "state"), "state"),
     _Route("GET", ("{sid}", "poll"), "poll"),
     _Route("GET", ("{sid}", "stream"), "stream"),
@@ -216,46 +213,36 @@ API_ROUTES = (
     _Route("GET", ("{sid}", "image.png"), "image.png"),
     _Route("GET", ("{sid}", "window"), "window.get"),
     _Route("POST", ("{sid}", "window"), "window.set"),
-    _Route("GET", ("{sid}", "brick"), "brick", offload=True),
+    _Route("GET", ("{sid}", "brick"), "brick"),
     _Route("POST", ("{sid}", "steer"), "steer"),
     _Route("POST", ("{sid}", "view"), "view"),
     _Route("POST", ("{sid}", "stop"), "stop"),
 )
 
-#: Actions that are not keyed by a live session id.
-_SESSIONLESS_ACTIONS = {"sessions.list", "sessions.create", "stats",
-                        "metrics", "metrics.history"}
 
+def match_route(method: str, path: str) -> tuple[str | None, _Route]:
+    """Match ``method`` + ``path`` against :data:`API_ROUTES`.
 
-class _Request:
-    """One parsed HTTP request."""
-
-    __slots__ = ("method", "path", "query", "headers", "body", "http11")
-
-    def __init__(self, method: str, target: str, version: str,
-                 headers: dict[str, str], body: bytes) -> None:
-        parsed = urllib.parse.urlparse(target)
-        self.method = method
-        self.path = parsed.path
-        self.query = urllib.parse.parse_qs(parsed.query)
-        self.headers = headers
-        self.body = body
-        self.http11 = version == "HTTP/1.1"
-
-    @property
-    def keep_alive(self) -> bool:
-        token = self.headers.get("connection", "").lower()
-        if self.http11:
-            return token != "close"
-        return token == "keep-alive"
-
-    def json_body(self) -> dict:
-        if not self.body:
-            return {}
-        try:
-            return json.loads(self.body.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            raise WebServerError("malformed JSON body")
+    Returns ``(sid, route)``: ``sid`` is the bound ``{sid}`` wildcard
+    (None for sessionless routes).  Raises :class:`_HttpError` 404 for a
+    path outside ``/api/v1`` or matching no route, and 405 when the path
+    exists under another method.
+    """
+    segments = [s for s in path.split("/") if s]
+    if segments[:2] != ["api", "v1"]:
+        raise _HttpError(404, "not_found", f"no route {path}")
+    rest = segments[2:]
+    path_matched = False
+    for route in API_ROUTES:
+        ok, sid = route.match(method, rest)
+        if ok:
+            return sid, route
+        matched, _ = route.match(None, rest)
+        path_matched = path_matched or matched
+    if path_matched:
+        raise _HttpError(405, "method_not_allowed",
+                         f"method {method} not allowed for {path}")
+    raise _HttpError(404, "not_found", f"no route {path}")
 
 
 class _Handler:
@@ -287,7 +274,7 @@ class _Handler:
     __slots__ = ("shard", "sock", "addr", "inbuf", "outq", "out_bytes",
                  "close_after", "subscriber", "mode", "busy",
                  "closed", "keep_alive", "last_activity", "want_write",
-                 "tier", "max_tier", "estimator", "deprecated",
+                 "tier", "max_tier", "estimator",
                  "window_wid", "window_source", "lod_bias")
 
     def __init__(self, shard: "_IOShard", sock: socket.socket, addr) -> None:
@@ -309,9 +296,6 @@ class _Handler:
         self.max_tier = MAX_TIER
         self.estimator = (ClientLinkEstimator()
                           if shard.server.adaptive else None)
-        # Set per request by dispatch: True when the request arrived on a
-        # legacy (unversioned) alias and the response must say so.
-        self.deprecated = False
         # Sliding-window state: the client's window id within its
         # session, the owning session's domain source and the extra LOD
         # coarsening the staleness ladder currently applies; delivery
@@ -332,8 +316,7 @@ class _Handler:
         if not self.keep_alive:
             self.close_after = True
         header = self.shard.server._render_head(code, ctype, len(body),
-                                                self.keep_alive,
-                                                deprecated=self.deprecated)
+                                                self.keep_alive)
         self.shard._enqueue_and_flush(self, (header, body) if body else (header,))
 
     def _send_json(self, obj, code: int = 200) -> None:
@@ -394,7 +377,7 @@ class _WorkerPool:
 class _ReplayPump:
     """One paced replay: journaled rows restored on the owning shard's loop.
 
-    ``POST /api/replay/<sid>`` with ``rate_hz > 0`` adopts an *empty*
+    ``POST /api/v1/replay/<sid>`` with ``rate_hz > 0`` adopts an *empty*
     rehydrated store and registers a pump on the target session's owning
     shard; that loop restores one journaled row per interval, folding
     the next due time into its select timeout — paced replay costs zero
@@ -520,7 +503,7 @@ class _IOShard:
         return counts
 
     def stats(self) -> dict:
-        """This shard's slice of the ``/api/stats`` payload."""
+        """This shard's slice of the ``/api/v1/stats`` payload."""
         delivery = self.delivery
         active = self.scheduler.subscriber_counts()
         transports = {
@@ -800,14 +783,18 @@ class _IOShard:
         while (not handler.closed and handler.shard is self
                and handler.subscriber is None and not handler.busy
                and handler.mode == "http"):
-            request = self._parse_one(handler)
+            try:
+                request = parse_request(handler.inbuf)
+            except WebServerError:  # unrecoverable framing: drop the conn
+                self._close(handler)
+                return
             if request is None:
                 return
             self.requests_served += 1
             handler.keep_alive = request.keep_alive
             self._dispatch_safe(handler, request)
 
-    def _dispatch_safe(self, handler: _Handler, request: _Request) -> None:
+    def _dispatch_safe(self, handler: _Handler, request: HttpRequest) -> None:
         """Dispatch one request, converting errors to the JSON envelope."""
         try:
             self._dispatch(handler, request)
@@ -825,41 +812,9 @@ class _IOShard:
         except Exception as exc:  # never kill the loop for one request
             handler._send_error(500, "internal", f"internal: {exc}")
 
-    def _parse_one(self, handler: _Handler) -> _Request | None:
-        buf = handler.inbuf
-        end = buf.find(b"\r\n\r\n")
-        if end < 0:
-            if len(buf) > _MAX_HEADER_BYTES:
-                self._close(handler)
-            return None
-        head = bytes(buf[:end]).decode("latin-1")
-        lines = head.split("\r\n")
-        parts = lines[0].split()
-        if len(parts) != 3 or parts[2] not in ("HTTP/1.0", "HTTP/1.1"):
-            self._close(handler)
-            return None
-        headers: dict[str, str] = {}
-        for line in lines[1:]:
-            name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        try:
-            length = int(headers.get("content-length", "0") or "0")
-        except ValueError:  # malformed framing: unrecoverable, drop the conn
-            self._close(handler)
-            return None
-        if length < 0 or length > _MAX_BODY_BYTES:
-            self._close(handler)
-            return None
-        total = end + 4 + length
-        if len(buf) < total:
-            return None
-        body = bytes(buf[end + 4 : total])
-        del buf[:total]
-        return _Request(parts[0], parts[1], parts[2], headers, body)
-
     # -- routing ----------------------------------------------------------------------
 
-    def _dispatch(self, handler: _Handler, request: _Request) -> None:
+    def _dispatch(self, handler: _Handler, request: HttpRequest) -> None:
         server = self.server
         if request.method == "GET" and request.path == "/":
             handler._send(200, _INDEX_BYTES, "text/html; charset=utf-8")
@@ -867,8 +822,7 @@ class _IOShard:
         if request.method == "GET" and request.path == "/dashboard":
             handler._send(200, _DASHBOARD_BYTES, "text/html; charset=utf-8")
             return
-        sid, route, deprecated = server._route(request)
-        handler.deprecated = deprecated
+        sid, route = match_route(request.method, request.path)
         action = route.action
         if action == "stats":
             handler._send_json(server.stats())
@@ -901,7 +855,7 @@ class _IOShard:
             return
         self._dispatch_session(handler, request, sid, action)
 
-    def _migrate(self, handler: _Handler, request: _Request,
+    def _migrate(self, handler: _Handler, request: HttpRequest,
                  target: "_IOShard") -> None:
         """Hand this connection to ``target`` (runs on the source loop).
 
@@ -921,7 +875,7 @@ class _IOShard:
         target._incoming.append((handler, request, True))
         target._wake()
 
-    def _dispatch_session(self, handler: _Handler, request: _Request,
+    def _dispatch_session(self, handler: _Handler, request: HttpRequest,
                           sid: str, action: str) -> None:
         server = self.server
         store = server.manager.events(sid)
@@ -1003,7 +957,7 @@ class _IOShard:
                              "session has no windowed domain source")
         return source
 
-    def _handle_window_set(self, handler: _Handler, request: _Request,
+    def _handle_window_set(self, handler: _Handler, request: HttpRequest,
                            sid: str, store) -> None:
         source = self._window_source_or_404(store)
         body = request.json_body()
@@ -1023,7 +977,7 @@ class _IOShard:
             "version": store.seq,
         })
 
-    def _handle_window_get(self, handler: _Handler, request: _Request,
+    def _handle_window_get(self, handler: _Handler, request: HttpRequest,
                            sid: str, store) -> None:
         source = self._window_source_or_404(store)
         wid = request.query.get("window", ["default"])[0]
@@ -1038,7 +992,7 @@ class _IOShard:
             "stats": source.stats(),
         })
 
-    def _handle_brick(self, handler: _Handler, request: _Request,
+    def _handle_brick(self, handler: _Handler, request: HttpRequest,
                       store) -> None:
         """Brick payload fetch: binary, encode-once, worker-pool encoded."""
         source = self._window_source_or_404(store)
@@ -1090,7 +1044,7 @@ class _IOShard:
 
         self.server._pool.submit(job)
 
-    def _create_session(self, handler: _Handler, request: _Request) -> None:
+    def _create_session(self, handler: _Handler, request: HttpRequest) -> None:
         """Heavy route, run off the IO loop on the worker pool.
 
         ``CentralManager.configure`` (pipeline calibration + DP mapping)
@@ -1110,7 +1064,6 @@ class _IOShard:
                 initial_params=spec.get("params"),
                 sim_kwargs=spec.get("sim_kwargs"),
                 push_every=int(spec.get("push_every", 1)),
-                dedicated_thread=spec.get("dedicated_thread"),
             )
             payload = {"ok": True, "session": session.session_id}
             return 200, json.dumps(payload).encode("utf-8"), "application/json"
@@ -1127,7 +1080,7 @@ class _IOShard:
         return obs
 
     def _handle_metrics(self, handler: _Handler) -> None:
-        """``GET /api/metrics``: recorder/journal/store health + series."""
+        """``GET /api/v1/metrics``: recorder/journal/store health + series."""
         obs = self._obs_or_raise()
 
         def job() -> tuple[int, bytes, str]:
@@ -1138,8 +1091,8 @@ class _IOShard:
         self._offload(handler, job)
 
     def _handle_metrics_history(self, handler: _Handler,
-                                request: _Request) -> None:
-        """``GET /api/metrics/history?series=&since=&step=``: windowed samples.
+                                request: HttpRequest) -> None:
+        """``GET /api/v1/metrics/history?series=&since=&step=``: windowed samples.
 
         Serves from the in-memory rings; when ``since`` predates the ring
         the SQLite store (if configured) backfills, so a dashboard reload
@@ -1165,9 +1118,9 @@ class _IOShard:
 
         self._offload(handler, job)
 
-    def _handle_replay(self, handler: _Handler, request: _Request,
+    def _handle_replay(self, handler: _Handler, request: HttpRequest,
                        sid: str) -> None:
-        """``POST /api/replay/<sid>``: re-hydrate a journaled session.
+        """``POST /api/v1/replay/<sid>``: re-hydrate a journaled session.
 
         The journaled event sequence of ``sid`` — typically finished or
         evicted — comes back as a fresh *read-only* session serving the
@@ -1225,7 +1178,7 @@ class _IOShard:
 
     # -- long polls ---------------------------------------------------------------------
 
-    def _handle_poll(self, handler: _Handler, request: _Request,
+    def _handle_poll(self, handler: _Handler, request: HttpRequest,
                      sid: str, store) -> None:
         server = self.server
         since = server._query_num(request, "since", "0")
@@ -1251,9 +1204,9 @@ class _IOShard:
 
     # -- push streams (SSE / WebSocket subscribers) --------------------------------
 
-    def _handle_stream(self, handler: _Handler, request: _Request,
+    def _handle_stream(self, handler: _Handler, request: HttpRequest,
                        sid: str, store) -> None:
-        """``GET /api/<sid>/stream``: become a chunked-transfer SSE stream."""
+        """``GET /api/v1/<sid>/stream``: become a chunked-transfer SSE stream."""
         server = self.server
         if not request.http11:
             # A client error, not a missing route: answer 400 inline
@@ -1268,7 +1221,9 @@ class _IOShard:
             # EventSource reconnects resume exactly like pollers resume
             # with ?since: the id: line carries the head seq.
             last_id = request.headers.get("last-event-id", "")
-            since = int(last_id) if last_id.isdigit() else 0
+            # ASCII digits only: "²".isdigit() is true but int("²") raises.
+            since = (int(last_id)
+                     if last_id.isascii() and last_id.isdigit() else 0)
         server._apply_min_quality(handler, request)
         wkey = server._apply_window(handler, request, store)
         server._hook_store(sid, store)
@@ -1277,8 +1232,7 @@ class _IOShard:
             "HTTP/1.1 200 OK\r\n"
             "Content-Type: text/event-stream\r\n"
             "Cache-Control: no-store\r\nServer: RICSA/2.0\r\n"
-            + ("Deprecation: true\r\n" if handler.deprecated else "")
-            + "Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n"
+            "Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n"
         ).encode("latin-1")
         sub = self.scheduler.subscribe(sid, since, handler,
                                        transport="sse", framing=FRAME_SSE,
@@ -1288,9 +1242,9 @@ class _IOShard:
         if store.seq > since:
             self._woken.append(sub)  # backlog behind the cursor goes out now
 
-    def _handle_ws_upgrade(self, handler: _Handler, request: _Request,
+    def _handle_ws_upgrade(self, handler: _Handler, request: HttpRequest,
                            sid: str, store) -> None:
-        """``GET /api/<sid>/ws``: RFC 6455 upgrade, then pushed deltas."""
+        """``GET /api/v1/<sid>/ws``: RFC 6455 upgrade, then pushed deltas."""
         server = self.server
         # Handshake violations are client errors: answer 400 inline (the
         # generic GET error path would call them 404s).
@@ -1326,8 +1280,7 @@ class _IOShard:
             "HTTP/1.1 101 Switching Protocols\r\n"
             "Upgrade: websocket\r\nConnection: Upgrade\r\n"
             f"Sec-WebSocket-Accept: {ws_accept_key(key)}\r\n"
-            + ("Deprecation: true\r\n" if handler.deprecated else "")
-            + "Server: RICSA/2.0\r\n\r\n"
+            "Server: RICSA/2.0\r\n\r\n"
         ).encode("latin-1")
         handler.mode = "ws"
         sub = self.scheduler.subscribe(sid, since, handler,
@@ -1627,7 +1580,6 @@ class AjaxWebServer:
         self,
         client: SteeringClient,
         port: int = 0,
-        verbose: bool = False,
         keepalive_timeout: float = 30.0,
         housekeeping_interval: float = 1.0,
         workers: int | None = None,
@@ -1642,7 +1594,6 @@ class AjaxWebServer:
     ) -> None:
         self.client = client
         self.manager = client.manager
-        self.verbose = verbose
         self.keepalive_timeout = float(keepalive_timeout)
         self.housekeeping_interval = float(housekeeping_interval)
         self.workers = self.DEFAULT_WORKERS if workers is None else int(workers)
@@ -1747,20 +1698,14 @@ class AjaxWebServer:
         )
 
     def _render_head(self, code: int, ctype: str, length: int,
-                     keep_alive: bool, deprecated: bool = False) -> bytes:
-        """The single home of the HTTP response-head format.
-
-        ``deprecated`` marks responses served off the unversioned
-        ``/api/...`` aliases with a ``Deprecation`` header (clients
-        should move to ``/api/v1/...``).
-        """
+                     keep_alive: bool) -> bytes:
+        """The single home of the HTTP response-head format."""
         reason = _STATUS_TEXT.get(code, "OK")
         suffix = self._keepalive_suffix if keep_alive else self._close_suffix
-        mark = "Deprecation: true\r\n" if deprecated else ""
         return (
             f"HTTP/1.1 {code} {reason}\r\n"
             f"Content-Type: {ctype}\r\n"
-            f"Content-Length: {length}\r\n" + mark + suffix
+            f"Content-Length: {length}\r\n" + suffix
         ).encode("latin-1")
 
     def io_thread_count(self) -> int:
@@ -1804,7 +1749,7 @@ class AjaxWebServer:
         return sum(shard.scheduler.subscribers() for shard in self._shards)
 
     def stats(self) -> dict:
-        """The ``GET /api/stats`` payload: per-shard + merged + executor.
+        """The ``GET /api/v1/stats`` payload: per-shard + merged + executor.
 
         Top-level counters keep their pre-sharding names (sums across
         shards), so existing dashboards read unchanged; the ``shards``
@@ -1950,70 +1895,30 @@ class AjaxWebServer:
 
     # -- routing helpers ---------------------------------------------------------------
 
-    #: Final path segments a legacy *unscoped* ``/api/<action>`` may name —
-    #: resolved against the most recent session (pre-multi-session wire
-    #: compatibility).  Everything else must address a session by id.
-    _UNSCOPED_ACTIONS = {"state", "poll", "stream", "ws", "image", "image.png",
-                         "window", "brick", "steer", "view", "stop"}
-
     #: Snapshots past this many components are serialized off the IO loop.
     SNAPSHOT_OFFLOAD_COMPONENTS = 32
 
-    def _route(self, request: _Request) -> tuple[str | None, _Route, bool]:
-        """Match the request against :data:`API_ROUTES`.
-
-        Returns ``(sid, route, deprecated)``: ``sid`` is the bound
-        ``{sid}`` wildcard (None for sessionless routes) and
-        ``deprecated`` is True when the request used the unversioned
-        ``/api/...`` alias rather than the canonical ``/api/v1/...``
-        prefix.  Raises :class:`_HttpError` 404 for unknown paths and
-        405 when the path exists under another method.
-        """
-        segments = [s for s in request.path.split("/") if s]
-        if not segments or segments[0] != "api":
-            raise _HttpError(404, "not_found", f"no route {request.path}")
-        if len(segments) > 1 and segments[1] == "v1":
-            rest, deprecated = segments[2:], False
-        else:
-            rest, deprecated = segments[1:], True
-        if (deprecated and len(rest) == 1
-                and rest[0] in self._UNSCOPED_ACTIONS):
-            # Legacy unscoped route: address the most recent session.
-            session = self.client.session
-            if session is None:
-                raise WebServerError("no active steering session")
-            rest = [session.session_id, rest[0]]
-        path_matched = False
-        for route in API_ROUTES:
-            ok, sid = route.match(request.method, rest)
-            if ok:
-                return sid, route, deprecated
-            matched, _ = route.match(None, rest)
-            path_matched = path_matched or matched
-        if path_matched:
-            raise _HttpError(405, "method_not_allowed",
-                             f"method {request.method} not allowed for {request.path}")
-        raise _HttpError(404, "not_found", f"no route {request.path}")
-
     @staticmethod
-    def _query_num(request: _Request, name: str, default: str, cast=int):
+    def _query_num(request: HttpRequest, name: str, default: str, cast=int):
         raw = request.query.get(name, [default])[0]
         try:
             value = cast(raw)
         except (TypeError, ValueError):
-            raise WebServerError(f"query parameter {name}={raw!r} is not a number")
+            raise _HttpError(400, "bad_request",
+                             f"query parameter {name}={raw!r} is not a number")
         if not math.isfinite(value):
             # nan/inf deadlines would wedge the scheduler's deadline heap
-            raise WebServerError(f"query parameter {name}={raw!r} is not finite")
+            raise _HttpError(400, "bad_request",
+                             f"query parameter {name}={raw!r} is not finite")
         return value
 
     @classmethod
-    def _version_arg(cls, request: _Request) -> int | None:
+    def _version_arg(cls, request: HttpRequest) -> int | None:
         if not request.query.get("v", [None])[0]:
             return None
         return cls._query_num(request, "v", "0")
 
-    def _apply_min_quality(self, handler: _Handler, request: _Request) -> None:
+    def _apply_min_quality(self, handler: _Handler, request: HttpRequest) -> None:
         """Honour the client's ``min_quality`` hint on a delivery route.
 
         ``min_quality`` is the deepest tier index the client accepts:
@@ -2030,7 +1935,7 @@ class AjaxWebServer:
             handler.tier = handler.max_tier
 
     @staticmethod
-    def _apply_window(handler: _Handler, request: _Request,
+    def _apply_window(handler: _Handler, request: HttpRequest,
                       store) -> tuple | None:
         """Bind a delivery route to the ``window=<wid>`` sliding window.
 

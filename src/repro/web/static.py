@@ -3,9 +3,9 @@
 Plain ``XMLHttpRequest`` long-polling (no fetch, no frameworks —
 deliberately period-appropriate): the page picks a session (from the
 ``?session=`` query string, else the first the server lists), polls
-``/api/<session>/poll`` and patches only the components that changed;
+``/api/v1/<session>/poll`` and patches only the components that changed;
 the monitoring image reloads only when its version advances.  Steering
-controls POST to ``/api/<session>/steer`` and ``/api/<session>/view``.
+controls POST to ``/api/v1/<session>/steer`` and ``/api/v1/<session>/view``.
 A ``dropped`` count in a poll response means this browser fell behind
 the session's event ring and skipped frames.
 """
@@ -64,13 +64,13 @@ var since = 0;
 var imageVersion = -1;
 var session = null;
 
-function api(action) { return "/api/" + session + "/" + action; }
+function api(action) { return "/api/v1/" + session + "/" + action; }
 
 function start() {
   var match = /[?&]session=([^&]+)/.exec(location.search);
   if (match) { session = decodeURIComponent(match[1]); begin(); return; }
   var xhr = new XMLHttpRequest();
-  xhr.open("GET", "/api/sessions", true);
+  xhr.open("GET", "/api/v1/sessions", true);
   xhr.onreadystatechange = function () {
     if (xhr.readyState !== 4) return;
     var names = [];
@@ -154,7 +154,7 @@ start();
 """
 
 #: The ops dashboard: dependency-free live sparkline charts over
-#: ``/api/metrics/history``.  Served at ``GET /dashboard`` when the
+#: ``/api/v1/metrics/history``.  Served at ``GET /dashboard`` when the
 #: server was started with observability enabled; renders cold (no
 #: third-party assets, no fonts, no CDNs) and backfills history from
 #: the SQLite store across server restarts.
@@ -266,7 +266,7 @@ function tick() {
   var q = "series=" + Object.keys(wanted).join(",") +
           "&since=" + (Date.now() / 1000 - WINDOW_S - 10).toFixed(0);
   var xhr = new XMLHttpRequest();
-  xhr.open("GET", "/api/metrics/history?" + q, true);
+  xhr.open("GET", "/api/v1/metrics/history?" + q, true);
   xhr.onload = function () {
     if (xhr.status !== 200) {
       document.getElementById("state").textContent =

@@ -3,7 +3,7 @@
 Unit layers first (passive link estimation discipline, DP-backed tier
 decisions), then the live server: tier plumbing end to end, the
 degrade-before-disconnect ordering, the ``min_quality`` pin, and the
-/api/stats accounting identities (top-level ``bytes_sent`` equals the
+/api/v1/stats accounting identities (top-level ``bytes_sent`` equals the
 per-shard sum; heartbeat and farewell bytes are counted on the push
 transports).
 """
@@ -205,7 +205,7 @@ class TestServingPlane:
         sock = socket.create_connection(("127.0.0.1", server.port))
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
         sock.sendall(
-            f"GET /api/{sid}/stream?since=0{query} HTTP/1.1\r\n"
+            f"GET /api/v1/{sid}/stream?since=0{query} HTTP/1.1\r\n"
             f"Host: x\r\n\r\n".encode()
         )
         return sock
@@ -353,7 +353,7 @@ class TestStatsConsistency:
         client = SteeringClient(cm)
         with AjaxWebServer(client, port=0) as server:
             wc = SteeringWebClient(server.url)
-            stats = json.loads(wc._get("/api/stats").decode("utf-8"))
+            stats = json.loads(wc._get("/api/v1/stats").decode("utf-8"))
             for key in ("adaptive", "tiers", "tier_promotions",
                         "tier_demotions"):
                 assert key in stats

@@ -2,7 +2,7 @@
 
 Unit coverage for :mod:`repro.obs` (atomic writes, flattening, rings,
 SQLite store, journal fidelity) plus end-to-end HTTP tests for the
-``/dashboard`` + ``/api/metrics*`` + ``/api/replay`` surface and the
+``/dashboard`` + ``/api/v1/metrics*`` + ``/api/v1/replay`` surface and the
 stats-sum invariants the sharded server must keep with replay sessions
 live.
 """
@@ -389,10 +389,10 @@ def _wait_static(port: int, sid: str, deadline_s: float = 30.0) -> bytes:
     """Wait for ``sid`` to finish publishing; its full since=0 frame."""
     deadline = time.monotonic() + deadline_s
     while time.monotonic() < deadline:
-        _, body, _ = _raw_get(port, "/api/sessions")
+        _, body, _ = _raw_get(port, "/api/v1/sessions")
         entry = json.loads(body).get(sid)
         if entry is not None and not entry.get("running", True):
-            _, frame, _ = _raw_get(port, f"/api/{sid}/poll?since=0&timeout=0")
+            _, frame, _ = _raw_get(port, f"/api/v1/{sid}/poll?since=0&timeout=0")
             return frame
         time.sleep(0.2)
     raise AssertionError(f"session {sid} never finished")
@@ -433,7 +433,7 @@ class TestObsHttp:
     def test_metrics_404_when_obs_disabled(self, cm):
         client = SteeringClient(cm)
         with AjaxWebServer(client, port=0) as server:
-            status, body, _ = _raw_get(server.port, "/api/metrics")
+            status, body, _ = _raw_get(server.port, "/api/v1/metrics")
             assert status == 404
             assert b"observability disabled" in body
 
@@ -444,7 +444,7 @@ class TestObsHttp:
         assert ctype.startswith("text/html")
         html = body.decode("utf-8")
         assert "canvas" in html  # sparkline cards are built client-side
-        assert "/api/metrics/history" in html
+        assert "/api/v1/metrics/history" in html
         # Dependency-free: the page must not reference any third-party
         # asset — no external URLs of any scheme.
         assert not re.search(r"https?://", html)
@@ -457,13 +457,13 @@ class TestObsHttp:
         sid = replayer.session
         assert sid == "replay-session0"
         _, replayed, _ = _raw_get(server.port,
-                                  f"/api/{sid}/poll?since=0&timeout=0")
+                                  f"/api/v1/{sid}/poll?since=0&timeout=0")
         assert replayed == original
         # Read-only: steering the replay must be refused.
         conn = http.client.HTTPConnection("127.0.0.1", server.port,
                                           timeout=10.0)
         try:
-            conn.request("POST", f"/api/{sid}/steer",
+            conn.request("POST", f"/api/v1/{sid}/steer",
                          body=json.dumps({"alpha": 2.0}).encode("utf-8"),
                          headers={"Content-Type": "application/json"})
             assert conn.getresponse().status == 400
@@ -478,7 +478,7 @@ class TestObsHttp:
         deadline = time.monotonic() + 15.0
         while time.monotonic() < deadline:
             _, body, _ = _raw_get(
-                server.port, f"/api/{replayer.session}/poll?since=0&timeout=0")
+                server.port, f"/api/v1/{replayer.session}/poll?since=0&timeout=0")
             if body == original:
                 break
             time.sleep(0.1)
@@ -510,7 +510,7 @@ class TestObsHttp:
         conn = http.client.HTTPConnection("127.0.0.1", server.port,
                                           timeout=10.0)
         try:
-            conn.request("POST", "/api/replay/ghost", body=b"{}")
+            conn.request("POST", "/api/v1/replay/ghost", body=b"{}")
             assert conn.getresponse().status == 400
         finally:
             conn.close()
@@ -557,7 +557,7 @@ class TestObsRestart:
             replayer = web.replay(session="session0")
             _, replayed, _ = _raw_get(
                 cold.port,
-                f"/api/{replayer.session}/poll?since=0&timeout=0")
+                f"/api/v1/{replayer.session}/poll?since=0&timeout=0")
             assert replayed == original
         finally:
             cold.stop()

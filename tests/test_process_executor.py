@@ -9,6 +9,8 @@ instead of a hang.
 
 from __future__ import annotations
 
+import multiprocessing
+import threading
 import time
 
 import pytest
@@ -18,6 +20,8 @@ from repro.errors import SteeringError
 from repro.net import build_paper_testbed
 from repro.steering import ProcessSimulationExecutor, SessionManager
 from repro.steering.central_manager import CentralManager
+from repro.steering.executor import STARVATION_LIMIT
+from repro.steering.process_executor import _worker_main
 
 SIM = {"simulator": "heat", "sim_kwargs": {"shape": (8, 8, 8)}, "push_every": 4}
 
@@ -95,7 +99,6 @@ class TestManagerIntegration:
     def test_session_runs_in_worker_and_publishes_images(self, cm):
         manager = make_manager(cm)
         session = manager.create("proc-run", n_cycles=8, **SIM)
-        assert session._thread is None  # no per-session thread either way
         session.join_background(timeout=60.0)
         # The worker's progress is mirrored onto the parent-side sim...
         assert session.simulation.cycle == 8
@@ -194,6 +197,40 @@ class TestSliceBoundaryControl:
             assert not task.cancelled
         finally:
             ex.shutdown(wait=True, timeout=10.0)
+
+
+class TestWorkerScheduling:
+    def test_priority_flip_moves_a_session_behind_a_hot_one(self):
+        """The worker loop run in-thread over a real pipe: every message is
+        queued before it starts, so the slice order is the policy's alone."""
+        parent, child = multiprocessing.Pipe(duplex=True)
+        spec = {"simulator": "heat", "sim_kwargs": {"shape": (8, 8, 8)},
+                "push_every": 1000}
+        hot_cycles = STARVATION_LIMIT + 2
+        parent.send(("submit", "flipped", {**spec, "n_cycles": 2}))
+        parent.send(("submit", "hot", {**spec, "n_cycles": hot_cycles}))
+        parent.send(("priority", "flipped", True))
+        worker = threading.Thread(target=_worker_main, args=(child,), daemon=True)
+        worker.start()
+        order, done = [], set()
+        while done != {"flipped", "hot"}:
+            assert parent.poll(30.0), "worker went quiet"
+            msg = parent.recv()
+            if msg[0] == "progress":
+                order.append((msg[1], msg[2]))  # (sid, ran cold)
+            elif msg[0] == "done":
+                assert msg[2] is None  # no error
+                done.add(msg[1])
+        parent.send(("shutdown",))
+        worker.join(timeout=10.0)
+        assert not worker.is_alive()
+        parent.close()
+        # Submitted first, "flipped" would have led; cold, it waits for the
+        # anti-starvation tick and then for the hot session to finish.
+        assert order == (
+            [("hot", False)] * STARVATION_LIMIT + [("flipped", True)]
+            + [("hot", False)] * 2 + [("flipped", True)]
+        )
 
 
 class TestWorkerCrash:

@@ -2,7 +2,8 @@
 
 The edges that matter in production: cancellation mid-step, shutdown
 with steps still queued, pause/resume ordering, backpressure
-deprioritization, and the ``dedicated_thread=True`` compat escape hatch.
+deprioritization — and the hot/cold run-queue policy both executor
+backends drive.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from repro.costmodel.calibration import default_calibration
 from repro.errors import SteeringError
 from repro.net import build_paper_testbed
 from repro.steering import CentralManager, SessionManager, SimulationExecutor
+from repro.steering.executor import STARVATION_LIMIT, RunQueue
 
 SIM = {"simulator": "heat", "sim_kwargs": {"shape": (8, 8, 8)}, "push_every": 4}
 
@@ -43,6 +45,59 @@ def counting_step(n_slices: int, record: list, gate: threading.Event | None = No
         return len(record) < n_slices
 
     return step
+
+
+class TestRunQueue:
+    """The one scheduling policy (socket-, thread- and process-free)."""
+
+    def test_hot_pops_before_cold_in_fifo_order(self):
+        queue = RunQueue()
+        queue.push("c1", cold=True)
+        queue.push("h1")
+        queue.push("c2", cold=True)
+        queue.push("h2")
+        assert len(queue) == 4
+        assert [queue.pop() for _ in range(4)] == ["h1", "h2", "c1", "c2"]
+        assert len(queue) == 0 and not queue
+
+    def test_cold_item_runs_after_exactly_the_starvation_limit(self):
+        queue = RunQueue()
+        queue.push("cold", cold=True)
+        popped = []
+        for i in range(3 * STARVATION_LIMIT):
+            queue.push(f"h{i}")  # hot work never runs out
+        while "cold" not in popped:
+            popped.append(queue.pop())
+        assert popped == [f"h{i}" for i in range(STARVATION_LIMIT)] + ["cold"]
+        # the streak restarts: the next cold item waits a full limit again
+        queue.push("cold2", cold=True)
+        again = [queue.pop() for _ in range(STARVATION_LIMIT + 1)]
+        assert again[-1] == "cold2" and "cold2" not in again[:-1]
+
+    def test_cold_runs_at_once_when_no_hot_work_exists(self):
+        queue = RunQueue()
+        queue.push("c", cold=True)
+        assert queue.pop() == "c"
+
+    def test_discard_removes_from_either_deque(self):
+        queue = RunQueue()
+        queue.push("h")
+        queue.push("c", cold=True)
+        queue.push("keep")
+        queue.discard("h")
+        queue.discard("c")
+        queue.discard("never-queued")  # no-op, no raise
+        assert len(queue) == 1
+        assert queue.pop() == "keep"
+
+    def test_drain_returns_everything_once(self):
+        queue = RunQueue()
+        queue.push("h1")
+        queue.push("c1", cold=True)
+        queue.push("h2")
+        assert queue.drain() == ["h1", "h2", "c1"]
+        assert len(queue) == 0
+        assert queue.drain() == []
 
 
 class TestBasicScheduling:
@@ -258,34 +313,12 @@ class TestSteeringSessionIntegration:
     def test_default_session_runs_on_executor_not_thread(self, cm):
         manager = SessionManager(cm, executor_workers=2)
         session = manager.create("exec-mode", n_cycles=6, **SIM)
-        assert session._thread is None  # no ricsa-sim-* thread
         assert session._task is not None
         session.join_background(timeout=30.0)
         assert session.simulation.cycle == 6
         stats = manager.executor_stats()
         assert stats["steps_executed"] >= 6
         assert stats["sessions_completed"] >= 1
-        manager.close_all()
-
-    def test_dedicated_thread_compat_path(self, cm):
-        manager = SessionManager(cm, executor_workers=2)
-        session = manager.create(
-            "legacy", n_cycles=6, dedicated_thread=True, **SIM
-        )
-        assert session._thread is not None
-        assert session._thread.name == "ricsa-sim-legacy"
-        assert session._task is None
-        session.join_background(timeout=30.0)
-        assert session.simulation.cycle == 6
-        # the compat path never touched the shared executor
-        assert manager.executor_stats()["steps_executed"] == 0
-        manager.close_all()
-
-    def test_manager_dedicated_threads_default(self, cm):
-        manager = SessionManager(cm, dedicated_threads=True)
-        session = manager.create("legacy-default", n_cycles=4, **SIM)
-        assert session._thread is not None
-        session.join_background(timeout=30.0)
         manager.close_all()
 
     def test_executor_recreated_after_close_all(self, cm):

@@ -15,7 +15,7 @@ from repro.costmodel.calibration import default_calibration
 from repro.net import build_paper_testbed
 from repro.steering import CentralManager, SteeringClient
 from repro.viz.image import Image
-from repro.web import AjaxClient, AjaxWebServer
+from repro.web import AjaxWebServer, SteeringWebClient
 
 
 @pytest.fixture(scope="module")
@@ -48,21 +48,21 @@ def running_server(cm):
 class TestHttpEndpoints:
     def test_index_page_is_ajax(self, running_server):
         server, _ = running_server
-        ajax = AjaxClient(server.url)
+        ajax = SteeringWebClient(server.url)
         html = ajax.index_page()
         assert "XMLHttpRequest" in html
         assert "poll" in html
 
     def test_long_poll_delivers_image_updates(self, running_server):
         server, _ = running_server
-        ajax = AjaxClient(server.url)
+        ajax = SteeringWebClient(server.url)
         props = ajax.wait_for_component("image", polls=30, timeout=2.0)
         assert props["version"] >= 1
         assert "total_delay" in props
 
     def test_partial_updates_only_changed_components(self, running_server):
         server, _ = running_server
-        ajax = AjaxClient(server.url)
+        ajax = SteeringWebClient(server.url)
         ajax.wait_for_component("image")
         diff = ajax.poll(timeout=2.0)
         # every delivered component must be strictly newer than our cursor
@@ -71,7 +71,7 @@ class TestHttpEndpoints:
 
     def test_image_download_fixed_size_and_png(self, running_server):
         server, _ = running_server
-        ajax = AjaxClient(server.url)
+        ajax = SteeringWebClient(server.url)
         ajax.wait_for_component("image")
         img = ajax.fetch_image()
         assert isinstance(img, Image)
@@ -83,23 +83,23 @@ class TestHttpEndpoints:
         """Satellite fix: correct Content-Type per representation and
         honest Connection handling on a persistent connection."""
         server, _ = running_server
-        ajax = AjaxClient(server.url)
+        ajax = SteeringWebClient(server.url)
         ajax.wait_for_component("image")
         sid = ajax.resolve_session()
         conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10.0)
         try:
-            conn.request("GET", f"/api/{sid}/image")
+            conn.request("GET", f"/api/v1/{sid}/image")
             resp = conn.getresponse()
             assert resp.getheader("Content-Type") == "application/octet-stream"
             assert resp.getheader("Connection") == "keep-alive"
             resp.read()
             # same socket again: keep-alive must actually keep it open
-            conn.request("GET", f"/api/{sid}/image.png")
+            conn.request("GET", f"/api/v1/{sid}/image.png")
             resp = conn.getresponse()
             assert resp.getheader("Content-Type") == "image/png"
             body = resp.read()
             assert body[:8] == b"\x89PNG\r\n\x1a\n"
-            conn.request("GET", f"/api/{sid}/state", headers={"Connection": "close"})
+            conn.request("GET", f"/api/v1/{sid}/state", headers={"Connection": "close"})
             resp = conn.getresponse()
             assert resp.getheader("Connection") == "close"
             resp.read()
@@ -108,7 +108,7 @@ class TestHttpEndpoints:
 
     def test_steering_round_trip_over_http(self, running_server):
         server, client = running_server
-        ajax = AjaxClient(server.url)
+        ajax = SteeringWebClient(server.url)
         ajax.wait_for_component("image")
         resp = ajax.steer(source_x=0.2)
         assert resp["ok"]
@@ -122,7 +122,7 @@ class TestHttpEndpoints:
 
     def test_view_operations_change_camera(self, running_server):
         server, client = running_server
-        ajax = AjaxClient(server.url)
+        ajax = SteeringWebClient(server.url)
         ajax.wait_for_component("image")
         az_before = client.session._camera.azimuth
         ajax.view(rotate_azimuth=30.0)
@@ -135,9 +135,9 @@ class TestHttpEndpoints:
 
     def test_stats_endpoint_exposes_executor_counters(self, running_server):
         server, _ = running_server
-        ajax = AjaxClient(server.url)
+        ajax = SteeringWebClient(server.url)
         ajax.wait_for_component("image")
-        stats = ajax._get_json("/api/stats")
+        stats = ajax._get_json("/api/v1/stats")
         assert stats["io_threads"] == 1
         assert stats["worker_threads"] == server.workers
         assert stats["requests_served"] >= 1
@@ -151,7 +151,7 @@ class TestHttpEndpoints:
         """A cold-cache PNG re-encode must come back via the off-loop path
         (busy connection -> worker -> completion) and still be cached."""
         server, client = running_server
-        ajax = AjaxClient(server.url)
+        ajax = SteeringWebClient(server.url)
         props = ajax.wait_for_component("image")
         sid = ajax.resolve_session()
         store = client.manager.events(sid)
@@ -159,12 +159,12 @@ class TestHttpEndpoints:
         version = props["version"]
         conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10.0)
         try:
-            conn.request("GET", f"/api/{sid}/image.png?v={version}")
+            conn.request("GET", f"/api/v1/{sid}/image.png?v={version}")
             resp = conn.getresponse()
             assert resp.getheader("Content-Type") == "image/png"
             assert resp.read()[:8] == b"\x89PNG\r\n\x1a\n"
             # warm hit: served inline from the cache, no second encode
-            conn.request("GET", f"/api/{sid}/image.png?v={version}")
+            conn.request("GET", f"/api/v1/{sid}/image.png?v={version}")
             resp = conn.getresponse()
             assert resp.read()[:8] == b"\x89PNG\r\n\x1a\n"
         finally:
@@ -175,7 +175,7 @@ class TestHttpEndpoints:
         server, _ = running_server
         conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10.0)
         try:
-            conn.request("POST", "/api/stats", body=b"{}")
+            conn.request("POST", "/api/v1/stats", body=b"{}")
             resp = conn.getresponse()
             assert resp.status == 405
             body = json.loads(resp.read().decode("utf-8"))
@@ -185,7 +185,7 @@ class TestHttpEndpoints:
 
     def test_sessions_endpoint(self, running_server):
         server, _ = running_server
-        ajax = AjaxClient(server.url)
+        ajax = SteeringWebClient(server.url)
         sessions = ajax.sessions()
         assert "session0" in sessions
         assert sessions["session0"]["simulator"] == "heat"
@@ -193,13 +193,13 @@ class TestHttpEndpoints:
 
     def test_unknown_route_404(self, running_server):
         server, _ = running_server
-        ajax = AjaxClient(server.url)
+        ajax = SteeringWebClient(server.url)
         with pytest.raises(Exception):
-            ajax._get_json("/api/flux-capacitor")
+            ajax._get_json("/api/v1/flux-capacitor")
 
     def test_unknown_session_404(self, running_server):
         server, _ = running_server
-        ajax = AjaxClient(server.url, session="nope")
+        ajax = SteeringWebClient(server.url, session="nope")
         with pytest.raises(Exception, match="404"):
             ajax.state()
 
@@ -212,8 +212,8 @@ class TestMultiSessionHttp:
                          sim_kwargs={"shape": (10, 10, 10)}, push_every=2)
             client.start(simulator="heat", session_id="beta", n_cycles=120,
                          sim_kwargs={"shape": (10, 10, 10)}, push_every=2)
-            a = AjaxClient(server.url, session="alpha")
-            b = AjaxClient(server.url, session="beta")
+            a = SteeringWebClient(server.url, session="alpha")
+            b = SteeringWebClient(server.url, session="beta")
             pa = a.wait_for_component("image", polls=40, timeout=2.0)
             pb = b.wait_for_component("image", polls=40, timeout=2.0)
             assert pa["version"] >= 1 and pb["version"] >= 1
@@ -244,7 +244,7 @@ class TestMultiSessionHttp:
                     conn = http.client.HTTPConnection(
                         "127.0.0.1", server.port, timeout=30.0
                     )
-                    conn.request("GET", f"/api/quiet/poll?since={cursor}&timeout=20")
+                    conn.request("GET", f"/api/v1/quiet/poll?since={cursor}&timeout=20")
                     conns.append(conn)
                 # give the IO loop time to park all 32
                 deadline = 50
@@ -285,7 +285,7 @@ class TestParkedPollDemand:
             conn = http.client.HTTPConnection("127.0.0.1", server.port,
                                               timeout=30.0)
             try:
-                conn.request("GET", f"/api/watched/poll?since={cursor}&timeout=20")
+                conn.request("GET", f"/api/v1/watched/poll?since={cursor}&timeout=20")
                 deadline = 100
                 while server.scheduler.pending() < 1 and deadline:
                     time.sleep(0.02)
@@ -392,9 +392,9 @@ class TestMalformedPipelinedRequest:
             cursor = store.seq
             evil = socket.create_connection(("127.0.0.1", server.port))
             evil.sendall(
-                f"GET /api/evil/poll?since={cursor}&timeout=20 "
+                f"GET /api/v1/evil/poll?since={cursor}&timeout=20 "
                 f"HTTP/1.1\r\nHost: x\r\n\r\n".encode()
-                + b"POST /api/evil/steer HTTP/1.1\r\nHost: x\r\n"
+                + b"POST /api/v1/evil/steer HTTP/1.1\r\nHost: x\r\n"
                 b"Content-Length: oops\r\n\r\n"
             )
             deadline = 100
@@ -410,7 +410,7 @@ class TestMalformedPipelinedRequest:
             # and the server still answers everyone else
             conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=5.0)
             try:
-                conn.request("GET", "/api/evil/state")
+                conn.request("GET", "/api/v1/evil/state")
                 assert conn.getresponse().status == 200
             finally:
                 conn.close()
@@ -419,7 +419,7 @@ class TestMalformedPipelinedRequest:
 
 class TestOffLoopSessionCreation:
     def test_post_sessions_runs_on_worker_pool(self, cm):
-        """POST /api/sessions (CM configure) must not execute on the IO loop."""
+        """POST /api/v1/sessions (CM configure) must not execute on the IO loop."""
         client = SteeringClient(cm)
         with AjaxWebServer(client, port=0) as server:
             assert server.io_thread_count() == 1
@@ -431,13 +431,13 @@ class TestOffLoopSessionCreation:
                     "n_cycles": 40, "sim_kwargs": {"shape": (10, 10, 10)},
                     "push_every": 2,
                 })
-                conn.request("POST", "/api/sessions", body=body,
+                conn.request("POST", "/api/v1/sessions", body=body,
                              headers={"Content-Type": "application/json"})
                 resp = conn.getresponse()
                 created = json.loads(resp.read().decode("utf-8"))
                 assert created == {"ok": True, "session": "offloop"}
                 # the session is real: it publishes images we can poll
-                ajax = AjaxClient(server.url, session="offloop")
+                ajax = SteeringWebClient(server.url, session="offloop")
                 props = ajax.wait_for_component("image", polls=40, timeout=2.0)
                 assert props["version"] >= 1
                 # thread count unchanged: the heavy route reused pool threads
@@ -448,7 +448,7 @@ class TestOffLoopSessionCreation:
             client.stop_all()
 
     def test_parked_polls_wake_while_session_creation_in_flight(self, cm):
-        """A heavy POST /api/sessions must not delay other clients' wakes."""
+        """A heavy POST /api/v1/sessions must not delay other clients' wakes."""
         client = SteeringClient(cm)
         with AjaxWebServer(client, port=0) as server:
             store = client.manager.open_monitor("fastlane")
@@ -457,7 +457,7 @@ class TestOffLoopSessionCreation:
             poll_conn = http.client.HTTPConnection(
                 "127.0.0.1", server.port, timeout=30.0
             )
-            poll_conn.request("GET", f"/api/fastlane/poll?since={cursor}&timeout=20")
+            poll_conn.request("GET", f"/api/v1/fastlane/poll?since={cursor}&timeout=20")
             deadline = 100
             while server.scheduler.pending() < 1 and deadline:
                 time.sleep(0.02)
@@ -468,7 +468,7 @@ class TestOffLoopSessionCreation:
             )
             try:
                 create_conn.request(
-                    "POST", "/api/sessions",
+                    "POST", "/api/v1/sessions",
                     body=json.dumps({
                         "simulator": "heat", "session_id": "heavy",
                         "n_cycles": 30, "sim_kwargs": {"shape": (16, 16, 16)},
@@ -499,7 +499,7 @@ class TestOffLoopSessionCreation:
         with AjaxWebServer(client, port=0) as server:
             conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10.0)
             try:
-                conn.request("POST", "/api/sessions", body=b"{not json",
+                conn.request("POST", "/api/v1/sessions", body=b"{not json",
                              headers={"Content-Type": "application/json"})
                 resp = conn.getresponse()
                 assert resp.status == 400
@@ -513,7 +513,7 @@ class TestOffLoopSessionCreation:
             client.manager.open_monitor("taken")
             conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30.0)
             try:
-                conn.request("POST", "/api/sessions",
+                conn.request("POST", "/api/v1/sessions",
                              body=json.dumps({"session_id": "taken",
                                               "sim_kwargs": {"shape": (8, 8, 8)}}),
                              headers={"Content-Type": "application/json"})
@@ -540,7 +540,7 @@ class TestConcurrentLongPollHttp:
             finals: list[int] = []
 
             def poller(idx: int):
-                ajax = AjaxClient(server.url, session="burst")
+                ajax = SteeringWebClient(server.url, session="burst")
                 ajax.since = base
                 start.wait()
                 last = base

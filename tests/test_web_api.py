@@ -1,9 +1,9 @@
-"""Versioned API surface: route-table parity between /api/v1 and the
-legacy /api aliases, plus the uniform error envelope.
+"""The /api/v1 surface: one request case per route, the uniform error
+envelope, and route matching as a pure function of (method, path).
 
 Every entry in ``API_ROUTES`` must have a request case here — the
-``test_route_table_is_fully_covered`` guard (run by the CI route-parity
-job) fails the build when a new v1 route lands without a parity test.
+``test_route_table_is_fully_covered`` guard (run by the CI api-surface
+job) fails the build when a new v1 route lands without a request case.
 """
 
 from __future__ import annotations
@@ -21,13 +21,13 @@ from repro.data.octree import Octree
 from repro.net import build_paper_testbed
 from repro.steering import CentralManager, SteeringClient
 from repro.web import AjaxWebServer, SteeringWebClient
-from repro.web.server import API_ROUTES
+from repro.web.server import API_ROUTES, _HttpError, match_route
 from repro.window import WindowedDomainSource
 
 #: action -> (body, must_succeed).  The path is derived from the route's
 #: own pattern, so a renamed route cannot silently drift from its test.
-#: ``must_succeed`` pins a 2xx expectation; the rest only assert parity
-#: (identical status + envelope under both prefixes).
+#: ``must_succeed`` pins a 2xx expectation; the rest only assert the
+#: error envelope.
 REQUEST_CASES = {
     "sessions.list": (None, True),
     # Malformed body: exercises the 400 envelope without spawning a session.
@@ -80,8 +80,7 @@ def api_server():
         server.stop()
 
 
-def _path_for(route, sid: str, versioned: bool) -> str:
-    prefix = "/api/v1" if versioned else "/api"
+def _path_for(route, sid: str, prefix: str = "/api/v1") -> str:
     segments = [sid if seg == "{sid}" else seg for seg in route.pattern]
     path = prefix + "/" + "/".join(segments)
     case = REQUEST_CASES[route.action][0]
@@ -125,27 +124,29 @@ def test_route_patterns_are_unambiguous():
 
 @pytest.mark.parametrize("route", API_ROUTES, ids=lambda r: r.action)
 def test_v1_and_legacy_alias_parity(api_server, route):
+    """Each route answers its request case under /api/v1 — and only there:
+    the same path under the removed unversioned prefix is a plain 404.
+    (The name predates the alias removal; the ids are kept stable.)"""
     server, sid = api_server
     body = _body_for(route)
-    st_v1, h_v1, b_v1 = _request(
-        server, route.method, _path_for(route, sid, True), body)
-    st_old, h_old, b_old = _request(
-        server, route.method, _path_for(route, sid, False), body)
-    assert st_v1 == st_old, (route.action, st_v1, st_old)
-    # Only the unversioned alias is marked deprecated.
-    assert "Deprecation" not in h_v1, route.action
-    assert h_old.get("Deprecation") == "true", route.action
+    status, headers, blob = _request(
+        server, route.method, _path_for(route, sid), body)
+    assert "Deprecation" not in headers, route.action
     if REQUEST_CASES[route.action][1]:
-        assert 200 <= st_v1 < 300, (route.action, st_v1, b_v1)
-    if st_v1 >= 400:
-        for blob in (b_v1, b_old):
-            envelope = json.loads(blob)["error"]
-            assert set(envelope) == {"code", "message"}, route.action
+        assert 200 <= status < 300, (route.action, status, blob)
+    if status >= 400:
+        assert set(json.loads(blob)["error"]) == {"code", "message"}, route.action
+    status, headers, blob = _request(
+        server, route.method, _path_for(route, sid, "/api"), body)
+    assert status == 404, route.action
+    assert "Deprecation" not in headers, route.action
+    assert json.loads(blob)["error"]["code"] == "not_found", route.action
 
 
 def test_unknown_route_is_enveloped_404(api_server):
     server, _ = api_server
-    for path in ("/api/v1/flux-capacitor/bogus/deep", "/api/v1", "/not-api"):
+    for path in ("/api/v1/flux-capacitor/bogus/deep", "/api/v1", "/not-api",
+                 "/api/stats", "/api/state", "/api/sess/poll"):
         status, _, body = _request(server, "GET", path)
         assert status == 404
         assert json.loads(body)["error"]["code"] == "not_found"
@@ -153,7 +154,7 @@ def test_unknown_route_is_enveloped_404(api_server):
 
 def test_wrong_method_is_enveloped_405(api_server):
     server, sid = api_server
-    for path in ("/api/v1/stats", f"/api/v1/{sid}/state", f"/api/{sid}/steer"):
+    for path in ("/api/v1/stats", f"/api/v1/{sid}/state", f"/api/v1/{sid}/steer"):
         method = "GET" if path.endswith("steer") else "POST"
         status, _, body = _request(server, method, path, b"{}")
         assert status == 405, path
@@ -193,10 +194,84 @@ def test_sse_rejects_http10_with_envelope(api_server):
         assert json.loads(bytes(body))["error"]["code"] == "bad_request"
 
 
-def test_legacy_unscoped_routes_resolve_live_session(api_server):
+# -- route matching, socket-free ----------------------------------------------
+
+
+def _route_path(route) -> str:
+    return _path_for(route, "sess").partition("?")[0]
+
+
+@pytest.mark.parametrize("route", API_ROUTES, ids=lambda r: r.action)
+def test_match_route_resolves_every_table_entry(route):
+    sid, matched = match_route(route.method, _route_path(route))
+    assert matched is route
+    assert sid == ("sess" if "{sid}" in route.pattern else None)
+
+
+def test_match_route_405_on_known_path_with_wrong_method():
+    for route in API_ROUTES:
+        methods = {r.method for r in API_ROUTES if r.pattern == route.pattern}
+        for method in {"GET", "POST", "DELETE"} - methods:
+            with pytest.raises(_HttpError) as err:
+                match_route(method, _route_path(route))
+            assert (err.value.status, err.value.code) == (405, "method_not_allowed")
+
+
+@pytest.mark.parametrize("path", [
+    "/api/sess/poll", "/api/stats", "/api/poll", "/api/state", "/api/v2/stats",
+    "/api/v2/sess/poll", "/api", "/api/v1", "/", "/apiv1/stats",
+    "/api/v1/sess/poll/extra", "/v1/api/stats",
+])
+def test_match_route_404_outside_the_v1_table(path):
+    for method in ("GET", "POST"):
+        with pytest.raises(_HttpError) as err:
+            match_route(method, path)
+        assert (err.value.status, err.value.code) == (404, "not_found")
+
+
+# -- malformed input answers 400, not 404 / 500 ----------------------------------
+
+
+@pytest.mark.parametrize("tail, headers, want", [
+    ("poll?since=abc", {}, 400),
+    ("poll?since=0&timeout=nan", {}, 400),
+    ("image?v=abc", {}, 400),
+    # "\xb2" is "²": str.isdigit() accepts it, int() does not.  A
+    # Last-Event-ID that is not ASCII digits resumes from 0.
+    ("stream", {"Last-Event-ID": "\xb2"}, 200),
+])
+def test_malformed_numbers_get_honest_statuses(api_server, tail, headers, want):
     server, sid = api_server
-    status, headers, body = _request(server, "GET", "/api/state")
-    assert status == 200
-    assert headers.get("Deprecation") == "true"
-    status, _, _ = _request(server, "GET", "/api/window?window=default")
-    assert status == 200
+    conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10.0)
+    try:
+        conn.request("GET", f"/api/v1/{sid}/{tail}", headers=headers)
+        resp = conn.getresponse()
+        assert resp.status == want, (tail, resp.status)
+        if want == 200:
+            assert resp.getheader("Content-Type") == "text/event-stream"
+        else:
+            error = json.loads(resp.read())["error"]
+            assert set(error) == {"code", "message"}
+            assert error["code"] == "bad_request"
+    finally:
+        conn.close()
+
+
+# -- request framing the parser must refuse ---------------------------------------
+
+
+@pytest.mark.parametrize("framing", [
+    b"Transfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
+    b"Content-Length: 1_0\r\n\r\n{\"zoom\":1}",
+])
+def test_unsupported_request_framing_closes_the_connection(api_server, framing):
+    """A body the parser cannot delimit must not be dispatched as empty."""
+    server, sid = api_server
+    with socket.create_connection(("127.0.0.1", server.port), timeout=10.0) as sock:
+        sock.sendall(f"POST /api/v1/{sid}/view HTTP/1.1\r\nHost: x\r\n"
+                     .encode("latin-1") + framing)
+        try:
+            answer = sock.recv(65536)
+        except ConnectionResetError:
+            answer = b""
+        assert answer == b""  # closed, no 200 for an unread body

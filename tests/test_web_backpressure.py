@@ -45,7 +45,7 @@ class TestSlowClientBackpressure:
             stalled = socket.create_connection(("127.0.0.1", server.port))
             stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
             stalled.sendall(
-                f"GET /api/herd/poll?since={cursor}&timeout=20 "
+                f"GET /api/v1/herd/poll?since={cursor}&timeout=20 "
                 f"HTTP/1.1\r\nHost: x\r\n\r\n".encode()
             )
             # healthy clients park behind the same cursor
@@ -54,7 +54,7 @@ class TestSlowClientBackpressure:
                 conn = http.client.HTTPConnection(
                     "127.0.0.1", server.port, timeout=10.0
                 )
-                conn.request("GET", f"/api/herd/poll?since={cursor}&timeout=20")
+                conn.request("GET", f"/api/v1/herd/poll?since={cursor}&timeout=20")
                 healthy.append(conn)
             deadline = 100
             while server.scheduler.pending() < 6 and deadline:
@@ -88,7 +88,7 @@ class TestSlowClientBackpressure:
             # pipeline ~12 MB of ~100 KB responses without ever reading:
             # the kernel send buffer (tcp_wmem caps it at a few MB) fills
             # and the server-side backlog passes the 512 KB budget
-            request = b"GET /api/budget/poll?since=0&timeout=0 HTTP/1.1\r\nHost: x\r\n\r\n"
+            request = b"GET /api/v1/budget/poll?since=0&timeout=0 HTTP/1.1\r\nHost: x\r\n\r\n"
             try:
                 slow.sendall(request * 120)
             except OSError:
@@ -106,7 +106,7 @@ class TestSlowClientBackpressure:
             buf = bytearray()
             try:
                 fresh.sendall(
-                    b"GET /api/budget/poll?since=0&timeout=0 "
+                    b"GET /api/v1/budget/poll?since=0&timeout=0 "
                     b"HTTP/1.1\r\nHost: x\r\n\r\n"
                 )
                 delta = json.loads(read_http_response(fresh, buf))
@@ -131,7 +131,7 @@ class TestSlowClientBackpressure:
             stalled = socket.create_connection(("127.0.0.1", server.port))
             stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
             stalled.sendall(
-                b"GET /api/reap/poll?since=0&timeout=0 HTTP/1.1\r\nHost: x\r\n\r\n"
+                b"GET /api/v1/reap/poll?since=0&timeout=0 HTTP/1.1\r\nHost: x\r\n\r\n"
             )
             deadline = 200  # ~4 s for the 0.5 s idle window + sweep
             while server.slow_client_disconnects < 1 and deadline:
@@ -151,7 +151,7 @@ class TestSlowClientBackpressure:
             stalled = socket.create_connection(("127.0.0.1", server.port))
             stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
             stalled.sendall(
-                f"GET /api/intact/poll?since={base}&timeout=20 "
+                f"GET /api/v1/intact/poll?since={base}&timeout=20 "
                 f"HTTP/1.1\r\nHost: x\r\n\r\n".encode()
             )
             fast = socket.create_connection(("127.0.0.1", server.port))
@@ -160,7 +160,7 @@ class TestSlowClientBackpressure:
                 since = base
                 for tick in range(1, 21):
                     fast.sendall(
-                        f"GET /api/intact/poll?since={since}&timeout=5 "
+                        f"GET /api/v1/intact/poll?since={since}&timeout=5 "
                         f"HTTP/1.1\r\nHost: x\r\n\r\n".encode()
                     )
                     time.sleep(0.002)

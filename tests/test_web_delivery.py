@@ -32,7 +32,6 @@ class StubConn:
         self.closed = False
         self.subscriber = None
         self.keep_alive = keep_alive
-        self.deprecated = False
         self.close_after = False
         self.inbuf = bytearray()
         self.window_source = self.window_wid = None
@@ -44,8 +43,8 @@ class StubConn:
         self.errors.append((status, code))
 
 
-def _render_head(code, ctype, length, keep_alive, deprecated=False) -> bytes:
-    return f"HEAD {code} {length} {int(keep_alive)} {int(deprecated)}|".encode()
+def _render_head(code, ctype, length, keep_alive) -> bytes:
+    return f"HEAD {code} {length} {int(keep_alive)}|".encode()
 
 
 class Rig:
@@ -133,7 +132,7 @@ class TestMixedHerd:
         rig.delivery.deliver(rig.publish("a", tick=1))
         assert keep[0].handle.sent[0] is keep[1].handle.sent[0]  # one buffer
         assert close.handle.sent[0].startswith(b"HEAD 200")
-        assert b" 0 0|" in close.handle.sent[0] and close.handle.close_after
+        assert b" 0|" in close.handle.sent[0] and close.handle.close_after
         assert not keep[0].handle.close_after
 
     def test_pipelined_input_resumes_after_the_poll_is_answered(self, rig):

@@ -2,7 +2,7 @@
 
 Covers the tentpole surface over real loopback sockets: SSE chunked
 streams with Last-Event-ID resume, the RFC 6455 handshake / data /
-ping-pong / close paths, binary image frames, per-transport ``/api/stats``
+ping-pong / close paths, binary image frames, per-transport ``/api/v1/stats``
 counters, eviction farewells, client auto-reconnect, and subscriber
 pinning to the session's owner shard.
 """
@@ -124,7 +124,7 @@ class TestSSEStream:
         server, client = quiet_server
         client.manager.open_monitor("sse10")
         with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as s:
-            s.sendall(b"GET /api/sse10/stream HTTP/1.0\r\nHost: x\r\n\r\n")
+            s.sendall(b"GET /api/v1/sse10/stream HTTP/1.0\r\nHost: x\r\n\r\n")
             head = s.recv(65536)
         assert b"400" in head.split(b"\r\n", 1)[0]
 
@@ -135,7 +135,7 @@ class TestWebSocketStream:
         key = base64.b64encode(os.urandom(16)).decode("ascii")
         sock.sendall(
             (
-                f"GET /api/{sid}/ws{query} HTTP/1.1\r\nHost: x\r\n"
+                f"GET /api/v1/{sid}/ws{query} HTTP/1.1\r\nHost: x\r\n"
                 "Upgrade: websocket\r\nConnection: Upgrade\r\n"
                 f"Sec-WebSocket-Key: {key}\r\n"
                 "Sec-WebSocket-Version: 13\r\n\r\n"
@@ -217,7 +217,7 @@ class TestWebSocketStream:
         client.manager.open_monitor("wsbad")
         with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as s:
             s.sendall(
-                b"GET /api/wsbad/ws HTTP/1.1\r\nHost: x\r\n"
+                b"GET /api/v1/wsbad/ws HTTP/1.1\r\nHost: x\r\n"
                 b"Upgrade: websocket\r\nConnection: Upgrade\r\n\r\n"
             )
             head = s.recv(65536)
@@ -230,7 +230,7 @@ class TestWebSocketStream:
         with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as s:
             s.sendall(
                 (
-                    "GET /api/wsimg/ws?images=telepathy HTTP/1.1\r\nHost: x\r\n"
+                    "GET /api/v1/wsimg/ws?images=telepathy HTTP/1.1\r\nHost: x\r\n"
                     "Upgrade: websocket\r\nConnection: Upgrade\r\n"
                     f"Sec-WebSocket-Key: {key}\r\n\r\n"
                 ).encode("latin-1")
@@ -385,7 +385,7 @@ class TestShardPinning:
                 )
                 sock.sendall(
                     (
-                        f"GET /api/{sid}/stream?since=0 HTTP/1.1\r\n"
+                        f"GET /api/v1/{sid}/stream?since=0 HTTP/1.1\r\n"
                         "Host: x\r\n\r\n"
                     ).encode("latin-1")
                 )
@@ -436,7 +436,7 @@ class TestPushDeltasMatchPollDeltas:
         store.publish_status("session", tick=7, note="push-parity")
         polled = json.loads(
             SteeringWebClient(server.url, session="parity")
-            ._get(f"/api/parity/poll?since=0&timeout=0.1").decode("utf-8")
+            ._get(f"/api/v1/parity/poll?since=0&timeout=0.1").decode("utf-8")
         )
         wc = SteeringWebClient(server.url, session="parity")
         gen = wc.events(transport="sse", timeout=2.0)

@@ -8,7 +8,7 @@ The invariants that make ``shards=K`` safe to turn on:
   delivery, and still ~one JSON encode per wake,
 * the SO_REUSEPORT-unavailable fallback (single acceptor + round-robin
   handoff) serves the identical API,
-* ``/api/stats`` top-level counters are honest sums of the per-shard
+* ``/api/v1/stats`` top-level counters are honest sums of the per-shard
   blocks.
 """
 
@@ -136,7 +136,7 @@ class TestServerSharding:
                 conn = http.client.HTTPConnection(
                     "127.0.0.1", server.port, timeout=15.0
                 )
-                conn.request("GET", f"/api/alpha/poll?since={since}&timeout=10")
+                conn.request("GET", f"/api/v1/alpha/poll?since={since}&timeout=10")
                 resp = conn.getresponse()
                 body = json.loads(resp.read())
                 conn.close()
@@ -198,7 +198,7 @@ class TestServerSharding:
                 conn = http.client.HTTPConnection(
                     "127.0.0.1", server.port, timeout=10.0
                 )
-                conn.request("GET", "/api/sessions")
+                conn.request("GET", "/api/v1/sessions")
                 body = json.loads(conn.getresponse().read())
                 conn.close()
                 assert "alpha" in body
@@ -227,7 +227,7 @@ class TestServerSharding:
                 "127.0.0.1", server.port, timeout=10.0
             )
             for sid in (a, b, a, b):  # ping-pong across owners, same socket
-                conn.request("GET", f"/api/{sid}/state")
+                conn.request("GET", f"/api/v1/{sid}/state")
                 body = json.loads(conn.getresponse().read())
                 assert body["version"] >= 1
             conn.close()
@@ -243,7 +243,7 @@ class TestServerSharding:
                 conn = http.client.HTTPConnection(
                     "127.0.0.1", server.port, timeout=10.0
                 )
-                conn.request("GET", "/api/alpha/state")
+                conn.request("GET", "/api/v1/alpha/state")
                 conn.getresponse().read()
                 conn.close()
             stats = server.stats()
