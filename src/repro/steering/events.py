@@ -110,16 +110,18 @@ WS_PING = 0x9
 WS_PONG = 0xA
 
 
+def _ws_server_header(length: int, opcode: int) -> bytes:
+    """The unmasked frame header announcing ``length`` payload bytes."""
+    if length < 126:
+        return bytes((0x80 | opcode, length))
+    if length < 65536:
+        return bytes((0x80 | opcode, 126)) + struct.pack(">H", length)
+    return bytes((0x80 | opcode, 127)) + struct.pack(">Q", length)
+
+
 def ws_server_frame(payload: bytes, opcode: int = WS_TEXT) -> bytes:
     """One complete unmasked (server->client) RFC 6455 frame."""
-    length = len(payload)
-    if length < 126:
-        header = bytes((0x80 | opcode, length))
-    elif length < 65536:
-        header = bytes((0x80 | opcode, 126)) + struct.pack(">H", length)
-    else:
-        header = bytes((0x80 | opcode, 127)) + struct.pack(">Q", length)
-    return header + payload
+    return _ws_server_header(len(payload), opcode) + payload
 
 
 def sse_event_chunk(payload: bytes, event_id: int | None = None) -> bytes:
@@ -784,8 +786,10 @@ class EventSequenceStore:
         elif framing == FRAME_WS_B64:
             frame = ws_server_frame(base, WS_TEXT)
         else:  # FRAME_WS_BINARY: [u32 json length][json][raw blobs]
-            payload = struct.pack(">I", len(base)) + base + b"".join(blobs)
-            frame = ws_server_frame(payload, WS_BINARY)
+            # One join: the frame is the only copy made of each 256 KiB blob.
+            length = 4 + len(base) + sum(map(len, blobs))
+            frame = b"".join((_ws_server_header(length, WS_BINARY),
+                              struct.pack(">I", len(base)), base, *blobs))
         with self._cond:
             self.json_encodes += encoded
             if encoded and framing in (FRAME_SSE, FRAME_WS):
@@ -928,10 +932,15 @@ class EventSequenceStore:
         """Browser PNG for ``version``; encoded at most once per scale."""
         record = self.image_record(version)
         spec = TIER_LADDER[clamp_tier(tier)]
+        # A live record still holds the published pixels; only a
+        # journal-restored one (``image is None``) inflates its container.
+        image = record.image
         if spec.scale == 1:
             with record._png_lock:
                 if record._png is None:
-                    record._png = decode_fixed_size(record.blob).to_png_bytes()
+                    if image is None:
+                        image = decode_fixed_size(record.blob)
+                    record._png = image.to_png_bytes()
                     with self._cond:
                         self.png_encode_count += 1
                 return record._png
@@ -939,7 +948,9 @@ class EventSequenceStore:
         with record._png_lock:
             png = record._tier_pngs.get(spec.scale)
             if png is None:
-                png = decode_fixed_size(blob).to_png_bytes()
+                small = (decode_fixed_size(blob) if image is None
+                         else image.downscale(spec.scale))
+                png = small.to_png_bytes()
                 record._tier_pngs[spec.scale] = png
                 with self._cond:
                     self.png_encode_count += 1

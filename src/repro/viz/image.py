@@ -5,10 +5,18 @@ are to be delivered to the browser through the object exchange mechanism
 of XMLHttpRequest" (Section 2).  :func:`encode_fixed_size` implements
 that container: a header with the true payload length, zlib-compressed
 pixels, zero padding up to the fixed size.
+
+Two encoders, two deflate levels, one rule: *compression effort only
+where the compressed size reaches the wire*.  The container is padded to
+``file_size`` whatever its payload holds, so it deflates at the fastest
+setting (:data:`_CONTAINER_DEFLATE_LEVEL`); the browser PNG
+(:meth:`Image.to_png_bytes`) travels at its compressed size and is
+encoded at most once per (version, scale), so it keeps level 6.
 """
 
 from __future__ import annotations
 
+import binascii
 import struct
 import zlib
 from dataclasses import dataclass
@@ -20,6 +28,29 @@ from repro.errors import ConfigurationError, DataFormatError
 __all__ = ["Image", "encode_fixed_size", "decode_fixed_size"]
 
 _FIXED_MAGIC = b"RIMG"
+_PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
+
+#: Deflate level of the fixed-size container's payload.  The pad swallows
+#: whatever a level saves, so all a client can observe is the time.
+#: ``zlib.compress`` (1.2.13) of 192x192 RGBA frames, 147,456 raw bytes,
+#: one pinned CPU, levels interleaved over 31 rounds; bow-shock rows are
+#: the bench's own frames (``capture_frames``, 8 frames, seeds 7/11/23):
+#:
+#: ===== ==================== ================ ================
+#: level bow shock            linear gradient  uniform noise
+#: ===== ==================== ================ ================
+#: 1     0.30-0.32 ms, 3.6 kB 2.9 ms, 100.1 kB 3.1 ms, 147.5 kB
+#: 2     0.30-0.32 ms, 3.6 kB 3.2 ms, 100.1 kB 2.8 ms, 147.5 kB
+#: 3     0.31-0.33 ms, 3.5 kB 3.3 ms, 100.1 kB 2.9 ms, 147.5 kB
+#: 6     0.62-0.68 ms, 2.6 kB 3.6 ms, 100.0 kB 3.2 ms, 147.5 kB
+#: ===== ==================== ================ ================
+#:
+#: On the frames the server publishes, levels 1-3 are within 2 % of each
+#: other (level 1 has the lowest minimum on all three seeds) at half the
+#: time of level 6, and the 1 kB they give up is padded away.  Content
+#: that barely compresses costs ten times as much at any level; on the
+#: gradient level 1 is the fastest by 8-12 %, noise ties.  So: level 1.
+_CONTAINER_DEFLATE_LEVEL = 1
 
 
 @dataclass
@@ -88,9 +119,9 @@ class Image:
 
         Minimal but standards-compliant: IHDR + one IDAT (filter 0 per
         scanline) + IEND, so actual browsers in the Ajax demo can render
-        the monitoring images.
+        the monitoring images.  Level 6: unlike the container's, these
+        compressed bytes are what the browser downloads.
         """
-        import binascii
 
         def chunk(tag: bytes, data: bytes) -> bytes:
             crc = binascii.crc32(tag + data) & 0xFFFFFFFF
@@ -98,11 +129,11 @@ class Image:
 
         h, w = self.pixels.shape[0], self.pixels.shape[1]
         ihdr = struct.pack(">IIBBBBB", w, h, 8, 6, 0, 0, 0)  # 8-bit RGBA
-        raw = b"".join(
-            b"\x00" + self.pixels[row].tobytes() for row in range(h)
-        )
+        # Scanlines: a zero filter-type byte, then the row's RGBA bytes.
+        raw = np.zeros((h, 1 + 4 * w), dtype=np.uint8)
+        raw[:, 1:] = self.pixels.reshape(h, 4 * w)
         return (
-            b"\x89PNG\r\n\x1a\n"
+            _PNG_SIGNATURE
             + chunk(b"IHDR", ihdr)
             + chunk(b"IDAT", zlib.compress(raw, 6))
             + chunk(b"IEND", b"")
@@ -111,24 +142,41 @@ class Image:
     def to_png_like_bytes(self) -> bytes:
         """zlib-compressed raw RGBA with a tiny shape header.
 
-        Not a real PNG (no external encoders offline), but a compact
-        lossless wire format the Ajax client can decode.
+        Not a real PNG, but the compact lossless payload of the
+        fixed-size container; deflated at
+        :data:`_CONTAINER_DEFLATE_LEVEL` because the container's pad
+        hides its size.
         """
         head = struct.pack("<HH", self.width, self.height)
-        return head + zlib.compress(self.pixels.tobytes(), level=6)
+        return head + zlib.compress(
+            np.ascontiguousarray(self.pixels), _CONTAINER_DEFLATE_LEVEL)
 
     @classmethod
     def from_png_like_bytes(cls, blob: bytes) -> "Image":
+        """Inverse of :meth:`to_png_like_bytes`.
+
+        The header says how many bytes the pixels take, so the stream is
+        inflated to at most one byte more than that: a payload that
+        inflates further, stops short of its end marker or carries bytes
+        after it raises :class:`DataFormatError` without ever being
+        expanded in memory.
+        """
         if len(blob) < 4:
             raise DataFormatError("image blob too short")
         w, h = struct.unpack("<HH", blob[:4])
+        expected = w * h * 4
+        inflater = zlib.decompressobj()
         try:
-            raw = zlib.decompress(blob[4:])
+            raw = inflater.decompress(blob[4:], expected + 1)
         except zlib.error as exc:
             raise DataFormatError(f"corrupt image payload: {exc}") from exc
-        expected = w * h * 4
         if len(raw) != expected:
-            raise DataFormatError(f"image payload {len(raw)} != {expected}")
+            raise DataFormatError(
+                f"image payload is not the {expected} bytes its header declares")
+        if not inflater.eof:
+            raise DataFormatError("image payload ends before its deflate stream does")
+        if inflater.unused_data:
+            raise DataFormatError("bytes follow the image payload's deflate stream")
         return cls(np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 4).copy())
 
 
@@ -139,13 +187,13 @@ def encode_fixed_size(image: Image, file_size: int = 256 * 1024) -> bytes:
     fit (caller should raise ``file_size`` or shrink the viewport).
     """
     payload = image.to_png_like_bytes()
-    header = _FIXED_MAGIC + struct.pack("<I", len(payload))
-    need = len(header) + len(payload)
-    if need > file_size:
+    blob = _FIXED_MAGIC + struct.pack("<I", len(payload)) + payload
+    if len(blob) > file_size:
         raise DataFormatError(
-            f"image needs {need} bytes but fixed file size is {file_size}"
+            f"image needs {len(blob)} bytes but fixed file size is {file_size}"
         )
-    return header + payload + b"\x00" * (file_size - need)
+    # ``ljust`` allocates the container once and zero-fills the pad in place.
+    return blob.ljust(file_size, b"\x00")
 
 
 def decode_fixed_size(blob: bytes) -> Image:

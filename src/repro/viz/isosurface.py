@@ -136,8 +136,14 @@ class BlockExtractionRecord:
 
 
 def _cell_configs(values: np.ndarray, iso: float) -> np.ndarray:
-    """8-bit corner configuration for every cell, shape (nx-1, ny-1, nz-1)."""
-    inside = values > iso
+    """8-bit corner configuration for every cell, shape (nx-1, ny-1, nz-1).
+
+    "Inside" is decided in float64, like the tetrahedron cases of
+    :func:`extract_cells` and ``Block.contains_isovalue``: against a bare
+    Python float, float32 samples would compare in float32, and a sample
+    equal to ``float32(iso)`` would be outside here but inside there.
+    """
+    inside = values > np.float64(iso)
     nx, ny, nz = values.shape
     cfg = np.zeros((nx - 1, ny - 1, nz - 1), dtype=np.uint8)
     for vi, (dx, dy, dz) in enumerate(CUBE_VERTICES):

@@ -33,6 +33,8 @@ import os
 import struct
 import urllib.parse
 
+import numpy as np
+
 from repro.errors import WebServerError
 
 # Re-exported for client symmetry: the brick payload format lives with
@@ -142,6 +144,17 @@ def ws_accept_key(client_key: str) -> str:
     return base64.b64encode(digest).decode("ascii")
 
 
+def _ws_mask(data, mask: bytes) -> bytes:
+    """``data`` XORed with the repeating 4-byte ``mask`` (RFC 6455 §5.3).
+
+    Masking is its own inverse.  Vectorized because the server unmasks on
+    its IO thread: a Python loop over the bytes costs 76 ms per MiB there.
+    """
+    n = len(data)
+    key = np.frombuffer(mask * (n // 4 + 1), dtype=np.uint8)[:n]
+    return (np.frombuffer(data, dtype=np.uint8) ^ key).tobytes()
+
+
 def ws_client_frame(payload: bytes, opcode: int) -> bytes:
     """One complete masked (client->server) frame."""
     mask = os.urandom(4)
@@ -152,8 +165,7 @@ def ws_client_frame(payload: bytes, opcode: int) -> bytes:
         header = bytes((0x80 | opcode, 0x80 | 126)) + struct.pack(">H", length)
     else:
         header = bytes((0x80 | opcode, 0x80 | 127)) + struct.pack(">Q", length)
-    masked = bytes(b ^ mask[i % 4] for i, b in enumerate(payload))
-    return header + mask + masked
+    return header + mask + _ws_mask(payload, mask)
 
 
 def parse_ws_frames(buf: bytearray, require_mask: bool) -> list[tuple[int, bytes]]:
@@ -201,10 +213,7 @@ def parse_ws_frames(buf: bytearray, require_mask: bool) -> list[tuple[int, bytes
                 return frames
             mask = bytes(buf[offset:offset + 4])
             offset += 4
-            payload = bytes(
-                b ^ mask[i % 4]
-                for i, b in enumerate(buf[offset:offset + length])
-            )
+            payload = _ws_mask(buf[offset:offset + length], mask)
         else:
             if len(buf) < offset + length:
                 return frames
@@ -228,13 +237,14 @@ def decode_binary_delta(payload: bytes) -> dict:
     if 4 + json_len > len(payload):
         raise WebServerError("binary delta JSON header is truncated")
     delta = json.loads(payload[4:4 + json_len].decode("utf-8"))
-    blob_section = payload[4 + json_len:]
+    # A view: each blob is copied once, out of the payload into its own bytes.
+    blob_section = memoryview(payload)[4 + json_len:]
     for comp in delta.get("components", ()):
         props = comp.get("props", {})
         if "blob_offset" in props:
             start = props.pop("blob_offset")
             length = props.pop("blob_len")
-            props["blob"] = blob_section[start:start + length]
+            props["blob"] = bytes(blob_section[start:start + length])
     return delta
 
 

@@ -106,6 +106,52 @@ class TestSphereSurface:
         assert np.abs(d - r_world).max() < 1.0  # within one cell
 
 
+class TestIsovalueOnASample:
+    """One definition of "inside" when a float32 sample equals ``float32(iso)``.
+
+    The cell scan used to compare in float32 (such a sample: outside) and
+    the tetrahedron cases in float64 (inside, when ``float32(iso) > iso``),
+    so the "exact" estimate and the extraction disagreed.
+    """
+
+    def test_sphere_with_samples_at_the_isovalue(self):
+        g = sphere_grid(21)
+        iso = 0.6
+        assert np.float64(np.float32(iso)) > iso
+        assert np.count_nonzero(g.values == np.float32(iso)) == 30
+        mesh = extract_isosurface(g, iso)
+        assert mesh.n_triangles == 3960
+        assert mesh.boundary_edge_count() == 0
+        assert estimate_triangles(g.values, iso) == 3960
+        scan = classify_cells(g.values, iso)
+        assert scan.sum() == g.n_cells
+        merged, recs = extract_blocks(g, build_blocks(g, block_cells=5), iso)
+        assert merged.n_triangles == 3960
+        assert merged.boundary_edge_count() == 0
+        assert sum(int(r.class_histogram[1:].sum()) for r in recs) == scan[1:].sum()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shape=st.tuples(*[st.integers(2, 6)] * 3),
+        iso=st.floats(min_value=0.05, max_value=0.95),
+        seed=st.integers(0, 2**16),
+        planted=st.floats(min_value=0.0, max_value=0.6),
+    )
+    def test_estimate_is_exact_with_samples_planted_at_the_isovalue(
+            self, shape, iso, seed, planted):
+        rng = np.random.default_rng(seed)
+        values = rng.random(shape, dtype=np.float32)
+        # the float32 nearest to iso and its two neighbours
+        at = np.float32(iso)
+        near = np.array([np.nextafter(at, np.float32(0)), at,
+                         np.nextafter(at, np.float32(1))], dtype=np.float32)
+        mask = rng.random(shape) < planted
+        values[mask] = rng.choice(near, size=int(mask.sum()))
+        tris = extract_cells(values, iso)
+        assert estimate_triangles(values, iso) == tris.shape[0]
+        assert np.isfinite(tris).all()
+
+
 class TestClassification:
     def test_histogram_counts_all_cells(self):
         g = sphere_grid(10)

@@ -1,12 +1,17 @@
-"""``repro.web.framing.parse_request``: the incremental HTTP request parser.
+"""``repro.web.framing``: the HTTP request parser and WebSocket masking.
 
-Socket-free: the parser is a pure function of a byte buffer, so
+Socket-free: the parsers are pure functions of a byte buffer, so
 split-invariance (any chunking of the same bytes parses the same) and
-every rejection path are checked without a server.
+every rejection path are checked without a server.  The WebSocket half
+holds the vectorized (un)masking to the per-byte loop it replaced.
 """
 
 from __future__ import annotations
 
+import struct
+import time
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,8 +19,11 @@ from repro.errors import WebServerError
 from repro.web.framing import (
     _MAX_BODY_BYTES,
     _MAX_HEADER_BYTES,
+    _MAX_WS_PAYLOAD,
     HttpRequest,
     parse_request,
+    parse_ws_frames,
+    ws_client_frame,
 )
 
 
@@ -130,3 +138,79 @@ def test_any_transfer_encoding_header_is_rejected(value):
 def test_malformed_request_line_is_rejected(line):
     with pytest.raises(WebServerError):
         parse_request(bytearray(line + b"\r\nHost: x\r\n\r\n"))
+
+
+# -- WebSocket masking ---------------------------------------------------------
+
+_WS_BINARY = 0x2
+
+
+def _mask_per_byte(data: bytes, mask: bytes) -> bytes:
+    """RFC 6455 §5.3 as the parser spelled it before: one byte at a time."""
+    return bytes(b ^ mask[i % 4] for i, b in enumerate(data))
+
+
+def _client_header(length: int, opcode: int = _WS_BINARY) -> bytes:
+    if length < 126:
+        return bytes((0x80 | opcode, 0x80 | length))
+    if length < 65536:
+        return bytes((0x80 | opcode, 0x80 | 126)) + struct.pack(">H", length)
+    return bytes((0x80 | opcode, 0x80 | 127)) + struct.pack(">Q", length)
+
+
+_LENGTHS = st.one_of(
+    st.integers(0, 300),
+    st.sampled_from([125, 126, 127, 65535, 65536, 65537, 70000]),
+    st.integers(0, 70000),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(length=_LENGTHS, seed=st.integers(0, 2**16),
+       mask=st.binary(min_size=4, max_size=4),
+       tail=st.sampled_from([b"", b"\x82", b"\x82\x85", b"\x82\x85mask12"]))
+def test_masked_frames_parse_to_what_the_per_byte_loop_gave(length, seed, mask, tail):
+    payload = np.random.default_rng(seed).bytes(length)
+    wire = _client_header(length) + mask + _mask_per_byte(payload, mask)
+    buf = bytearray(wire + tail)  # an unfinished next frame stays buffered
+    assert parse_ws_frames(buf, require_mask=True) == [(_WS_BINARY, payload)]
+    assert bytes(buf) == tail
+
+
+@settings(max_examples=60, deadline=None)
+@given(length=_LENGTHS, seed=st.integers(0, 2**16))
+def test_client_frame_masks_like_the_per_byte_loop(length, seed):
+    payload = np.random.default_rng(seed).bytes(length)
+    frame = ws_client_frame(payload, _WS_BINARY)
+    header = _client_header(length)
+    assert frame[:len(header)] == header
+    mask = frame[len(header):len(header) + 4]
+    assert frame[len(header) + 4:] == _mask_per_byte(payload, mask)
+    assert parse_ws_frames(bytearray(frame), require_mask=True) == [
+        (_WS_BINARY, payload)]
+
+
+def test_oversized_frame_is_refused_from_its_header_alone():
+    head = bytes((0x80 | _WS_BINARY, 0x80 | 127))
+    with pytest.raises(WebServerError, match="too large"):
+        parse_ws_frames(bytearray(head + struct.pack(">Q", _MAX_WS_PAYLOAD + 1)),
+                        require_mask=True)
+    # at the cap the header is legal and the parser just waits for the payload
+    buf = bytearray(head + struct.pack(">Q", _MAX_WS_PAYLOAD))
+    assert parse_ws_frames(buf, require_mask=True) == []
+    assert len(buf) == 10
+
+
+def test_a_mebibyte_unmasks_in_milliseconds():
+    # The IO thread parses this between two selects: the per-byte loop
+    # took 75 ms of CPU per MiB and stalled every connection of the shard.
+    payload = np.random.default_rng(1).bytes(1 << 20)
+    frame = ws_client_frame(payload, _WS_BINARY)
+    costs = []
+    for _ in range(3):
+        buf = bytearray(frame)
+        started = time.thread_time()
+        frames = parse_ws_frames(buf, require_mask=True)
+        costs.append(time.thread_time() - started)
+        assert frames == [(_WS_BINARY, payload)]
+    assert min(costs) < 0.025
