@@ -40,8 +40,10 @@ def merge_json_artifact(path, updates: dict) -> None:
 
     Lets two CI jobs contribute to one artifact file without clobbering
     each other's sections: the base web-concurrency job rewrites the
-    grid keys while the shard job rewrites only ``shard_scaling``, and
-    whichever ran is layered over the committed version of the rest.
+    grid keys and ``large_herd`` while the transport job rewrites only
+    ``transport_compare``, and whichever ran is layered over the
+    committed version of the rest.  A section no job writes any more
+    stays until it is removed from the committed file by hand.
     """
     merge_json_file(path, updates, sort_keys=False)
 

@@ -46,6 +46,10 @@ COMPARE_CALLS = 6
 COMPARE_ITERS = 600_000 if QUICK else 1_500_000
 COMPARE_WORKERS = 2
 COMPARE_REPEATS = 3
+# What this process may run on, not what the host has: a container
+# pinned to 2 of 64 cores races like a 2-core box.
+_USABLE_CPUS = (len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
 def _wait_for_lingering_threads(timeout: float = 60.0) -> None:
@@ -185,15 +189,15 @@ class TestBenchBackendCompare:
         CPU-bound batch the process pool must beat the threaded pool's
         wall time.  Threads serialize the burns behind one GIL; worker
         processes run one interpreter each and scale with cores — so
-        the strict win needs >= 2 cores (CI runners have 4).  On a
-        single core both backends are bound by the same cycles and the
-        ratio is ~1.0 by physics; there the guard degrades to "process
+        the strict win needs >= 4 usable CPUs (CI runners have 4): with
+        2 workers plus the parent's drain and pytest threads on 2 vCPUs
+        the ratio read 0.93-1.30 across the repeats on record (PRs 15
+        and 19), a coin flip.  Below that the guard degrades to "process
         overhead stays within 15% of threads", which still catches a
         backend whose pipes/marshalling cost real wall time.
         """
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-        multi_core = (os.cpu_count() or 1) >= 2
-        margin = 1.0 if multi_core else 1.15
+        margin = 1.0 if _USABLE_CPUS >= 4 else 1.15
         wall_thread = backend_compare.cell("thread").wall_seconds
         wall_process = backend_compare.cell("process").wall_seconds
         # Best-of-N already smooths scheduler noise; a failing pair is
@@ -214,11 +218,11 @@ class TestBenchBackendCompare:
             f"Executor backend race - CPU-bound: thread {wall_thread:.3f} s "
             f"vs process {wall_process:.3f} s "
             f"({wall_thread / max(wall_process, 1e-9):.2f}x, "
-            f"{os.cpu_count() or 1} cores)"
+            f"{_USABLE_CPUS} usable CPUs)"
         )
         assert wall_process < wall_thread * margin, (
             f"process backend lost the CPU-bound race: {wall_process} s vs "
             f"thread {wall_thread} s (margin {margin}x on "
-            f"{os.cpu_count() or 1} cores; {COMPARE_CALLS} calls x "
+            f"{_USABLE_CPUS} usable CPUs; {COMPARE_CALLS} calls x "
             f"{COMPARE_ITERS} iters, {COMPARE_WORKERS} workers)"
         )

@@ -27,7 +27,6 @@ from repro.experiments.reporting import format_series
 from repro.experiments.web_concurrency import (
     default_client_counts,
     ensure_fd_capacity,
-    run_shard_scaling,
     run_transport_compare,
     run_web_concurrency,
     run_window_streaming,
@@ -197,127 +196,82 @@ class TestBenchWebConcurrency:
 
 
 # ---------------------------------------------------------------------------
-# Sharded serving plane: shards=1 vs shards=4 under 500/1000-client herds.
+# Large herd: 500/1000 long-polling clients on the one IO loop.
 # ---------------------------------------------------------------------------
 
-SHARD_COUNTS = (1, 4)
-# Quick/CI mode keeps the 500-client guard cell only; the full artifact
-# run adds the 1000-client cell (on a 1-2 core host that cell partly
+# Quick/CI mode keeps the 500-client cell only; the full artifact run
+# adds the 1000-client cell (on a 1-2 core host that cell partly
 # measures its own 1000 in-process client threads, but it still proves
 # the server serves a 1000-waiter herd within budget and encode-once).
-SHARD_CLIENTS = (500,) if QUICK else (500, 1000)
-SHARD_SESSIONS = 4
-SHARD_DURATION = 1.0
+# Invariants only — no timing ratio is asserted on a single run.
+HERD_CLIENTS = (500,) if QUICK else (500, 1000)
+HERD_SESSIONS = 4
+HERD_DURATION = 1.0
+# Lower than the base sweep's rate: a herd this large must have time to
+# fully re-park between publishes, or late pollers arrive with stale
+# ``since`` values and each distinct (since, head) pair honestly costs
+# its own delta encode.
+HERD_PUBLISH_HZ = 5.0
 # With a 500+ waiter herd the encode-once invariant is measured under
 # saturation: a few stragglers re-polling with stale `since` cursors pay
 # their own delta frames, so "~1 encode per wake" honestly lands in the
 # 1.x range.  Without the shared frame cache the ratio tracks the herd
 # size (~clients/sessions, i.e. >= 125 here).
-SHARD_JSON_PER_WAKE_LIMIT = 3.0
+HERD_JSON_PER_WAKE_LIMIT = 3.0
 
 
-@pytest.fixture(scope="module")
-def shard_sweep():
-    if not ensure_fd_capacity(2 * max(SHARD_CLIENTS) + 256):
-        pytest.skip("cannot raise RLIMIT_NOFILE high enough for the herd")
-    _wait_for_lingering_sims()
-    return run_shard_scaling(
-        shard_counts=SHARD_COUNTS,
-        client_counts=SHARD_CLIENTS,
-        sessions=SHARD_SESSIONS,
-        duration=SHARD_DURATION,
-        repeats=2,
+def _run_large_herd(client_counts: tuple, repeats: int = 1):
+    return run_web_concurrency(
+        session_counts=(HERD_SESSIONS,),
+        client_counts=client_counts,
+        duration=HERD_DURATION,
+        publish_hz=HERD_PUBLISH_HZ,
+        repeats=repeats,
     )
 
 
-class TestBenchShardScaling:
-    def test_bench_shard_sweep(self, benchmark, shard_sweep):
+@pytest.fixture(scope="module")
+def large_herd():
+    if not ensure_fd_capacity(2 * max(HERD_CLIENTS) + 256):
+        pytest.skip("cannot raise RLIMIT_NOFILE high enough for the herd")
+    _wait_for_lingering_sims()
+    return _run_large_herd(HERD_CLIENTS, repeats=2)
+
+
+class TestBenchLargeHerd:
+    def test_bench_large_herd(self, benchmark, large_herd):
         result = benchmark.pedantic(
-            lambda: run_shard_scaling(
-                shard_counts=SHARD_COUNTS,
-                client_counts=(SHARD_CLIENTS[0],),
-                sessions=SHARD_SESSIONS,
-                duration=SHARD_DURATION,
-            ),
+            lambda: _run_large_herd((HERD_CLIENTS[0],)),
             rounds=1,
             iterations=1,
         )
-        record_report(shard_sweep.to_table())
+        record_report(large_herd.to_table())
         artifact = Path(__file__).resolve().parent.parent / "BENCH_web_concurrency.json"
-        merge_json_artifact(artifact, {"shard_scaling": shard_sweep.to_dict()})
+        merge_json_artifact(artifact, {"large_herd": large_herd.to_dict()})
         assert result.cells
 
-    def test_shard_cells_clean_and_thread_budget(self, benchmark, shard_sweep):
-        """Server threads = shards + workers, cells error-free."""
+    def test_large_herd_clean_and_thread_budget(self, benchmark, large_herd):
+        """Server threads = 1 IO + workers, cells error-free."""
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-        for cell in shard_sweep.cells:
+        for cell in large_herd.cells:
             assert cell.errors == 0, cell
             assert cell.events_delivered > 0, cell
-            expected = cell.shards + AjaxWebServer.DEFAULT_WORKERS
-            assert cell.server_threads == expected, (
-                f"shards={cell.shards}: {cell.server_threads} server threads, "
-                f"expected the fixed {expected} (shards + workers)"
+            assert cell.server_threads == EXPECTED_SERVER_THREADS, (
+                f"{cell.clients} clients: {cell.server_threads} server "
+                f"threads, expected the fixed {EXPECTED_SERVER_THREADS} "
+                "(1 IO + workers)"
             )
 
-    def test_json_encoded_once_per_wake_in_every_shard_cell(
-        self, benchmark, shard_sweep
-    ):
-        """Encode-once fan-out survives sharding: the per-shard herds all
-        read the same shared delta-frame buffers, so a 500-waiter wake
-        still costs ~1 JSON encode, not one per shard or per waiter."""
+    def test_large_herd_one_json_encode_per_wake(self, benchmark, large_herd):
+        """Encode-once fan-out at herd scale: every waiter reads the
+        same shared delta-frame buffer, so a 500-waiter wake still costs
+        ~1 JSON encode, not one per waiter."""
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-        for cell in shard_sweep.cells:
-            assert cell.json_encodes_per_wake < SHARD_JSON_PER_WAKE_LIMIT, (
-                f"shards={cell.shards}, {cell.clients} clients paid "
-                f"{cell.json_encodes_per_wake} JSON encodes per wake — the "
-                "shared frame cache is not shared across shards"
+        for cell in large_herd.cells:
+            assert cell.json_encodes_per_wake < HERD_JSON_PER_WAKE_LIMIT, (
+                f"{cell.clients} clients paid {cell.json_encodes_per_wake} "
+                "JSON encodes per wake — the shared frame cache is not sharing"
             )
-
-    def test_sharding_improves_tail_latency_at_500_clients(
-        self, benchmark, shard_sweep
-    ):
-        """The scale-out guard: at 500 clients, shards=4 wake p99 must be
-        no worse than shards=1.  Splitting the herds across independent
-        selector loops shortens the serialized wake train each waiter
-        sits behind; losing that (e.g. all sessions routed to one shard,
-        or cross-shard double delivery) puts shards=4 at or above the
-        single-loop tail and trips this guard.
-
-        Needs real parallelism: on fewer than 4 cores the 4 selector
-        loops time-share one hardware thread with the 500 client
-        threads, and the comparison measures context-switch overhead,
-        not the scale-out (same gate as :func:`default_client_counts`).
-        """
-        benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-        if (os.cpu_count() or 1) < 4:
-            pytest.skip("shards=4 vs shards=1 needs >= 4 cores to measure")
-        guard_clients = SHARD_CLIENTS[0]
-        p99_single = shard_sweep.cell(1, guard_clients).wake_p99_ms
-        p99_sharded = shard_sweep.cell(4, guard_clients).wake_p99_ms
-        # One noisy herd can fake a violation on a loaded runner: a
-        # failing pair is re-measured fresh before declaring a
-        # regression (same policy as the base-sweep p99 guard).
-        attempts = 3
-        for attempt in range(attempts):
-            if p99_sharded <= p99_single or attempt == attempts - 1:
-                break
-            retry = run_shard_scaling(
-                shard_counts=SHARD_COUNTS,
-                client_counts=(guard_clients,),
-                sessions=SHARD_SESSIONS,
-                duration=SHARD_DURATION,
-                repeats=2,
-            )
-            p99_single = retry.cell(1, guard_clients).wake_p99_ms
-            p99_sharded = retry.cell(4, guard_clients).wake_p99_ms
-        record_report(
-            f"Shard scale-out - {guard_clients}-client wake p99: "
-            f"shards=1 {p99_single:.2f} ms vs shards=4 {p99_sharded:.2f} ms"
-        )
-        assert p99_sharded <= p99_single, (
-            f"{guard_clients}-client wake p99 did not improve with shards: "
-            f"shards=4 {p99_sharded} ms > shards=1 {p99_single} ms"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +296,7 @@ TRANSPORT_DURATION = 2.5
 TRANSPORT_PUBLISH_HZ = {100: 80.0, 500: 5.0}
 # Push subscribers march in near-lockstep behind one delivery loop, but
 # under saturation a straggler's distinct (since, head) window honestly
-# costs its own encode — same tolerance as the shard cells.
+# costs its own encode — same tolerance as the large-herd cells.
 TRANSPORT_JSON_PER_WAKE_LIMIT = 3.0
 
 

@@ -63,11 +63,9 @@ from repro.window import WindowedDomainSource
 __all__ = [
     "AdaptiveDeliveryResult",
     "ConcurrencyCell",
-    "ShardScalingResult",
     "TransportCompareResult",
     "WebConcurrencyResult",
     "WindowStreamingResult",
-    "bench_shard_router",
     "default_client_counts",
     "emulated_slow_bandwidth",
     "ensure_fd_capacity",
@@ -75,7 +73,6 @@ __all__ = [
     "read_http_response",
     "run_adaptive_delivery",
     "run_web_concurrency",
-    "run_shard_scaling",
     "run_transport_compare",
     "run_window_streaming",
 ]
@@ -152,7 +149,6 @@ class ConcurrencyCell:
     json_encodes_per_wake: float
     dropped: int
     errors: int
-    shards: int = 1
     transport: str = "longpoll"
     event_rate: float = 0.0  # events delivered per second across all clients
     obs_enabled: bool = False  # metrics recorder + journal running?
@@ -504,8 +500,6 @@ def _run_cell(
     n_clients: int,
     duration: float,
     publish_hz: float,
-    shards: int = 1,
-    shard_router=None,
     transport: str = "longpoll",
     obs: bool = False,
     housekeeping_interval: float = 5.0,
@@ -513,7 +507,6 @@ def _run_cell(
     client = SteeringClient(cm)
     with AjaxWebServer(client, port=0,
                        housekeeping_interval=housekeeping_interval,
-                       shards=shards, shard_router=shard_router,
                        obs=obs) as server:
         stores = [
             client.manager.open_monitor(f"bench{i}") for i in range(n_sessions)
@@ -594,7 +587,6 @@ def _run_cell(
             obs_samples = obs_stats["recorder"]["samples_taken"]
             obs_journaled = obs_stats["journal"]["events_recorded"]
         return ConcurrencyCell(
-            shards=shards,
             transport=transport,
             sessions=n_sessions,
             clients=n_clients,
@@ -659,102 +651,6 @@ def run_web_concurrency(
             best: ConcurrencyCell | None = None
             for _ in range(max(1, int(repeats))):
                 cell = _run_cell(cm, n_sessions, n_clients, duration, publish_hz)
-                if best is None or cell.wake_p99_ms < best.wake_p99_ms:
-                    best = cell
-            result.cells.append(best)
-    return result
-
-
-@dataclass
-class ShardScalingResult:
-    """Shard sweep: (shards x clients) at a fixed session count."""
-
-    shard_counts: tuple
-    client_counts: tuple
-    sessions: int
-    cells: list[ConcurrencyCell] = field(default_factory=list)
-
-    def cell(self, shards: int, clients: int) -> ConcurrencyCell:
-        for c in self.cells:
-            if c.shards == shards and c.clients == clients:
-                return c
-        raise KeyError((shards, clients))
-
-    def to_dict(self) -> dict:
-        return {
-            "experiment": "web_shard_scaling",
-            "shard_counts": list(self.shard_counts),
-            "client_counts": list(self.client_counts),
-            "sessions": self.sessions,
-            "cells": [c.to_dict() for c in self.cells],
-        }
-
-    def to_table(self) -> str:
-        lines = [
-            "Sharded serving plane - wake latency vs shard count",
-            f"  {'shards':>6} {'clients':>8} {'polls/s':>10} "
-            f"{'p50 ms':>8} {'p99 ms':>8} {'threads':>8} {'json/wake':>9}",
-        ]
-        for c in self.cells:
-            lines.append(
-                f"  {c.shards:>6} {c.clients:>8} {c.poll_rate:>10.1f} "
-                f"{c.wake_p50_ms:>8.2f} {c.wake_p99_ms:>8.2f} "
-                f"{c.server_threads:>8} {c.json_encodes_per_wake:>9.2f}"
-            )
-        return "\n".join(lines)
-
-
-def bench_shard_router(sid: str) -> int:
-    """Spread ``bench{i}`` session ids round-robin over the shards.
-
-    The default crc32 router is statistically even, but with only ~4
-    bench sessions a collision would park half the herd on one loop and
-    the sweep would measure luck, not sharding.  An explicit modulo over
-    the session index gives every run the same, perfectly even spread
-    (the server reduces the returned index mod its shard count).
-    """
-    return int(sid[len("bench"):])
-
-
-def run_shard_scaling(
-    shard_counts: tuple = (1, 4),
-    client_counts: tuple = (500, 1000),
-    sessions: int = 4,
-    duration: float = 1.0,
-    publish_hz: float = 5.0,
-    cm: CentralManager | None = None,
-    repeats: int = 1,
-) -> ShardScalingResult:
-    """Sweep shard counts under heavy herds of long-polling clients.
-
-    The cells the benchmark artifact wants: 500 and 1000 clients at
-    shards=1 vs shards=4.  With one loop, every wake of a 500-waiter
-    herd is serialized through a single IO thread; with four loops the
-    herds are split across independent selectors, so the p99 tail —
-    the last waiter served in the worst herd — shrinks.  Shared
-    delta-frame buffers keep JSON encodes at ~1 per wake either way.
-
-    The publish rate is deliberately lower than the base sweep's: a
-    herd this large must have time to fully re-park between publishes,
-    or late pollers arrive with stale ``since`` values and each distinct
-    (since, head) pair honestly costs its own delta encode.
-    """
-    ensure_fd_capacity(2 * max(client_counts) + 256)
-    if cm is None:
-        topo, roles = build_paper_testbed(with_cross_traffic=False)
-        cm = CentralManager(topo, roles, calibration=default_calibration(0))
-    result = ShardScalingResult(
-        tuple(shard_counts), tuple(client_counts), sessions
-    )
-    for shards in shard_counts:
-        for n_clients in client_counts:
-            best: ConcurrencyCell | None = None
-            for _ in range(max(1, int(repeats))):
-                cell = _run_cell(
-                    cm, sessions, n_clients, duration, publish_hz,
-                    shards=shards,
-                    shard_router=bench_shard_router if shards > 1 else None,
-                )
                 if best is None or cell.wake_p99_ms < best.wake_p99_ms:
                     best = cell
             result.cells.append(best)
@@ -1145,7 +1041,7 @@ def run_adaptive_delivery(
 class ObsOverheadResult:
     """Recorder-on vs recorder-off cells on one server configuration.
 
-    The durable ops tier's capture path rides the shard-0 housekeeping
+    The durable ops tier's capture path rides the IO loop's housekeeping
     tick (metrics) and the publish tap (journal) — zero extra threads —
     so the wake p99 with recording on must stay within a small factor
     of the recording-off baseline, and the encode-once invariant

@@ -4,7 +4,7 @@
 :class:`Observability` bundles the three pieces the web tier wires up:
 
 * :class:`~repro.obs.metrics.MetricsRecorder` — samples every counter
-  surface into ring buffers on the shard housekeeping tick (0 capture
+  surface into ring buffers on the IO loop's housekeeping tick (0 capture
   threads) with optional SQLite drain.
 * :class:`~repro.obs.journal.SessionJournal` — taps every session's
   EventSequenceStore so finished/evicted sessions can be replayed

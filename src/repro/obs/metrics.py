@@ -1,13 +1,13 @@
 """Time-series capture of every counter surface the server exposes.
 
 :class:`MetricsRecorder` turns the nested ``/api/v1/stats`` payload into
-flat dotted series (``shards.0.bytes_sent``, ``executor.
+flat dotted series (``transports.ws.bytes_sent``, ``executor.
 executor_queue_depth``, ``tiers.2`` ...) plus psutil-style process
 diagnostics sourced from ``/proc`` and the stdlib — the container bakes
 no third-party packages, so RSS/CPU/FD/thread gauges are read directly
 from ``/proc/self`` with a ``resource`` fallback on non-Linux hosts.
 
-Capture costs **zero new threads**: shard 0's existing housekeeping
+Capture costs **zero new threads**: the IO loop's existing housekeeping
 tick calls :meth:`MetricsRecorder.sample`, which appends to per-series
 in-memory ring buffers and (optionally) enqueues the same rows on an
 :class:`~repro.obs.store.ObsStore` whose single writer thread owns all
@@ -48,7 +48,7 @@ def flatten_stats(stats: dict, prefix: str = "",
     """Flatten a nested stats payload into dotted numeric series.
 
     Dicts recurse with ``parent.child`` names; lists index as
-    ``parent.N`` (the per-shard blocks and the per-tier gauge); bools
+    ``parent.N`` (the per-tier gauge); bools
     coerce to 0/1; strings and ``None`` are skipped — a counter surface
     is numbers, everything else is labels.
     """
@@ -131,7 +131,7 @@ class MetricsRecorder:
         self.samples_taken = 0
         self.sample_cost_ms = 0.0  # EWMA of capture cost, observability on itself
 
-    # -- capture (called from the shard housekeeping tick) -----------------------
+    # -- capture (called from the IO loop's housekeeping tick) ------------------
 
     def sample(self, stats: dict, wall: float | None = None) -> int:
         """Record one flattened snapshot; returns series touched (0 if

@@ -1,7 +1,7 @@
 """WAL-mode SQLite persistence for metrics samples and session journals.
 
 One :class:`ObsStore` owns one database file and exactly **one** writer
-thread.  Producers (the metrics recorder sampling on the shard
+thread.  Producers (the metrics recorder sampling on the IO loop's
 housekeeping tick, the session journal's publish tap) never touch
 SQLite — they enqueue plain tuples on a lock-free queue and return, so
 capture stays on the serving plane's existing threads.  The writer
@@ -12,7 +12,7 @@ repo artifacts bounded.
 
 Reads open short-lived read-only connections per call — WAL mode lets
 them proceed concurrently with the writer — and are expected to run on
-the web tier's worker pool, never on an IO shard loop.
+the web tier's worker pool, never on the IO loop.
 
 A JSON sidecar (``<db>.meta.json``) records the schema version and
 retention configuration via the fsync-hardened atomic writer shared

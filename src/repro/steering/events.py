@@ -344,8 +344,8 @@ class EventSequenceStore:
     def live_demand(self) -> int:
         """Watchers on this session right now, summed over probes.
 
-        The primary backpressure signal: the web tier's probes report
-        each shard scheduler's watcher count (parked polls plus push
+        The primary backpressure signal: the web tier's probe reports
+        its scheduler's watcher count (parked polls plus push
         streams) for this session, so
         "is anyone watching" is a live count, not an inference from how
         recently a poll happened to complete.  Boolean probes coerce to

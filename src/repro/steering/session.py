@@ -325,8 +325,8 @@ class SteeringSession:
     def _pollers_stalled(self) -> bool:
         """Backpressure probe: nobody is consuming this session's events.
 
-        Live demand first — a parked long poll registered on any shard's
-        scheduler counts even when no poll has *completed* recently —
+        Live demand first — a parked long poll registered on the web
+        tier's scheduler counts even when no poll has *completed* recently —
         then the short poll-recency grace for clients between polls.
         """
         if self.events.live_demand() > 0:

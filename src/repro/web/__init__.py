@@ -11,7 +11,7 @@ exposing session-keyed XMLHttpRequest-style endpoints:
   parked poll is a subscriber record with a deadline on the shared
   scheduler, not a thread),
 * ``GET /api/v1/<sid>/stream`` — chunked-transfer SSE push stream (a
-  persistent, deadline-less subscriber on the session's owner shard),
+  persistent, deadline-less subscriber on the same scheduler),
 * ``GET /api/v1/<sid>/ws``     — WebSocket upgrade (RFC 6455) carrying
   pushed deltas; ``?images=b64|binary`` inlines image blobs,
 * ``GET /api/v1/<sid>/image``  — fixed-size image file

@@ -502,7 +502,7 @@ class SteeringWebClient:
     # -- observability (metrics + journal replay) -----------------------------------
 
     def server_stats(self) -> dict:
-        """The merged ``/api/v1/stats`` payload."""
+        """The ``/api/v1/stats`` payload."""
         return self._get_json(f"{API_PREFIX}/stats")
 
     def metrics(self) -> dict:

@@ -8,7 +8,7 @@ the framing the record names and in what happens after the frame is
 queued: a poll's response ends (the record detaches and the connection
 parses its next request), a stream's cursor advances.
 
-Nothing here touches a socket: the shard hands in its enqueue / close /
+Nothing here touches a socket: the IO loop hands in its enqueue / close /
 resume callables and the manager's ``events`` lookup, so the path runs
 against stub connections and a real ``EventSequenceStore``.  A
 connection must offer ``closed``, ``subscriber``, ``keep_alive``,
@@ -31,7 +31,7 @@ _SSE_TERMINAL = b"0\r\n\r\n"  # chunked-transfer end marker
 
 
 class Delivery:
-    """One shard's wake path and its accounting (owning loop only)."""
+    """The IO loop's wake path and its accounting (loop thread only)."""
 
     def __init__(self, events, enqueue, close, resume, remove, render_head) -> None:
         self._events = events  # sid -> EventSequenceStore, ReproError if gone
@@ -52,7 +52,7 @@ class Delivery:
         # Per-transport accounting (events + payload bytes).
         # ``bytes_sent`` counts every payload byte the transport queued
         # — deltas AND heartbeat/farewell/control frames — so it
-        # reconciles against the shard's raw ``bytes_sent`` (which adds
+        # reconciles against the loop's raw ``bytes_sent`` (which adds
         # only HTTP response heads on top).
         self.transports = {
             t: {"delivered": 0, "bytes_sent": 0, "heartbeats": 0, "farewells": 0}

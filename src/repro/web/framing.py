@@ -5,7 +5,7 @@ The *server->client* framing byte-math lives in
 pre-framed delta buffers can be cached per window); this module owns the
 complementary pieces the serving loop and the programmatic clients need:
 
-* the incremental HTTP/1.x request parser the IO shards feed their
+* the incremental HTTP/1.x request parser the IO loop feeds its
   connection buffers through,
 * the WebSocket opening-handshake accept key (SHA-1 over the client key
   and the RFC 6455 GUID),
@@ -88,12 +88,17 @@ class HttpRequest:
         return token == "keep-alive"
 
     def json_body(self) -> dict:
+        """The body as a JSON object ({} when empty); anything else —
+        undecodable, or a list / number / string / null — is malformed."""
         if not self.body:
             return {}
         try:
-            return json.loads(self.body.decode("utf-8"))
+            obj = json.loads(self.body.decode("utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError):
             raise WebServerError("malformed JSON body")
+        if not isinstance(obj, dict):
+            raise WebServerError("malformed JSON body: expected an object")
+        return obj
 
 
 def parse_request(buf: bytearray) -> HttpRequest | None:

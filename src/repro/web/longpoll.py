@@ -65,8 +65,8 @@ class Subscriber:
         self.window = window
         self.deadline = deadline
         self.done = False  # popped, removed or dropped; heap entries may linger
-        # Stamped (monotonic) by the publish wake path so the serving
-        # shard can gauge wake->delivery latency for the ops dashboard.
+        # Stamped (monotonic) by the publish wake path so the IO loop
+        # can gauge wake->delivery latency for the ops dashboard.
         self.woken_at = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

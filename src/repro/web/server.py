@@ -1,31 +1,21 @@
-"""The Ajax web server: sharded non-blocking long polls, session routes.
+"""The Ajax web server: one non-blocking IO loop, session routes.
 
 The seed used ``ThreadingHTTPServer`` and parked one thread per
-outstanding long poll.  This server is a set of ``shards`` selector
-loops (default 1): every connection is non-blocking, and a long poll
-with no fresh events becomes a :class:`~repro.web.longpoll.Subscriber`
-record with a deadline on its shard's
-:class:`~repro.web.longpoll.LongPollScheduler`.
-Publishes from simulation threads pop ready polls and wake the owning
-loop through its socketpair; each scheduler's deadline heap bounds that
+outstanding long poll.  This server is one selector loop: every
+connection is non-blocking, and a long poll with no fresh events
+becomes a :class:`~repro.web.longpoll.Subscriber` record with a
+deadline on the loop's :class:`~repro.web.longpoll.LongPollScheduler`.
+Publishes from simulation threads pop ready polls and wake the loop
+through its socketpair; the scheduler's deadline heap bounds the
 loop's select timeout so expired polls get their empty delta on time.
-Server-side thread count is a constant (``shards`` IO threads +
-``workers``) regardless of how many clients are parked.
+Server-side thread count is a constant (1 IO thread + ``workers``)
+regardless of how many clients are parked.
 
-**Horizontal sharding** (``shards=K``): each shard owns an accept
-socket bound to the same port via ``SO_REUSEPORT`` (see
-:mod:`repro.web.sharding`), so the kernel spreads incoming connections
-across the K loops.  A deterministic session-id router assigns every
-session to exactly one *owning* shard; a connection whose request
-addresses a session another shard owns is migrated once — unregistered
-from the accepting loop, handed (with its already-parsed request) to
-the owner over its wake socketpair — so all of a session's parked
-polls live on one scheduler and a publish wakes exactly one loop.
-Where ``SO_REUSEPORT`` is unavailable, shard 0 runs the single acceptor
-and round-robins fresh connections to its peers over the same handoff
-path.  Shards share the per-session event stores and their encode-once
-``DeltaFrameCache`` buffers, so a publish still costs ~1 JSON encode +
-N vectored writes however many shards serve the herd.
+There is exactly one loop because parse, route, group, frame and
+enqueue are Python bytecode under one GIL: K selector threads add lock
+hand-overs and no throughput, and K = 2 and 4 measured a worse wake p99
+than K = 1 at every herd size tried (table in ARCHITECTURE.md, "One IO
+loop").  Scaling past one core means more processes, not more loops.
 
 Routes are keyed by session — ``/api/v1/<session>/poll``,
 ``/api/v1/<session>/image`` ... — served out of the per-session
@@ -40,8 +30,7 @@ per-event request/response cycle long polls pay.  ``GET
 /api/v1/<sid>/stream`` turns the connection into a chunked-transfer SSE
 stream and ``GET /api/v1/<sid>/ws`` upgrades it to a WebSocket (RFC 6455);
 either way the connection becomes a persistent (deadline-less)
-:class:`~repro.web.longpoll.Subscriber` on its session's *owning*
-shard (the crc32 router migrates it once, at stream start).  A publish
+:class:`~repro.web.longpoll.Subscriber`.  A publish
 then walks the subscriber list and :mod:`repro.web.delivery` (the one
 path polls and streams share) appends the pre-framed delta — SSE
 ``data:`` chunk or WS frame, memoized per ``(since, head)`` window
@@ -59,20 +48,20 @@ header ``bytes`` plus a shared immutable body buffer, queued as
 (``sendmsg``) partial non-blocking writes.  A slow client accumulates
 backlog in its own queue only — never a copy of a shared frame — and is
 disconnected once the backlog exceeds the per-connection write budget,
-so one stalled reader can neither stall its loop nor other watchers.
+so one stalled reader can neither stall the loop nor other watchers.
 
-Heavy routes run off the IO loops: ``POST /api/v1/sessions`` (CentralManager
+Heavy routes run off the IO loop: ``POST /api/v1/sessions`` (CentralManager
 configure + simulation startup), cold-cache ``image.png`` re-encodes and
-large component snapshots execute on a small fixed worker pool shared by
-all shards; completions are queued back through the owning shard's
-socketpair, the same wakeup the publish path uses.  Total server thread
-count stays a fixed constant (``shards`` IO threads + ``workers``)
-however many clients connect — and with simulations on the shared
+large component snapshots execute on a small fixed worker pool;
+completions are queued back through the loop's socketpair, the same
+wakeup the publish path uses.  Total server thread count stays a fixed
+constant (1 IO thread + ``workers``) however many clients connect — and
+with simulations on the shared
 :class:`~repro.steering.executor.SimulationExecutor` (or its
 multiprocess sibling), the whole process obeys
-``shards + workers + executor_workers`` however many sessions step.
-``GET /api/v1/stats`` surfaces per-shard and merged serving counters plus
-the executor's block (including its backend and worker-process count).
+``1 + workers + executor_workers`` however many sessions step.
+``GET /api/v1/stats`` surfaces the serving counters plus the executor's
+block (including its backend and worker-process count).
 """
 
 from __future__ import annotations
@@ -106,7 +95,7 @@ from repro.steering.events import (
     sse_comment_chunk,
     ws_server_frame,
 )
-from repro.web.delivery import TRANSPORTS, Delivery
+from repro.web.delivery import Delivery
 from repro.web.framing import (
     _MAX_BODY_BYTES,
     _MAX_HEADER_BYTES,
@@ -116,7 +105,6 @@ from repro.web.framing import (
     ws_accept_key,
 )
 from repro.web.longpoll import LongPollScheduler, Subscriber
-from repro.web.sharding import create_shard_listeners, default_shard_router
 from repro.web.static import DASHBOARD_HTML, INDEX_HTML
 from repro.window import WindowCursor
 
@@ -159,6 +147,15 @@ class _HttpError(Exception):
 def _error_body(code: str, message: str) -> bytes:
     """The one JSON error envelope every endpoint answers with."""
     return json.dumps({"error": {"code": code, "message": message}}).encode("utf-8")
+
+
+def _positive_int(spec: dict, name: str, default: int) -> int:
+    """``spec[name]`` as a JSON integer >= 1, or a 400."""
+    value = spec.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise _HttpError(400, "bad_request",
+                         f"{name} must be an integer >= 1, got {value!r}")
+    return value
 
 
 class _Route:
@@ -253,9 +250,8 @@ class _Handler:
     frame or cached image blob) is queued without copying.  ``out_bytes``
     tracks the unsent backlog against the server's write budget.
 
-    ``shard`` is the IO loop that currently owns this connection; it
-    changes exactly at migration handoffs, between which only the owning
-    loop's thread touches the handler.
+    ``loop`` is the IO loop serving this connection; only the loop's
+    thread touches the handler.
 
     ``mode`` starts as ``"http"`` (request/response parsing) and flips
     once, irreversibly, to ``"sse"`` or ``"ws"`` when a stream route
@@ -265,20 +261,19 @@ class _Handler:
     connection alone.
 
     ``tier``/``max_tier``/``estimator`` are the adaptive delivery plane's
-    per-connection state: the current delivery tier (only the owning loop
+    per-connection state: the current delivery tier (only the IO loop
     writes it), the deepest tier the client accepts (its ``min_quality``
-    hint), and the passive link estimator the write path feeds.  All
-    three travel with the handler across shard migrations.
+    hint), and the passive link estimator the write path feeds.
     """
 
-    __slots__ = ("shard", "sock", "addr", "inbuf", "outq", "out_bytes",
+    __slots__ = ("loop", "sock", "addr", "inbuf", "outq", "out_bytes",
                  "close_after", "subscriber", "mode", "busy",
                  "closed", "keep_alive", "last_activity", "want_write",
                  "tier", "max_tier", "estimator",
                  "window_wid", "window_source", "lod_bias")
 
-    def __init__(self, shard: "_IOShard", sock: socket.socket, addr) -> None:
-        self.shard = shard
+    def __init__(self, loop: "_IOLoop", sock: socket.socket, addr) -> None:
+        self.loop = loop
         self.sock = sock
         self.addr = addr
         self.inbuf = bytearray()
@@ -295,7 +290,7 @@ class _Handler:
         self.tier = 0
         self.max_tier = MAX_TIER
         self.estimator = (ClientLinkEstimator()
-                          if shard.server.adaptive else None)
+                          if loop.server.adaptive else None)
         # Sliding-window state: the client's window id within its
         # session, the owning session's domain source and the extra LOD
         # coarsening the staleness ladder currently applies; delivery
@@ -315,9 +310,9 @@ class _Handler:
         """
         if not self.keep_alive:
             self.close_after = True
-        header = self.shard.server._render_head(code, ctype, len(body),
-                                                self.keep_alive)
-        self.shard._enqueue_and_flush(self, (header, body) if body else (header,))
+        header = self.loop.server._render_head(code, ctype, len(body),
+                                               self.keep_alive)
+        self.loop._enqueue_and_flush(self, (header, body) if body else (header,))
 
     def _send_json(self, obj, code: int = 200) -> None:
         self._send(code, json.dumps(obj).encode("utf-8"))
@@ -330,11 +325,11 @@ class _Handler:
 class _WorkerPool:
     """Small fixed pool for heavy routes (session creation).
 
-    Submitted jobs run entirely off the IO loops; whatever they need to
-    hand back travels through the owning shard's completion queue +
-    socketpair wakeup, never by touching connection state from a worker
-    thread.  The pool never grows: thread count is part of the server's
-    asserted constant, and it is shared by every shard.
+    Submitted jobs run entirely off the IO loop; whatever they need to
+    hand back travels through the loop's completion queue + socketpair
+    wakeup, never by touching connection state from a worker thread.
+    The pool never grows: thread count is part of the server's asserted
+    constant.
     """
 
     def __init__(self, size: int, name: str = "ricsa-web-worker") -> None:
@@ -375,11 +370,11 @@ class _WorkerPool:
 
 
 class _ReplayPump:
-    """One paced replay: journaled rows restored on the owning shard's loop.
+    """One paced replay: journaled rows restored on the IO loop.
 
     ``POST /api/v1/replay/<sid>`` with ``rate_hz > 0`` adopts an *empty*
-    rehydrated store and registers a pump on the target session's owning
-    shard; that loop restores one journaled row per interval, folding
+    rehydrated store and registers a pump on the IO loop, which
+    restores one journaled row per interval, folding
     the next due time into its select timeout — paced replay costs zero
     threads, exactly like parked polls and push streams.  Each restore
     fires the store's listeners, so connected clients are woken through
@@ -401,23 +396,19 @@ class _ReplayPump:
         self.skipped = 0  # image rows whose blob left the byte budget
 
 
-class _IOShard:
-    """One selector IO loop: its accept socket, scheduler and connections.
+class _IOLoop:
+    """The selector IO loop: its accept socket, scheduler and connections.
 
-    Everything connection-shaped is shard-local — the selector, the wake
-    socketpair, the subscriber scheduler, the handler set, the
-    serving counters — so shards never take each other's locks on the
-    hot path.  Cross-shard traffic (connection migration, fallback
-    accept handoff) travels through ``_incoming`` + the wake socketpair,
-    the same rendezvous publishers use, and is adopted on the receiving
-    loop's thread.
+    Everything connection-shaped lives here — the selector, the wake
+    socketpair, the subscriber scheduler, the handler set, the serving
+    counters — and is touched by the loop's thread only.  Other threads
+    (publishers, the worker pool) reach it through the ``_woken`` /
+    ``_completions`` deques + the wake socketpair.
     """
 
-    def __init__(self, server: "AjaxWebServer", index: int,
-                 listen: socket.socket | None) -> None:
+    def __init__(self, server: "AjaxWebServer", listen: socket.socket) -> None:
         self.server = server
-        self.index = index
-        self.listen = listen  # None: fallback mode, a peer shard accepts for us
+        self.listen = listen
         self.scheduler = LongPollScheduler()
         self._selector = selectors.DefaultSelector()
         self._wake_r, self._wake_w = socket.socketpair()
@@ -427,19 +418,12 @@ class _IOShard:
         # wheel, eviction and the poll/stream routes; popped by this loop.
         self._woken: deque[Subscriber] = deque()
         self._completions: deque = deque()  # (handler, code, body, ctype)
-        # Connections handed to this shard: (handler, parsed request | None,
-        # migrated?) — appended by peer shards / acceptors, popped here.
-        self._incoming: deque = deque()
         self._handlers: set[_Handler] = set()
         self._replays: list[_ReplayPump] = []  # paced replays this loop pumps
         self._thread: threading.Thread | None = None
-        self.started_mono = time.monotonic()  # refreshed by start()
         self.requests_served = 0
         self.bytes_sent = 0
         self.slow_client_disconnects = 0
-        self.migrations_in = 0
-        self.migrations_out = 0
-        self.accept_handoffs = 0  # connections this shard accepted for peers
         self.tier_promotions = 0  # adaptive controller moved a client up
         self.tier_demotions = 0  # ...or down (degrade-before-disconnect)
         self.lod_promotions = 0  # windowed client refined back toward its LOD
@@ -458,21 +442,23 @@ class _IOShard:
     # -- lifecycle ---------------------------------------------------------------
 
     def start(self) -> None:
-        self.started_mono = time.monotonic()
-        if self.listen is not None:
-            self._selector.register(self.listen, selectors.EVENT_READ,
-                                    ("accept", None))
+        self._selector.register(self.listen, selectors.EVENT_READ,
+                                ("accept", None))
         self._selector.register(self._wake_r, selectors.EVENT_READ,
                                 ("wake", None))
-        name = ("ricsa-web-io" if len(self.server._shards) == 1
-                else f"ricsa-web-io-{self.index}")
-        self._thread = threading.Thread(target=self._serve, daemon=True, name=name)
+        self._thread = threading.Thread(target=self._serve, daemon=True,
+                                        name="ricsa-web-io")
         self._thread.start()
 
-    def join(self, timeout: float = 5.0) -> None:
-        if self._thread is not None:
-            self._thread.join(timeout=timeout)
-            self._thread = None
+    def stop(self, timeout: float = 5.0) -> None:
+        """Ask the loop to exit and wait; it closes its sockets on the way
+        out.  A loop that never ran has nobody else to close them."""
+        if self._thread is None:
+            self._shutdown_sockets()
+            return
+        self._wake()
+        self._thread.join(timeout=timeout)
+        self._thread = None
 
     def io_thread_alive(self) -> bool:
         return self._thread is not None and self._thread.is_alive()
@@ -486,7 +472,7 @@ class _IOShard:
     def _tier_gauges(self) -> list[int]:
         """Open connections per delivery tier (approximate while running).
 
-        The handler set belongs to this shard's loop; a stats read from
+        The handler set belongs to the loop's thread; a stats read from
         another thread may race a mutation, so snapshotting retries and
         degrades to an empty gauge rather than raising.
         """
@@ -501,44 +487,6 @@ class _IOShard:
             if not handler.closed:
                 counts[handler.tier] += 1
         return counts
-
-    def stats(self) -> dict:
-        """This shard's slice of the ``/api/v1/stats`` payload."""
-        delivery = self.delivery
-        active = self.scheduler.subscriber_counts()
-        transports = {
-            name: {"active": active.get(name, 0), **counters}
-            for name, counters in delivery.transports.items()
-        }
-        scheduler = self.scheduler.stats()
-        return {
-            "shard": self.index,
-            "io_threads": 1 if self.io_thread_alive() else 0,
-            "parked_polls": scheduler["parked"],
-            "subscribers": scheduler["subscribers"],
-            "transports": transports,
-            "polls_served": delivery.polls_served,
-            "requests_served": self.requests_served,
-            "bytes_sent": self.bytes_sent,
-            "slow_client_disconnects": self.slow_client_disconnects,
-            "delivery_errors": delivery.delivery_errors,
-            "migrations_in": self.migrations_in,
-            "migrations_out": self.migrations_out,
-            "accept_handoffs": self.accept_handoffs,
-            "tiers": self._tier_gauges(),
-            "tier_promotions": self.tier_promotions,
-            "tier_demotions": self.tier_demotions,
-            "lod_promotions": self.lod_promotions,
-            "lod_demotions": self.lod_demotions,
-            "tier_bytes_saved": list(delivery.tier_bytes_saved),
-            "bytes_saved": sum(delivery.tier_bytes_saved),
-            "wake_ewma_ms": delivery.wake_ewma_ms,
-            "wakes_measured": delivery.wakes_measured,
-            "replays_active": len(self._replays),
-            "timestamp": time.time(),
-            "uptime_s": time.monotonic() - self.started_mono,
-            "scheduler": scheduler,
-        }
 
     # -- the IO loop ------------------------------------------------------------------
 
@@ -571,7 +519,6 @@ class _IOShard:
                     if handler is not None:
                         self._close(handler)
             now = time.monotonic()
-            self._adopt_incoming()
             if self._replays:
                 self._pump_replays(now)
             self._deliver_completions()
@@ -601,19 +548,10 @@ class _IOShard:
                                     self.server.sndbuf)
                 except OSError:  # pragma: no cover - platform quirk
                     pass
-            target = self.server._accept_target(self)
-            if target is self:
-                handler = _Handler(self, sock, addr)
-                self._handlers.add(handler)
-                self._selector.register(sock, selectors.EVENT_READ,
-                                        ("conn", handler))
-            else:
-                # SO_REUSEPORT unavailable: this shard is the single
-                # acceptor and round-robins fresh connections to peers.
-                handler = _Handler(target, sock, addr)
-                self.accept_handoffs += 1
-                target._incoming.append((handler, None, False))
-                target._wake()
+            handler = _Handler(self, sock, addr)
+            self._handlers.add(handler)
+            self._selector.register(sock, selectors.EVENT_READ,
+                                    ("conn", handler))
 
     def _drain_wake(self) -> None:
         try:
@@ -621,39 +559,6 @@ class _IOShard:
                 pass
         except (BlockingIOError, OSError):
             pass
-
-    def _adopt_incoming(self) -> None:
-        """Register connections handed over by peer shards (this loop only)."""
-        while True:
-            try:
-                handler, request, migrated = self._incoming.popleft()
-            except IndexError:
-                return
-            if handler.closed:
-                continue
-            self._handlers.add(handler)
-            handler.want_write = bool(handler.outq)
-            events = selectors.EVENT_READ
-            if handler.want_write:
-                events |= selectors.EVENT_WRITE
-            try:
-                self._selector.register(handler.sock, events, ("conn", handler))
-            except (KeyError, ValueError, OSError):
-                self._close(handler)
-                continue
-            if migrated:
-                self.migrations_in += 1
-            try:
-                if request is not None:
-                    # The request that triggered the migration, already
-                    # parsed by the source shard; dispatch it here where
-                    # the session's subscriber list lives.
-                    handler.keep_alive = request.keep_alive
-                    self._dispatch_safe(handler, request)
-                if not handler.closed and handler.shard is self:
-                    self._process_input(handler)
-            except Exception:
-                self._close(handler)
 
     def _close(self, handler: _Handler) -> None:
         if handler.closed:
@@ -714,7 +619,7 @@ class _IOShard:
     def _flush(self, handler: _Handler) -> None:
         """Vectored write of as much queued output as the socket accepts.
 
-        Runs on the owning loop only.  Shared body buffers go straight
+        Runs on the IO loop only.  Shared body buffers go straight
         from the queue of ``memoryview``s to ``sendmsg`` — no
         concatenation, no per-client copy.  A partial write narrows the
         front view in place (zero-copy) and falls back to EVENT_WRITE
@@ -780,9 +685,8 @@ class _IOShard:
         if handler.mode == "sse":
             handler.inbuf.clear()
             return
-        while (not handler.closed and handler.shard is self
-               and handler.subscriber is None and not handler.busy
-               and handler.mode == "http"):
+        while (not handler.closed and handler.subscriber is None
+               and not handler.busy and handler.mode == "http"):
             try:
                 request = parse_request(handler.inbuf)
             except WebServerError:  # unrecoverable framing: drop the conn
@@ -841,39 +745,12 @@ class _IOShard:
             return
         if action == "replay":
             # ``sid`` names the journaled *source* session — it need not
-            # resolve to a live session, so no shard migration either.
+            # resolve to a live session.
             assert sid is not None
             self._handle_replay(handler, request, sid)
             return
         assert sid is not None
-        owner = server._shard_of(sid)
-        if owner is not self:
-            # Session-keyed work belongs to the shard owning the subscriber
-            # list; migrate the connection (with this parsed request) so
-            # every future poll parks where the publish path wakes.
-            self._migrate(handler, request, owner)
-            return
         self._dispatch_session(handler, request, sid, action)
-
-    def _migrate(self, handler: _Handler, request: HttpRequest,
-                 target: "_IOShard") -> None:
-        """Hand this connection to ``target`` (runs on the source loop).
-
-        Only reachable from dispatch, so the handler has no parked
-        poll and no in-flight worker job; pending response bytes (a
-        pipelined earlier response) travel with it — the target
-        re-registers for EVENT_WRITE if any remain.
-        """
-        try:
-            self._selector.unregister(handler.sock)
-        except (KeyError, ValueError):
-            pass
-        self._handlers.discard(handler)
-        handler.want_write = False
-        handler.shard = target
-        self.migrations_out += 1
-        target._incoming.append((handler, request, True))
-        target._wake()
 
     def _dispatch_session(self, handler: _Handler, request: HttpRequest,
                           sid: str, action: str) -> None:
@@ -1010,7 +887,7 @@ class _IOShard:
         self._offload(handler, job)
 
     def _offload(self, handler: _Handler, fn) -> None:
-        """Run ``fn() -> (code, body, ctype)`` on the shared worker pool.
+        """Run ``fn() -> (code, body, ctype)`` on the worker pool.
 
         The single home of the off-loop route policy: the connection is
         marked ``busy`` (no further pipelined dispatch), the job runs on
@@ -1018,7 +895,7 @@ class _IOShard:
         body — re-enters this loop through the completion queue +
         socketpair, the same wakeup publishes use.  Response bodies are
         encoded on the worker, so a large JSON/PNG render never touches
-        an IO thread.
+        the IO thread.
         """
         handler.busy = True
 
@@ -1052,6 +929,9 @@ class _IOShard:
         they would stall every parked poll.
         """
         spec = request.json_body()  # parse errors answered inline, cheaply
+        # A session that cannot step (``cycle % 0``) must not be answered 200.
+        n_cycles = _positive_int(spec, "n_cycles", 50)
+        push_every = _positive_int(spec, "push_every", 1)
         client = self.server.client
 
         def job() -> tuple[int, bytes, str]:
@@ -1059,11 +939,11 @@ class _IOShard:
                 simulator=spec.get("simulator", "heat"),
                 technique=spec.get("technique", "isosurface"),
                 variable=spec.get("variable"),
-                n_cycles=int(spec.get("n_cycles", 50)),
+                n_cycles=n_cycles,
                 session_id=spec.get("session_id"),
                 initial_params=spec.get("params"),
                 sim_kwargs=spec.get("sim_kwargs"),
-                push_every=int(spec.get("push_every", 1)),
+                push_every=push_every,
             )
             payload = {"ok": True, "session": session.session_id}
             return 200, json.dumps(payload).encode("utf-8"), "application/json"
@@ -1125,7 +1005,7 @@ class _IOShard:
         The journaled event sequence of ``sid`` — typically finished or
         evicted — comes back as a fresh *read-only* session serving the
         full delta/long-poll/SSE/WS surface.  ``rate_hz`` > 0 paces the
-        restore on the owning shard's IO loop (scrub a run "live");
+        restore on the IO loop (scrub a run "live");
         otherwise the store is rebuilt instantly on the worker pool.
         """
         obs = self._obs_or_raise()
@@ -1147,10 +1027,9 @@ class _IOShard:
             server.manager.adopt_monitor(target, events,
                                          meta={"replay_of": sid})
             if rate_hz > 0:
-                owner = server._shard_of(target)
-                owner._replays.append(_ReplayPump(
+                self._replays.append(_ReplayPump(
                     target, events, rows, journal, 1.0 / rate_hz))
-                owner._wake()
+                self._wake()
             payload = {
                 "ok": True, "session": target, "replay_of": sid,
                 "events": len(rows), "paced": rate_hz > 0,
@@ -1161,7 +1040,7 @@ class _IOShard:
         self._offload(handler, job)
 
     def _deliver_completions(self) -> None:
-        """Send worker-pool results; runs on the owning loop only."""
+        """Send worker-pool results; runs on the IO loop only."""
         while True:
             try:
                 handler, code, body, ctype = self._completions.popleft()
@@ -1340,7 +1219,7 @@ class _IOShard:
             self._drop_slow(handler)
 
     def _set_tier(self, handler: _Handler, tier: int) -> None:
-        """Move a connection onto ``tier`` (owning loop only), counted."""
+        """Move a connection onto ``tier`` (IO loop only), counted."""
         tier = min(clamp_tier(tier), handler.max_tier)
         if tier == handler.tier:
             return
@@ -1493,25 +1372,21 @@ class _IOShard:
     def _housekeeping(self) -> None:
         server = self.server
         self._retier()  # adaptive controller pass: piggybacks, 0 threads
-        if self.index == 0:
-            if server.obs is not None:
-                # Metrics capture piggybacks the housekeeping tick (the
-                # recorder adds zero threads); a sampling failure must
-                # never take the IO loop down with it.
-                try:
-                    server.obs.recorder.sample(server.stats())
-                except Exception:
-                    pass
-            # Session eviction is a service-wide sweep: run it once (on
-            # shard 0) and push each evicted session's records to the
-            # shard owning them; that loop says goodbye by transport
-            # (404 / SSE terminal chunk / WS close).
-            for sid in server.manager.evict_idle():
-                owner = server._shard_of(sid)
-                dropped = owner.scheduler.drop_key(sid)
-                if dropped:
-                    owner._woken.extend(dropped)
-                    owner._wake()
+        if server.obs is not None:
+            # Metrics capture piggybacks the housekeeping tick (the
+            # recorder adds zero threads); a sampling failure must
+            # never take the IO loop down with it.
+            try:
+                server.obs.recorder.sample(server.stats())
+            except Exception:
+                pass
+        # Evicted sessions' records go to delivery, which says goodbye
+        # by transport (404 / SSE terminal chunk / WS close).
+        for sid in server.manager.evict_idle():
+            dropped = self.scheduler.drop_key(sid)
+            if dropped:
+                self._woken.extend(dropped)
+                self._wake()  # this pass's delivery already ran
         # Reap half-open keep-alive connections past the advertised
         # Keep-Alive timeout.  `last_activity` only advances on
         # successful IO, so a connection with pending output that made
@@ -1550,10 +1425,7 @@ class _IOShard:
     def _shutdown_sockets(self) -> None:
         for handler in list(self._handlers):
             self._close(handler)
-        socks = [self._wake_r, self._wake_w]
-        if self.listen is not None:
-            socks.append(self.listen)
-        for sock in socks:
+        for sock in (self._wake_r, self._wake_w, self.listen):
             try:
                 self._selector.unregister(sock)
             except (KeyError, ValueError):
@@ -1568,10 +1440,8 @@ class _IOShard:
 class AjaxWebServer:
     """Bind a steering service (SessionManager) to HTTP on 127.0.0.1.
 
-    Use as a context manager or call :meth:`start` / :meth:`stop`.
-    ``shards=K`` runs K selector loops behind one port (SO_REUSEPORT
-    accept sharding with a single-acceptor fallback); the default is the
-    single-loop mode every existing deployment ran.
+    Use as a context manager or call :meth:`start` / :meth:`stop`; a
+    stopped server cannot be started again.
     """
 
     DEFAULT_WORKERS = 2
@@ -1584,9 +1454,6 @@ class AjaxWebServer:
         housekeeping_interval: float = 1.0,
         workers: int | None = None,
         write_budget: int = 8 * 1024 * 1024,
-        shards: int = 1,
-        shard_router=None,
-        use_reuseport: bool | None = None,
         adaptive: bool = True,
         staleness_budget: float = 0.25,
         sndbuf: int | None = None,
@@ -1600,8 +1467,6 @@ class AjaxWebServer:
         self.write_budget = int(write_budget)
         if self.write_budget < 1:
             raise WebServerError("write budget must be >= 1 byte")
-        if shards < 1:
-            raise WebServerError("shard count must be >= 1")
         if staleness_budget <= 0.0:
             raise WebServerError("staleness budget must be > 0 seconds")
         # Adaptive delivery plane: per-connection passive link estimators
@@ -1626,22 +1491,14 @@ class AjaxWebServer:
             "Cache-Control: no-store\r\nServer: RICSA/2.0\r\n"
             "Connection: close\r\n\r\n"
         )
-        listeners, self._reuseport = create_shard_listeners(
-            "127.0.0.1", port, shards, use_reuseport
-        )
-        for sock in listeners:
-            sock.setblocking(False)
-        self._listeners = listeners
-        self._router = (shard_router if shard_router is not None
-                        else default_shard_router(shards))
-        self._shards = [
-            _IOShard(self, i, listeners[i] if i < len(listeners) else None)
-            for i in range(shards)
-        ]
-        self._accept_rr = 0  # fallback round-robin cursor (acceptor thread only)
+        listen = socket.create_server(("127.0.0.1", port))
+        listen.setblocking(False)
+        # Read once at bind: the port outlives the socket stop() closes.
+        self.port = listen.getsockname()[1]
+        self._loop = _IOLoop(self, listen)
+        self.scheduler = self._loop.scheduler
         self._pool = _WorkerPool(self.workers)
         self._hooked: "weakref.WeakSet" = weakref.WeakSet()  # stores with our listener
-        self._hook_lock = threading.Lock()
         self._stop = threading.Event()
         # Durable ops tier: metrics recorder + session journal (+ SQLite).
         # ``obs`` accepts False/None (off), True (in-memory rings +
@@ -1650,7 +1507,6 @@ class AjaxWebServer:
         self.obs, self._owns_obs = self._resolve_obs(obs)
         if self.obs is not None and self.manager.journal is None:
             self.manager.attach_journal(self.obs.journal)
-        self._started_wall = time.time()
         self._started_mono = time.monotonic()
 
     @staticmethod
@@ -1666,36 +1522,8 @@ class AjaxWebServer:
     # -- lifecycle --------------------------------------------------------------------
 
     @property
-    def port(self) -> int:
-        return self._listeners[0].getsockname()[1]
-
-    @property
     def url(self) -> str:
         return f"http://127.0.0.1:{self.port}"
-
-    @property
-    def shards(self) -> int:
-        """The configured shard count (IO loops)."""
-        return len(self._shards)
-
-    @property
-    def reuseport_active(self) -> bool:
-        """True when every shard owns its own SO_REUSEPORT accept socket."""
-        return self._reuseport
-
-    @property
-    def scheduler(self) -> LongPollScheduler:
-        """The long-poll scheduler (single-shard mode only).
-
-        With ``shards > 1`` every shard owns its own scheduler; use
-        :meth:`parked_polls` / :meth:`stats` for aggregate views, or
-        address ``server._shards[i].scheduler`` in tests.
-        """
-        if len(self._shards) == 1:
-            return self._shards[0].scheduler
-        raise WebServerError(
-            "scheduler is per-shard when shards > 1; see stats()['shards']"
-        )
 
     def _render_head(self, code: int, ctype: str, length: int,
                      keep_alive: bool) -> bytes:
@@ -1709,104 +1537,78 @@ class AjaxWebServer:
         ).encode("latin-1")
 
     def io_thread_count(self) -> int:
-        """IO threads in existence — a constant ``shards``, however many
-        polls park."""
-        return sum(1 for shard in self._shards if shard.io_thread_alive())
+        """IO threads in existence — one, however many polls park."""
+        return int(self._loop.io_thread_alive())
 
     def worker_thread_count(self) -> int:
         """Worker-pool threads — a fixed constant, independent of load."""
         return self._pool.thread_count()
 
     def server_thread_count(self) -> int:
-        """Every thread the server owns: ``shards`` IO + ``workers``."""
+        """Every thread the server owns: 1 IO + ``workers``."""
         return self.io_thread_count() + self.worker_thread_count()
 
-    # -- aggregated counters (sums over shards; reads are approximate
-    # -- across running loops, exact once the server is stopped) -----------------
+    # -- serving counters (the IO loop writes them; reads are approximate
+    # -- while it runs, exact once the server is stopped) -------------------------
 
     @property
     def polls_served(self) -> int:
-        return sum(shard.delivery.polls_served for shard in self._shards)
+        return self._loop.delivery.polls_served
 
     @property
     def requests_served(self) -> int:
-        return sum(shard.requests_served for shard in self._shards)
+        return self._loop.requests_served
 
     @property
     def bytes_sent(self) -> int:
-        return sum(shard.bytes_sent for shard in self._shards)
+        return self._loop.bytes_sent
 
     @property
     def slow_client_disconnects(self) -> int:
-        return sum(shard.slow_client_disconnects for shard in self._shards)
+        return self._loop.slow_client_disconnects
 
     def parked_polls(self) -> int:
-        """Polls parked across every shard's scheduler."""
-        return sum(shard.scheduler.pending() for shard in self._shards)
+        """Polls parked on the scheduler."""
+        return self.scheduler.pending()
 
     def subscribers(self) -> int:
-        """Live push subscribers (SSE + WS) across every shard."""
-        return sum(shard.scheduler.subscribers() for shard in self._shards)
+        """Live push subscribers (SSE + WS)."""
+        return self.scheduler.subscribers()
 
     def stats(self) -> dict:
-        """The ``GET /api/v1/stats`` payload: per-shard + merged + executor.
-
-        Top-level counters keep their pre-sharding names (sums across
-        shards), so existing dashboards read unchanged; the ``shards``
-        list carries the per-loop breakdown.
-        """
-        shard_stats = [shard.stats() for shard in self._shards]
-        transports = {
-            name: {"active": 0, "delivered": 0, "bytes_sent": 0,
-                   "heartbeats": 0, "farewells": 0}
-            for name in TRANSPORTS
-        }
-        for s in shard_stats:
-            for name, t in s["transports"].items():
-                agg = transports[name]
-                for field in agg:
-                    agg[field] += t[field]
-        tiers = [0] * (MAX_TIER + 1)
-        tier_bytes_saved = [0] * (MAX_TIER + 1)
-        for s in shard_stats:
-            for i, n in enumerate(s["tiers"]):
-                tiers[i] += n
-            for i, n in enumerate(s["tier_bytes_saved"]):
-                tier_bytes_saved[i] += n
-        wakes = sum(s["wakes_measured"] for s in shard_stats)
-        wake_ewma_ms = (
-            sum(s["wake_ewma_ms"] * s["wakes_measured"] for s in shard_stats)
-            / wakes if wakes else 0.0
-        )
+        """The ``GET /api/v1/stats`` payload: serving counters + executor."""
+        loop = self._loop
+        delivery = loop.delivery
+        scheduler = self.scheduler.stats()
+        active = self.scheduler.subscriber_counts()
         payload = {
             "timestamp": time.time(),
             "uptime_s": time.monotonic() - self._started_mono,
-            "requests_served": sum(s["requests_served"] for s in shard_stats),
-            "polls_served": sum(s["polls_served"] for s in shard_stats),
-            "bytes_sent": sum(s["bytes_sent"] for s in shard_stats),
-            "slow_client_disconnects": sum(
-                s["slow_client_disconnects"] for s in shard_stats
-            ),
-            "delivery_errors": sum(s["delivery_errors"] for s in shard_stats),
-            "parked_polls": sum(s["parked_polls"] for s in shard_stats),
-            "subscribers": sum(s["subscribers"] for s in shard_stats),
-            "transports": transports,
+            "requests_served": loop.requests_served,
+            "polls_served": delivery.polls_served,
+            "bytes_sent": loop.bytes_sent,
+            "slow_client_disconnects": loop.slow_client_disconnects,
+            "delivery_errors": delivery.delivery_errors,
+            "parked_polls": scheduler["parked"],
+            "subscribers": scheduler["subscribers"],
+            "transports": {
+                name: {"active": active.get(name, 0), **counters}
+                for name, counters in delivery.transports.items()
+            },
             "adaptive": self.adaptive,
-            "tiers": tiers,
-            "tier_promotions": sum(s["tier_promotions"] for s in shard_stats),
-            "tier_demotions": sum(s["tier_demotions"] for s in shard_stats),
-            "lod_promotions": sum(s["lod_promotions"] for s in shard_stats),
-            "lod_demotions": sum(s["lod_demotions"] for s in shard_stats),
-            "tier_bytes_saved": tier_bytes_saved,
-            "bytes_saved": sum(tier_bytes_saved),
-            "wake_ewma_ms": wake_ewma_ms,
-            "wakes_measured": wakes,
+            "tiers": loop._tier_gauges(),
+            "tier_promotions": loop.tier_promotions,
+            "tier_demotions": loop.tier_demotions,
+            "lod_promotions": loop.lod_promotions,
+            "lod_demotions": loop.lod_demotions,
+            "tier_bytes_saved": list(delivery.tier_bytes_saved),
+            "bytes_saved": sum(delivery.tier_bytes_saved),
+            "wake_ewma_ms": delivery.wake_ewma_ms,
+            "wakes_measured": delivery.wakes_measured,
+            "replays_active": len(loop._replays),
             "io_threads": self.io_thread_count(),
             "worker_threads": self.worker_thread_count(),
-            "shard_count": len(self._shards),
-            "reuseport": self._reuseport,
-            "migrations": sum(s["migrations_in"] for s in shard_stats),
-            "shards": shard_stats,
+            "scheduler": scheduler,
             "sessions": len(self.manager),
             "executor": self.manager.executor_stats(),
         }
@@ -1815,20 +1617,16 @@ class AjaxWebServer:
         return payload
 
     def start(self) -> "AjaxWebServer":
-        self._stop.clear()
-        self._started_wall = time.time()
+        if self._stop.is_set() or self._loop.io_thread_alive():
+            raise WebServerError("server cannot be restarted")
         self._started_mono = time.monotonic()
         self._pool.start()
-        for shard in self._shards:
-            shard.start()
+        self._loop.start()
         return self
 
     def stop(self) -> None:
         self._stop.set()
-        for shard in self._shards:
-            shard._wake()
-        for shard in self._shards:
-            shard.join(timeout=5.0)
+        self._loop.stop()
         self._pool.stop()
         if self.obs is not None and self._owns_obs:
             self.obs.close()
@@ -1841,57 +1639,33 @@ class AjaxWebServer:
 
     # -- publish -> wake path ------------------------------------------------------------
 
-    def _shard_of(self, sid: str) -> _IOShard:
-        """The shard owning ``sid``'s subscriber list (the session router)."""
-        return self._shards[self._router(sid) % len(self._shards)]
-
-    def _accept_target(self, acceptor: _IOShard) -> _IOShard:
-        """Where a fresh connection should live (acceptor's thread only).
-
-        With SO_REUSEPORT the kernel already balanced the accept across
-        shards, so the acceptor keeps it.  In fallback mode the single
-        acceptor round-robins its peers so load still spreads.
-        """
-        if self._reuseport or len(self._shards) == 1:
-            return acceptor
-        target = self._shards[self._accept_rr % len(self._shards)]
-        self._accept_rr += 1
-        return target
-
     def _hook_store(self, sid: str, store) -> None:
         """Attach our publish listener to a session's event store (once).
 
         A ``WeakSet`` keyed by the store object itself (not ``id()``)
         stays correct when stores are garbage-collected and their heap
-        addresses reused by later sessions.  Guarded by a lock because
-        any shard's loop may hook a store first.
+        addresses reused by later sessions.  Runs on the IO loop only.
         """
-        with self._hook_lock:
-            if store in self._hooked:
-                return
-            self._hooked.add(store)
+        if store in self._hooked:
+            return
+        self._hooked.add(store)
         store.add_listener(lambda seq, sid=sid: self._on_publish(sid, seq))
         # Parked polls and push streams read nothing while they wait;
         # expose them as live demand (a watcher count) so the executor's
         # backpressure probe never demotes a watched session.
         store.attach_demand_probe(
-            lambda sid=sid: self._shard_of(sid).scheduler.watchers_for(sid))
+            lambda sid=sid: self.scheduler.watchers_for(sid))
 
     def _on_publish(self, sid: str, seq: int) -> None:
-        """Called from publisher (simulation) threads after every event.
-
-        Routes the wake to the single shard owning the session's
-        subscriber list — the other K-1 loops never even wake up.
-        """
-        shard = self._shard_of(sid)
-        woken = (shard.scheduler.notify(sid, seq)
-                 + shard.scheduler.push_targets(sid, seq))
+        """Called from publisher (simulation) threads after every event."""
+        woken = (self.scheduler.notify(sid, seq)
+                 + self.scheduler.push_targets(sid, seq))
         if woken:
             woken_at = time.monotonic()
             for record in woken:
                 record.woken_at = woken_at  # wake->delivery latency gauge
-            shard._woken.extend(woken)
-            shard._wake()
+            self._loop._woken.extend(woken)
+            self._loop._wake()
 
     # -- routing helpers ---------------------------------------------------------------
 

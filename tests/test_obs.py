@@ -3,8 +3,7 @@
 Unit coverage for :mod:`repro.obs` (atomic writes, flattening, rings,
 SQLite store, journal fidelity) plus end-to-end HTTP tests for the
 ``/dashboard`` + ``/api/v1/metrics*`` + ``/api/v1/replay`` surface and the
-stats-sum invariants the sharded server must keep with replay sessions
-live.
+stats identities the server must keep with replay sessions live.
 """
 
 from __future__ import annotations
@@ -365,9 +364,9 @@ def _raw_get(port: int, path: str) -> tuple[int, bytes, str]:
 
 @pytest.fixture()
 def obs_server(cm):
-    """A short heat run behind a 2-shard server with recording on."""
+    """A short heat run behind a server with recording on."""
     client = SteeringClient(cm)
-    server = AjaxWebServer(client, port=0, shards=2, obs=True,
+    server = AjaxWebServer(client, port=0, obs=True,
                            housekeeping_interval=0.1)
     server.start()
     client.start(
@@ -409,9 +408,9 @@ class TestObsHttp:
         assert len(stats["tier_bytes_saved"]) == len(stats["tiers"])
         assert stats["bytes_saved"] == sum(stats["tier_bytes_saved"])
         assert stats["obs"]["durable"] is False
-        for shard in stats["shards"]:
-            assert "timestamp" in shard and shard["uptime_s"] >= 0.0
-            assert "wake_ewma_ms" in shard and "replays_active" in shard
+        assert stats["wake_ewma_ms"] >= 0.0
+        assert stats["replays_active"] == 0
+        assert stats["scheduler"]["parked"] == stats["parked_polls"]
 
     def test_metrics_endpoints(self, obs_server):
         server, _ = obs_server
@@ -484,7 +483,7 @@ class TestObsHttp:
             time.sleep(0.1)
         else:
             raise AssertionError("paced replay never caught up")
-        assert web.server_stats()["shards"]  # server healthy afterwards
+        assert web.server_stats()["io_threads"] == 1  # server healthy afterwards
 
     def test_stats_sums_hold_with_replay_live(self, obs_server):
         server, _ = obs_server
@@ -494,16 +493,11 @@ class TestObsHttp:
         replayer.poll(timeout=2.0)
         web.poll(timeout=0.1)
         stats = web.server_stats()
-        shards = stats["shards"]
-        assert len(shards) == 2
-        for key in ("polls_served", "requests_served", "bytes_sent",
-                    "parked_polls", "subscribers", "bytes_saved",
-                    "tier_promotions", "tier_demotions", "delivery_errors"):
-            assert stats[key] == sum(s[key] for s in shards), key
-        for i, total in enumerate(stats["tier_bytes_saved"]):
-            assert total == sum(s["tier_bytes_saved"][i] for s in shards)
-        assert stats["wakes_measured"] == sum(
-            s["wakes_measured"] for s in shards)
+        assert stats["polls_served"] >= 2
+        assert stats["bytes_saved"] == sum(stats["tier_bytes_saved"])
+        assert stats["bytes_sent"] >= sum(
+            t["bytes_sent"] for t in stats["transports"].values())
+        assert stats["replays_active"] == 0  # an unpaced replay pumps nothing
 
     def test_replay_of_unknown_session_is_client_error(self, obs_server):
         server, _ = obs_server

@@ -257,6 +257,45 @@ def test_malformed_numbers_get_honest_statuses(api_server, tail, headers, want):
         conn.close()
 
 
+# -- POST bodies: a JSON object or a 400, never a 500 ---------------------------
+
+
+@pytest.mark.parametrize("body", [b"[1,2]", b"null", b"5", b'"x"'])
+@pytest.mark.parametrize("tail", [
+    "sessions", "replay/{sid}", "{sid}/steer", "{sid}/view", "{sid}/window",
+])
+def test_non_object_json_body_is_a_400(api_server, tail, body):
+    server, sid = api_server
+    path = "/api/v1/" + tail.format(sid=sid)
+    if tail.startswith("replay"):
+        # The route answers "observability disabled" before it reads a
+        # body; give it a journal so the body is what gets judged.
+        with AjaxWebServer(SteeringClient(server.client.cm), port=0,
+                           obs=True) as obs_server:
+            status, _, blob = _request(obs_server, "POST", path, body)
+    else:
+        status, _, blob = _request(server, "POST", path, body)
+    assert status == 400, (tail, body, status, blob)
+    error = json.loads(blob)["error"]
+    assert error["code"] == "bad_request"
+    assert "malformed JSON body" in error["message"]
+
+
+@pytest.mark.parametrize("spec", [
+    {"n_cycles": "abc"}, {"n_cycles": 0}, {"n_cycles": 2.5},
+    {"push_every": 0}, {"push_every": True},
+])
+def test_session_that_cannot_step_is_refused_not_created(api_server, spec):
+    server, _ = api_server
+    before = set(server.manager.sessions())
+    spec = {"simulator": "heat", "sim_kwargs": {"shape": [8, 8, 8]}, **spec}
+    status, _, blob = _request(server, "POST", "/api/v1/sessions",
+                               json.dumps(spec).encode())
+    assert status == 400, (spec, status, blob)
+    assert json.loads(blob)["error"]["code"] == "bad_request"
+    assert set(server.manager.sessions()) == before
+
+
 # -- request framing the parser must refuse ---------------------------------------
 
 

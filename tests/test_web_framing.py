@@ -140,6 +140,21 @@ def test_malformed_request_line_is_rejected(line):
         parse_request(bytearray(line + b"\r\nHost: x\r\n\r\n"))
 
 
+@pytest.mark.parametrize("body, want", [
+    (b"", {}),
+    (b'{"zoom": 2}', {"zoom": 2}),
+    (b"[1,2]", None), (b"null", None), (b"5", None), (b'"x"', None),
+    (b"true", None), (b"{not json", None), (b"\xff\xfe", None),
+])
+def test_json_body_is_an_object_or_malformed(body, want):
+    request = HttpRequest("POST", "/api/v1/s/view", "HTTP/1.1", {}, body)
+    if want is None:
+        with pytest.raises(WebServerError, match="malformed JSON body"):
+            request.json_body()
+    else:
+        assert request.json_body() == want
+
+
 # -- WebSocket masking ---------------------------------------------------------
 
 _WS_BINARY = 0x2

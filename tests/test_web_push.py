@@ -3,8 +3,7 @@
 Covers the tentpole surface over real loopback sockets: SSE chunked
 streams with Last-Event-ID resume, the RFC 6455 handshake / data /
 ping-pong / close paths, binary image frames, per-transport ``/api/v1/stats``
-counters, eviction farewells, client auto-reconnect, and subscriber
-pinning to the session's owner shard.
+counters, eviction farewells and client auto-reconnect.
 """
 
 from __future__ import annotations
@@ -368,44 +367,6 @@ class TestClientReconnect:
         with pytest.raises(ConnectionError):
             wc.poll(timeout=0.1)
         assert wc.reconnects == 2
-
-
-class TestShardPinning:
-    def test_subscriber_lands_on_owner_shard(self, cm):
-        client = SteeringClient(cm)
-        server = AjaxWebServer(client, port=0, shards=2)
-        server.start()
-        socks = []
-        try:
-            sids = [f"pin{i}" for i in range(4)]
-            for sid in sids:
-                client.manager.open_monitor(sid)
-                sock = socket.create_connection(
-                    ("127.0.0.1", server.port), timeout=5.0
-                )
-                sock.sendall(
-                    (
-                        f"GET /api/v1/{sid}/stream?since=0 HTTP/1.1\r\n"
-                        "Host: x\r\n\r\n"
-                    ).encode("latin-1")
-                )
-                assert sock.recv(65536).startswith(b"HTTP/1.1 200")
-                socks.append(sock)
-            for sid in sids:
-                owner = server._router(sid) % 2
-                deadline = time.monotonic() + 5.0
-                while (
-                    server._shards[owner].scheduler.subscribers_for(sid) < 1
-                    and time.monotonic() < deadline
-                ):
-                    time.sleep(0.02)
-                assert server._shards[owner].scheduler.subscribers_for(sid) == 1
-                assert server._shards[1 - owner].scheduler.subscribers_for(sid) == 0
-            assert server.subscribers() == len(sids)
-        finally:
-            for sock in socks:
-                sock.close()
-            server.stop()
 
 
 class TestUnifiedEventsAPI:
