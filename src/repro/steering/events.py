@@ -62,6 +62,7 @@ import threading
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
+from itertools import takewhile
 from typing import Any, Callable
 
 from repro.adaptive.tiers import TIER_LADDER, clamp_tier
@@ -581,7 +582,10 @@ class EventSequenceStore:
                       window: tuple | None = None) -> dict:
         first = self._events[0].seq if self._events else self._seq + 1
         dropped = max(0, min(first - 1, self._seq) - since)
-        components = [e.to_component() for e in self._events if e.seq > since]
+        # The ring is seq-ascending: walk back from the head to the cursor
+        # instead of scanning all ``capacity`` events for the new one or two.
+        components = [e.to_component() for e in takewhile(
+            lambda e: e.seq > since, reversed(self._events))][::-1]
         skipped = 0
         if tier and TIER_LADDER[tier].snapshot_only:
             # Snapshot tier: a client this slow can never display the

@@ -213,17 +213,17 @@ def parse_ws_frames(buf: bytearray, require_mask: bool) -> list[tuple[int, bytes
             raise WebServerError(f"WS frame payload {length} bytes is too large")
         if opcode >= 0x8 and (length > 125 or not first & 0x80):
             raise WebServerError("malformed WS control frame")
-        if masked:
-            if len(buf) < offset + 4 + length:
-                return frames
-            mask = bytes(buf[offset:offset + 4])
-            offset += 4
-            payload = _ws_mask(buf[offset:offset + length], mask)
-        else:
-            if len(buf) < offset + length:
-                return frames
-            payload = bytes(buf[offset:offset + length])
-        del buf[:offset + length]
+        end = offset + 4 * masked + length
+        if len(buf) < end:
+            return frames
+        # One copy out of the buffer, through a view released before the
+        # resize below (a bytearray with a live export cannot shrink).
+        with memoryview(buf) as view:
+            if masked:
+                payload = _ws_mask(view[offset + 4:end], bytes(view[offset:offset + 4]))
+            else:
+                payload = bytes(view[offset:end])
+        del buf[:end]
         # Continuation frames (opcode 0) are tolerated but collapsed
         # into standalone payloads: our peers never fragment.
         frames.append((opcode, payload))
@@ -241,14 +241,26 @@ def decode_binary_delta(payload: bytes) -> dict:
     json_len = struct.unpack_from(">I", payload, 0)[0]
     if 4 + json_len > len(payload):
         raise WebServerError("binary delta JSON header is truncated")
-    delta = json.loads(payload[4:4 + json_len].decode("utf-8"))
+    try:
+        delta = json.loads(payload[4:4 + json_len].decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
+        raise WebServerError(f"binary delta header is not JSON: {exc}") from None
+    components = delta.get("components", []) if isinstance(delta, dict) else None
+    if not isinstance(components, list):
+        raise WebServerError("binary delta is not an object holding a component list")
     # A view: each blob is copied once, out of the payload into its own bytes.
     blob_section = memoryview(payload)[4 + json_len:]
-    for comp in delta.get("components", ()):
-        props = comp.get("props", {})
+    for comp in components:
+        props = comp.get("props", {}) if isinstance(comp, dict) else None
+        if not isinstance(props, dict):
+            raise WebServerError("binary delta component is not an object with props")
         if "blob_offset" in props:
-            start = props.pop("blob_offset")
-            length = props.pop("blob_len")
+            start, length = props.pop("blob_offset"), props.pop("blob_len", None)
+            # Checked, not sliced: a slice forgives a pointer past the
+            # section (b"") and wraps a negative one.
+            if not (type(start) is type(length) is int
+                    and 0 <= start <= start + length <= len(blob_section)):
+                raise WebServerError("binary delta blob pointer leaves the blob section")
             props["blob"] = bytes(blob_section[start:start + length])
     return delta
 

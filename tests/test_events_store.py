@@ -7,6 +7,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import WebServerError
 from repro.steering.events import EventSequenceStore
@@ -437,3 +438,40 @@ class TestTieredDelivery:
         store.publish_image(tiny_image(), cycle=1)
         assert store.delta(0, tier=-5)["tier"] == 0
         assert store.delta(0, tier=99)["tier"] == 3
+
+
+class TestDeltaWalksBackFromTheHead:
+    """``_delta_locked`` stops at the cursor instead of scanning the ring."""
+
+    _OPS = st.lists(st.one_of(
+        st.tuples(st.just("status"), st.integers(0, 3)),    # component index
+        st.tuples(st.just("image"), st.integers(0, 255)),   # shade
+        st.tuples(st.just("restore"), st.integers(1, 40)),  # jump seq forward by
+    ), max_size=40)
+
+    @settings(max_examples=200, deadline=None)
+    @given(capacity=st.integers(1, 12), ops=_OPS,
+           sinces=st.lists(st.integers(-5, 400), min_size=1, max_size=8))
+    def test_same_delta_as_the_full_ring_scan(self, capacity, ops, sinces):
+        store = EventSequenceStore(capacity=capacity, file_size=1024)
+        for op, arg in ops:
+            if op == "status":
+                store.publish_status(f"c{arg}", tick=store.seq)
+            elif op == "image":
+                store.publish_image(tiny_image(arg), cycle=store.seq)
+            else:  # a journal replay re-appends at a seq of its choosing
+                store.restore_event("status", "session", 0, {"restored": arg},
+                                    seq=store.seq + arg)
+        ring = list(store._events)
+        seqs = [e.seq for e in ring]
+        assert seqs == sorted(set(seqs)) and len(ring) <= capacity
+        # ...including cursors older than the ring, at and past the head.
+        for since in {*sinces, 0, store.seq - 1, store.seq, store.seq + 1,
+                      *(s - 1 for s in seqs[:2])}:
+            delta = store.delta(since)
+            assert delta["components"] == [
+                e.to_component() for e in ring if e.seq > since]
+            first = seqs[0] if seqs else store.seq + 1
+            assert delta["dropped"] == max(0, min(first - 1, store.seq) - since)
+            assert delta["timeout"] is (store.seq <= since)
+            assert delta["version"] == store.seq

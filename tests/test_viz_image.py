@@ -1,12 +1,16 @@
 """The image encoders and the frames that carry their output, byte for byte.
 
-Socket-free.  The fixed-size container may deflate however it likes — its
-pad hides the payload's size — but everything a client can observe is
-pinned here: the container is exactly ``file_size`` bytes and decodes to
-the published pixels, the browser PNG is byte-identical to the row-join
-encoder it replaced (kept below as the oracle), a PNG is the same whether
-the store still holds the pixels or only a journal-restored container,
-and the ``ws+bin`` frame and its decoder keep their layout.
+Socket-free.  The fixed-size container stores its pixels when they fit
+and deflates them when it must — its pad hides the payload's size — and
+everything a client can observe is pinned here: the container is exactly
+``file_size`` bytes and decodes to the published pixels whichever arm
+wrote it (and whichever commit: a level-1 container built the old way
+still decodes), the stored arm is taken exactly when the raw pixels fit,
+the decoder refuses a lying stored stream as it refuses a lying deflated
+one, the browser PNG is byte-identical to the row-join encoder it
+replaced (kept below as the oracle), a PNG is the same whether the store
+still holds the pixels or only a journal-restored container, and the
+``ws+bin`` frame and its decoder keep their layout.
 """
 
 from __future__ import annotations
@@ -45,6 +49,23 @@ def png_row_join(image: Image) -> bytes:
     raw = b"".join(b"\x00" + image.pixels[row].tobytes() for row in range(h))
     return (_PNG_SIGNATURE + chunk(b"IHDR", ihdr)
             + chunk(b"IDAT", zlib.compress(raw, 6)) + chunk(b"IEND", b""))
+
+
+def stored_stream(data: bytes, block: int = 65535) -> bytes:
+    """``data`` as a zlib stream of stored blocks (RFC 1950 + RFC 1951 §3.2.4),
+    concatenated the slow way: what the container's stored arm must hold."""
+    out = b"\x78\x01"
+    starts = range(0, len(data), block) or [0]
+    for start in starts:
+        chunk = data[start:start + block]
+        out += struct.pack("<BHH", start == starts[-1], len(chunk),
+                           len(chunk) ^ 0xFFFF) + chunk
+    return out + struct.pack(">I", zlib.adler32(data))
+
+
+def stored_payload(image: Image) -> bytes:
+    return (struct.pack("<HH", image.width, image.height)
+            + stored_stream(image.pixels.tobytes()))
 
 
 def decode_binary_delta_copying(payload: bytes) -> dict:
@@ -126,18 +147,25 @@ def _png_chunks(png: bytes) -> list[tuple[bytes, bytes]]:
 
 # -- the fixed-size container --------------------------------------------------
 
+def _payload(blob: bytes) -> bytes:
+    """The container's payload; everything after it must be the zero pad."""
+    assert type(blob) is bytes and blob[:4] == b"RIMG"
+    (length,) = struct.unpack_from("<I", blob, 4)
+    assert blob.count(0, 8 + length) == len(blob) - 8 - length
+    return blob[8:8 + length]
+
+
 class TestFixedSizeContainer:
     @settings(max_examples=120, deadline=None)
     @given(image=_images(), slack=st.integers(0, 4096))
     def test_round_trip_at_any_size_that_fits(self, image, slack):
-        payload = image.to_png_like_bytes()
-        file_size = 8 + len(payload) + slack
+        stored, deflated = stored_payload(image), image.to_png_like_bytes()
+        file_size = 8 + min(len(stored), len(deflated)) + slack
         blob = encode_fixed_size(image, file_size)
-        assert type(blob) is bytes and len(blob) == file_size
-        assert blob[:4] == b"RIMG"
-        assert struct.unpack("<I", blob[4:8]) == (len(payload),)
-        assert blob[8:8 + len(payload)] == payload
-        assert blob.count(0, 8 + len(payload)) == slack  # the pad is all zero
+        assert len(blob) == file_size
+        # The rule, and nothing but the rule: stored iff the raw pixels fit.
+        fits = 8 + len(stored) <= file_size
+        assert _payload(blob) == (stored if fits else deflated)
         back = decode_fixed_size(blob)
         assert back.pixels.dtype == np.uint8
         assert np.array_equal(back.pixels, image.pixels)
@@ -145,24 +173,132 @@ class TestFixedSizeContainer:
     @settings(max_examples=60, deadline=None)
     @given(image=_images())
     def test_one_byte_short_of_an_exact_fit_raises(self, image):
-        exact = 8 + len(image.to_png_like_bytes())
-        assert len(encode_fixed_size(image, exact)) == exact
+        exact = 8 + min(len(stored_payload(image)), len(image.to_png_like_bytes()))
+        blob = encode_fixed_size(image, exact)
+        assert len(blob) == exact == 8 + len(_payload(blob))  # no pad at all
+        assert np.array_equal(decode_fixed_size(blob).pixels, image.pixels)
         with pytest.raises(DataFormatError, match="fixed file size"):
             encode_fixed_size(image, exact - 1)
 
-    def test_noise_does_not_compress_and_still_fits_the_default(self):
-        image = _noise(192, 192)
+    @pytest.mark.parametrize("kind", ["blank", "gradient", "noise", "bowshock"])
+    def test_a_192_frame_is_stored_whatever_it_shows(self, kind, bowshock_frame):
+        image = {"blank": Image.blank(192, 192), "gradient": _gradient(192, 192),
+                 "noise": _noise(192, 192), "bowshock": bowshock_frame}[kind]
         blob = encode_fixed_size(image)
         assert len(blob) == 256 * 1024
-        assert struct.unpack("<I", blob[4:8])[0] > image.nbytes
+        payload = _payload(blob)
+        assert payload == stored_payload(image)
+        # Read off the wire: zlib header, then three stored blocks.
+        assert len(payload) == 4 + 2 + 3 * 5 + 147_456 + 4
+        assert payload[4:6] == b"\x78\x01"
+        at, lens = 6, []
+        for final in (0, 0, 1):
+            flag, n, inverse = struct.unpack_from("<BHH", payload, at)
+            assert (flag, inverse) == (final, n ^ 0xFFFF)  # BTYPE 00, BFINAL
+            lens.append(n)
+            at += 5 + n
+        assert lens == [65535, 65535, 147_456 - 2 * 65535]
+        assert zlib.decompress(payload[4:]) == image.pixels.tobytes()
+        assert np.array_equal(decode_fixed_size(blob).pixels, image.pixels)
+
+    @pytest.mark.parametrize("tier,scale", [(1, 2), (2, 4)])
+    def test_tier_containers_are_stored_too(self, bowshock_frame, tier, scale):
+        # The container shrinks by scale**2 exactly as the pixels do.
+        store = EventSequenceStore()
+        v = store.publish_image(bowshock_frame, cycle=1)
+        blob = store.image_blob(v, tier=tier)
+        small = bowshock_frame.downscale(scale)
+        assert len(blob) == 256 * 1024 // scale**2
+        assert _payload(blob) == stored_payload(small)
+        assert _payload(store.image_blob(v)) == stored_payload(bowshock_frame)
+        assert (store.encode_count, store.tier_encode_count) == (1, 1)
+
+    def test_a_viewport_too_big_to_store_is_deflated(self, bowshock_frame):
+        big = Image(np.tile(bowshock_frame.pixels, (2, 2, 1))[:256, :256])
+        assert big.nbytes == 256 * 1024  # the pixels alone fill the container
+        blob = encode_fixed_size(big)
+        assert len(blob) == 256 * 1024
+        assert _payload(blob) == big.to_png_like_bytes()
+        assert np.array_equal(decode_fixed_size(blob).pixels, big.pixels)
+        with pytest.raises(DataFormatError, match="fixed file size"):
+            encode_fixed_size(_noise(256, 256))  # nothing to squeeze out
+
+    def test_a_small_file_size_is_deflated(self, bowshock_frame):
+        blob = encode_fixed_size(bowshock_frame, 16 * 1024)
+        assert len(blob) == 16 * 1024
+        assert _payload(blob) == bowshock_frame.to_png_like_bytes()
+        assert np.array_equal(decode_fixed_size(blob).pixels, bowshock_frame.pixels)
+
+    @pytest.mark.parametrize("make", [lambda: Image.blank(64, 48),
+                                      lambda: _gradient(70, 33),
+                                      lambda: Image.blank(256, 128)],
+                             ids=["one-block", "gradient", "exactly-two-blocks-worth"])
+    def test_exact_fit_boundary_on_both_arms(self, make):
+        image = make()
+        stored, deflated = stored_payload(image), image.to_png_like_bytes()
+        assert len(deflated) < len(stored) - 1
+        for file_size, want in [(8 + len(stored) + 1, stored),
+                                (8 + len(stored), stored),
+                                (8 + len(stored) - 1, deflated),
+                                (8 + len(deflated) + 1, deflated),
+                                (8 + len(deflated), deflated)]:
+            blob = encode_fixed_size(image, file_size)
+            assert len(blob) == file_size and _payload(blob) == want
+            assert np.array_equal(decode_fixed_size(blob).pixels, image.pixels)
+        with pytest.raises(DataFormatError, match="fixed file size"):
+            encode_fixed_size(image, 8 + len(deflated) - 1)
+
+    def test_noise_does_not_compress_and_still_fits_the_default(self):
+        image = _noise(192, 192)
+        assert len(zlib.compress(image.pixels, 1)) > image.nbytes
+        blob = encode_fixed_size(image)
+        assert len(blob) == 256 * 1024
+        assert struct.unpack("<I", blob[4:8])[0] == image.nbytes + 4 + 2 + 15 + 4
         assert np.array_equal(decode_fixed_size(blob).pixels, image.pixels)
 
     def test_non_contiguous_pixels_encode_as_their_copy(self):
-        view = Image(_noise(16, 24).pixels[::2, ::3])
-        assert not view.pixels.flags.c_contiguous
-        blob = encode_fixed_size(view, 4096)
-        assert np.array_equal(decode_fixed_size(blob).pixels, view.pixels)
-        assert view.to_png_bytes() == png_row_join(view)
+        for base, file_size, arm in [(_noise(16, 24), 4096, stored_payload),
+                                     (_gradient(16, 24), 240, Image.to_png_like_bytes)]:
+            view = Image(base.pixels[::2, ::3])
+            assert not view.pixels.flags.c_contiguous
+            blob = encode_fixed_size(view, file_size)
+            assert _payload(blob) == arm(view)
+            assert np.array_equal(decode_fixed_size(blob).pixels, view.pixels)
+            assert view.to_png_bytes() == png_row_join(view)
+
+    @pytest.mark.parametrize("shape", [(1, 65_536, 4), (65_536, 1, 4)])
+    @pytest.mark.parametrize("file_size", [1 << 20, 1024], ids=["stored", "deflated"])
+    def test_a_side_over_65535_pixels_is_a_format_error(self, shape, file_size):
+        # "<HH" cannot say it; struct.error used to escape publish_image.
+        image = Image(np.zeros(shape, dtype=np.uint8))
+        with pytest.raises(DataFormatError, match="65535"):
+            encode_fixed_size(image, file_size)
+        with pytest.raises(DataFormatError, match="65535"):
+            image.to_png_like_bytes()
+        store = EventSequenceStore(file_size=file_size)
+        with pytest.raises(DataFormatError, match="65535"):
+            store.publish_image(image)
+        assert store.seq == 0 and store.encode_count == 0
+        widest = Image(np.zeros((1, 65_535, 4), dtype=np.uint8))
+        assert decode_fixed_size(encode_fixed_size(widest, 1 << 20)).width == 65_535
+
+    @settings(max_examples=60, deadline=None)
+    @given(image=_images(), slack=st.integers(0, 300))
+    def test_a_level_1_container_built_the_old_way_still_decodes(self, image, slack):
+        # What a journal written before the stored arm holds.
+        stream = zlib.compress(np.ascontiguousarray(image.pixels), 1)
+        old = _container(image.width, image.height, stream,
+                         file_size=12 + len(stream) + slack)
+        assert np.array_equal(decode_fixed_size(old).pixels, image.pixels)
+
+    def test_a_journaled_level_1_frame_serves_the_same_png(self, bowshock_frame):
+        stream = zlib.compress(bowshock_frame.pixels, 1)
+        replay = EventSequenceStore()
+        replay.restore_event("image", "image", 3, {"version": 5, "cycle": 3},
+                             seq=5, blob=_container(192, 192, stream))
+        assert replay.image_png(5) == png_row_join(bowshock_frame)
+        assert replay.image_png(5, tier=1) == png_row_join(bowshock_frame.downscale(2))
+        assert replay.encode_count == 0
 
 
 def _container(width: int, height: int, stream: bytes,
@@ -174,13 +310,11 @@ def _container(width: int, height: int, stream: bytes,
 
 
 class TestBoundedInflate:
-    def test_deflate_bomb_is_refused_without_being_inflated(self):
-        # 200 MiB of zeros deflate to ~200 KiB: fits the default container.
-        deflater = zlib.compressobj(9)
-        mib = bytes(1 << 20)
-        stream = b"".join(deflater.compress(mib) for _ in range(200))
-        stream += deflater.flush()
-        bomb = _container(1, 1, stream)
+    """The decoder's checks, on streams a deflater wrote."""
+
+    stream = staticmethod(zlib.compress)
+
+    def _refused_within(self, bomb: bytes, limit: int) -> None:
         assert len(bomb) == 256 * 1024
         tracemalloc.start()
         try:
@@ -189,15 +323,24 @@ class TestBoundedInflate:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 << 20  # unbounded, it allocated 438 MiB
+        assert peak < limit
+
+    def test_deflate_bomb_is_refused_without_being_inflated(self):
+        # 200 MiB of zeros deflate to ~200 KiB: fits the default container.
+        deflater = zlib.compressobj(9)
+        mib = bytes(1 << 20)
+        stream = b"".join(deflater.compress(mib) for _ in range(200))
+        stream += deflater.flush()
+        # unbounded, it allocated 438 MiB
+        self._refused_within(_container(1, 1, stream), 4 << 20)
 
     def test_stream_longer_than_the_header_declares(self):
-        stream = zlib.compress(bytes(4 * 4 * 4 + 1))
+        stream = self.stream(bytes(4 * 4 * 4 + 1))
         with pytest.raises(DataFormatError):
             decode_fixed_size(_container(4, 4, stream))
 
     def test_stream_shorter_than_the_header_declares(self):
-        stream = zlib.compress(bytes(4 * 4 * 4 - 1))
+        stream = self.stream(bytes(4 * 4 * 4 - 1))
         with pytest.raises(DataFormatError):
             decode_fixed_size(_container(4, 4, stream))
 
@@ -205,7 +348,7 @@ class TestBoundedInflate:
     def test_truncated_stream(self, cut):
         # Cutting the adler32 trailer leaves every pixel inflated but the
         # stream unfinished; cutting deeper loses pixels too.
-        stream = zlib.compress(_noise(8, 8).pixels.tobytes())
+        stream = self.stream(_noise(8, 8).pixels.tobytes())
         with pytest.raises(DataFormatError):
             decode_fixed_size(_container(8, 8, stream[:-cut]))
 
@@ -213,7 +356,7 @@ class TestBoundedInflate:
                              ids=["nul", "text", "300-nuls"])
     def test_bytes_after_the_stream(self, junk):
         image = _noise(8, 8)
-        stream = zlib.compress(image.pixels.tobytes())
+        stream = self.stream(image.pixels.tobytes())
         assert np.array_equal(
             decode_fixed_size(_container(8, 8, stream)).pixels, image.pixels)
         with pytest.raises(DataFormatError):
@@ -225,8 +368,41 @@ class TestBoundedInflate:
 
     def test_empty_image_round_trips(self):
         empty = Image(np.zeros((0, 5, 4), dtype=np.uint8))
-        back = decode_fixed_size(encode_fixed_size(empty, 64))
+        blob = encode_fixed_size(empty, 64)
+        # Stored: one final block of no bytes, adler32 of nothing.
+        assert _payload(blob) == (b"\x05\0\0\0" b"\x78\x01"
+                                  b"\x01\0\0\xff\xff" b"\0\0\0\x01")
+        back = decode_fixed_size(blob)
         assert back.pixels.shape == (0, 5, 4)
+        deflated = decode_fixed_size(encode_fixed_size(empty, 8 + 4 + 8))
+        assert deflated.pixels.shape == (0, 5, 4)
+
+
+class TestBoundedInflateStored(TestBoundedInflate):
+    """The same checks on hand-built stored streams: a copy can lie too."""
+
+    stream = staticmethod(stored_stream)
+
+    def test_deflate_bomb_is_refused_without_being_inflated(self):
+        # A stored stream cannot expand, but it can declare 1 x 1 around
+        # 200 kB; the decoder must stop after the five bytes it agreed to.
+        self._refused_within(_container(1, 1, stored_stream(bytes(200_000))),
+                             4 << 20)
+
+    @pytest.mark.parametrize("block", [1, 7, 255, 256, 65535])
+    def test_any_block_size_decodes(self, block):
+        image = _noise(8, 8)
+        stream = stored_stream(image.pixels.tobytes(), block)
+        assert np.array_equal(
+            decode_fixed_size(_container(8, 8, stream)).pixels, image.pixels)
+
+    @pytest.mark.parametrize("at", [2, 5, 20, -1], ids=[
+        "no-such-block-type", "len-nlen-disagree", "pixel-changed", "adler32-off"])
+    def test_corrupt_stream(self, at):
+        stream = bytearray(stored_stream(_noise(8, 8).pixels.tobytes()))
+        stream[at] ^= 0x06
+        with pytest.raises(DataFormatError, match="corrupt"):
+            decode_fixed_size(_container(8, 8, bytes(stream)))
 
 
 # -- the browser PNG -----------------------------------------------------------
@@ -379,11 +555,14 @@ class TestDecodeBinaryDelta:
             assert "blob_offset" not in comp["props"]
             assert "blob_len" not in comp["props"]
 
-    def test_blob_pointing_past_the_section_is_cut_like_a_slice(self):
-        payload = _binary_payload([b"abcdef"])[:-2]
-        assert decode_binary_delta(payload) == decode_binary_delta_copying(payload)
-        blob = decode_binary_delta(payload)["components"][1]["props"]["blob"]
-        assert blob == b"abcd"
+    def test_blob_pointing_past_the_section_raises(self):
+        # A slice would forgive it: b"abcd" for a blob declared six long.
+        payload = _binary_payload([b"abcdef"])
+        assert decode_binary_delta(payload)["components"][1]["props"]["blob"] == b"abcdef"
+        assert decode_binary_delta_copying(
+            payload[:-2])["components"][1]["props"]["blob"] == b"abcd"
+        with pytest.raises(WebServerError, match="blob pointer"):
+            decode_binary_delta(payload[:-2])
 
     def test_truncations_raise(self):
         payload = _binary_payload([b"xyz"])

@@ -1,13 +1,16 @@
-"""``repro.web.framing``: the HTTP request parser and WebSocket masking.
+"""``repro.web.framing``: the HTTP request parser, WebSocket frames, ``ws+bin``.
 
 Socket-free: the parsers are pure functions of a byte buffer, so
 split-invariance (any chunking of the same bytes parses the same) and
 every rejection path are checked without a server.  The WebSocket half
-holds the vectorized (un)masking to the per-byte loop it replaced.
+holds the vectorized (un)masking to the per-byte loop it replaced, the
+frame parser to one answer however its bytes arrive, and both it and the
+binary-delta decoder to one exception type whatever the bytes say.
 """
 
 from __future__ import annotations
 
+import json
 import struct
 import time
 
@@ -16,11 +19,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import WebServerError
+from repro.steering.events import ws_server_frame
 from repro.web.framing import (
     _MAX_BODY_BYTES,
     _MAX_HEADER_BYTES,
     _MAX_WS_PAYLOAD,
     HttpRequest,
+    decode_binary_delta,
     parse_request,
     parse_ws_frames,
     ws_client_frame,
@@ -41,6 +46,13 @@ def _feed(chunks) -> tuple[list[tuple], bytes]:
         while (request := parse_request(buf)) is not None:
             parsed.append(_fields(request))
     return parsed, bytes(buf)
+
+
+def _chunkings(data, stream: bytes) -> list[bytes]:
+    """``stream`` cut at up to a dozen drawn offsets, as reads off a socket would."""
+    cuts = sorted(set(data.draw(st.lists(st.integers(0, len(stream)), max_size=12))))
+    bounds = [0, *cuts, len(stream)]
+    return [stream[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 _TOKEN = st.text("abcdefghijklmnopqrstuvwxyz0123456789-", min_size=1, max_size=8)
@@ -76,11 +88,7 @@ def test_any_chunking_parses_the_same_requests(requests, tail, data):
     whole, remainder = _feed([stream])
     assert len(whole) == len(requests)
     assert remainder == tail
-    cuts = sorted(set(data.draw(
-        st.lists(st.integers(0, len(stream)), max_size=12))))
-    bounds = [0, *cuts, len(stream)]
-    chunks = [stream[a:b] for a, b in zip(bounds, bounds[1:])]
-    assert _feed(chunks) == (whole, remainder)
+    assert _feed(_chunkings(data, stream)) == (whole, remainder)
 
 
 def test_incomplete_request_leaves_the_buffer_untouched():
@@ -229,3 +237,165 @@ def test_a_mebibyte_unmasks_in_milliseconds():
         costs.append(time.thread_time() - started)
         assert frames == [(_WS_BINARY, payload)]
     assert min(costs) < 0.025
+
+
+# -- WebSocket frames: one answer however the bytes arrive ---------------------
+
+def _feed_ws(chunks, require_mask: bool) -> tuple[list[tuple[int, bytes]], bytes]:
+    """Parse as a connection would: append a chunk, take the complete frames."""
+    buf = bytearray()
+    frames = []
+    for chunk in chunks:
+        buf += chunk
+        frames += parse_ws_frames(buf, require_mask)
+    return frames, bytes(buf)
+
+
+#: Every length encoding and its edges, up to the frame a published image makes.
+_FRAME_LENGTHS = st.one_of(
+    st.integers(0, 200),
+    st.sampled_from([125, 126, 127, 65535, 65536, 262_508, 300_000]),
+)
+_DATA_FRAME = st.tuples(st.sampled_from([0x0, 0x1, 0x2]), _FRAME_LENGTHS)
+_CONTROL_FRAME = st.tuples(st.sampled_from([0x8, 0x9, 0xA]), st.integers(0, 125))
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["server-frames", "client-frames"])
+@settings(max_examples=60, deadline=None)
+@given(frames=st.lists(st.one_of(_DATA_FRAME, _CONTROL_FRAME), min_size=1, max_size=5),
+       seed=st.integers(0, 2**16),
+       tail=st.sampled_from([b"", b"\x82", b"\x82\x7e\x01", b"\x82\x7f\0\0\0\0\0\1",
+                             b"\x89\x03ab"]),
+       data=st.data())
+def test_any_chunking_parses_the_same_frames(masked, frames, seed, tail, data):
+    rng = np.random.default_rng(seed)
+    sent = [(opcode, rng.bytes(length)) for opcode, length in frames]
+    build = ws_client_frame if masked else ws_server_frame
+    if masked:  # an unfinished *masked* frame, so the tail is legal this way too
+        tail = bytes(b | 0x80 if i == 1 else b for i, b in enumerate(tail))
+    stream = b"".join(build(payload, opcode) for opcode, payload in sent) + tail
+    whole, residue = _feed_ws([stream], masked)
+    assert whole == sent and residue == tail
+    assert all(type(payload) is bytes for _, payload in whole)
+    assert _feed_ws(_chunkings(data, stream), masked) == (whole, residue)
+    assert _feed_ws([stream[i:i + 1] for i in range(min(len(stream), 400))]
+                    + [stream[400:]], masked) == (whole, residue)
+
+
+@pytest.mark.parametrize("frame,why", [
+    (b"\x82\x83mask123", "masked"),              # a server never masks
+    (b"\xc2\x03abc", "reserved"),                # RSV1
+    (b"\x92\x03abc", "reserved"),                # RSV3
+    (b"\x82\x7f" + struct.pack(">Q", _MAX_WS_PAYLOAD + 1), "too large"),
+    (b"\x82\x7f" + struct.pack(">Q", 1 << 63), "too large"),
+    (b"\x89\x7e\x00\x7e" + bytes(126), "control"),  # a 126-byte ping
+    (b"\x09\x00", "control"),                     # a fragmented ping
+    (b"\x08\x02\x03\xe8", "control"),            # a close without FIN
+])
+def test_a_frame_the_client_must_refuse_raises_one_error_type(frame, why):
+    good = ws_server_frame(b"before", 0x2)
+    for prefix in (b"", good):
+        for chunks in ([prefix + frame], [prefix, frame[:1], frame[1:]]):
+            with pytest.raises(WebServerError, match=why):
+                _feed_ws(chunks, require_mask=False)
+    with pytest.raises(WebServerError, match="masked"):  # and the server's side of it
+        parse_ws_frames(bytearray(good), require_mask=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(garbage=st.binary(max_size=64), require_mask=st.booleans(), data=st.data())
+def test_garbage_frames_parse_or_raise_web_server_error(garbage, require_mask, data):
+    def outcome(chunks):
+        try:
+            return _feed_ws(chunks, require_mask)
+        except WebServerError:
+            return "refused"
+
+    assert outcome(_chunkings(data, garbage)) == outcome([garbage])
+
+
+# -- decode_binary_delta: bytes straight off a socket --------------------------
+
+def _binary_delta(header, blobs: bytes = b"") -> bytes:
+    base = header if isinstance(header, bytes) else json.dumps(header).encode()
+    return struct.pack(">I", len(base)) + base + blobs
+
+
+def _image(**props) -> dict:
+    return {"id": "image", "version": 2, "props": props}
+
+
+def _pointing(**pointer) -> bytes:
+    return _binary_delta({"components": [_image(**pointer)]}, b"abcdef")
+
+
+@pytest.mark.parametrize("payload", [
+    pytest.param(_pointing(blob_offset=7, blob_len=0), id="offset-past-the-section"),
+    pytest.param(_pointing(blob_offset=4, blob_len=3), id="blob-runs-past-the-section"),
+    pytest.param(_pointing(blob_offset=-2, blob_len=1), id="negative-offset"),
+    pytest.param(_pointing(blob_offset=2, blob_len=-1), id="negative-length"),
+    pytest.param(_pointing(blob_offset="0", blob_len=1), id="string-offset"),
+    pytest.param(_pointing(blob_offset=0, blob_len=1.0), id="float-length"),
+    pytest.param(_pointing(blob_offset=True, blob_len=1), id="bool-offset"),
+    pytest.param(_pointing(blob_offset=0, blob_len=None), id="null-length"),
+    pytest.param(_pointing(blob_offset=0), id="no-length"),
+    pytest.param(_pointing(blob_offset=1 << 70, blob_len=1), id="huge-offset"),
+    pytest.param(_binary_delta([{"components": []}]), id="json-list"),
+    pytest.param(_binary_delta("components"), id="json-string"),
+    pytest.param(_binary_delta(None), id="json-null"),
+    pytest.param(_binary_delta({"components": {"id": "image"}}), id="components-object"),
+    pytest.param(_binary_delta({"components": ["image"]}), id="component-string"),
+    pytest.param(_binary_delta({"components": [None]}), id="component-null"),
+    pytest.param(_binary_delta({"components": [{"id": "image", "props": [1, 2]}]}),
+                 id="props-list"),
+    pytest.param(_binary_delta(b"{not json"), id="not-json"),
+    pytest.param(_binary_delta(b""), id="empty-header"),
+    pytest.param(_binary_delta(b'{"components": "\xff\xfe"}'), id="bad-utf8"),
+    pytest.param(_binary_delta(b'{"version": ' + b"9" * 5000 + b"}"),
+                 id="5000-digit-int"),
+    pytest.param(_binary_delta(b"[" * 100_000), id="100000-deep"),
+    pytest.param(struct.pack(">I", 50) + b'{"components": []}', id="length-lies"),
+    pytest.param(b"\x00\x00", id="no-length-prefix"),
+])
+def test_a_lying_binary_delta_raises_web_server_error(payload):
+    with pytest.raises(WebServerError):
+        decode_binary_delta(payload)
+
+
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-4, 12), st.floats(allow_nan=False),
+              st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=8)
+_POINTER = st.one_of(st.integers(-4, 12), _JSON)
+_COMPONENT = st.one_of(_JSON, st.fixed_dictionaries(
+    {"id": st.just("image"), "props": st.one_of(_JSON, st.fixed_dictionaries(
+        {}, optional={"blob_offset": _POINTER, "blob_len": _POINTER, "cycle": _JSON}))}))
+_HEADER = st.one_of(_JSON, st.fixed_dictionaries(
+    {"version": _JSON}, optional={"components": st.one_of(_JSON, st.lists(_COMPONENT, max_size=3))}))
+
+
+@settings(max_examples=400, deadline=None)
+@given(header=st.one_of(_HEADER, st.binary(max_size=24)), blobs=st.binary(max_size=8),
+       lie=st.integers(-6, 6), cut=st.integers(0, 12))
+def test_any_binary_delta_decodes_or_raises_web_server_error(header, blobs, lie, cut):
+    payload = bytearray(_binary_delta(header, blobs))
+    struct.pack_into(">I", payload, 0, max(0, len(payload) - 4 - len(blobs) + lie))
+    payload = bytes(payload[:len(payload) - cut])
+    try:
+        delta = decode_binary_delta(payload)
+    except WebServerError:
+        return
+    # Accepted: then every pointer was honoured exactly, never forgiven.
+    (json_len,) = struct.unpack_from(">I", payload)
+    section = payload[4 + json_len:]
+    sent = json.loads(payload[4:4 + json_len])
+    assert isinstance(delta, dict)
+    for comp, was in zip(delta.get("components", []), sent.get("components", [])):
+        if "blob_offset" in was.get("props", {}):
+            start, length = was["props"]["blob_offset"], was["props"]["blob_len"]
+            assert 0 <= start and 0 <= length and start + length <= len(section)
+            assert comp["props"]["blob"] == section[start:start + length]
+            assert type(comp["props"]["blob"]) is bytes
+            assert "blob_offset" not in comp["props"] and "blob_len" not in comp["props"]
