@@ -3,13 +3,20 @@
 Each benchmark regenerates one paper artifact (DESIGN.md §4) and
 registers its paper-style table via ``record_report`` so everything is
 printed in the terminal summary after the pytest-benchmark stats.
-``BENCH_*.json`` artifacts go through :func:`write_json_artifact`,
-which writes atomically (fsync before rename, via the hardened helper
-in :mod:`repro.obs.atomic`) so a CI kill — or a power cut — mid-run can
-never leave (and CI never uploads) a truncated artifact.
+``BENCH_*.json`` artifacts go through :func:`write_json_artifact` /
+:func:`merge_json_artifact`, which write atomically (fsync before
+rename, via the hardened helper in :mod:`repro.obs.atomic`) so a CI kill
+— or a power cut — mid-run can never leave (and CI never uploads) a
+truncated artifact.  They write only when ``RICSA_BENCH_ARTIFACT_DIR``
+names a directory (the CI bench jobs set it to the workspace); without
+it a run prints its tables and leaves the committed files alone, so the
+Tier-1 command ends with a clean ``git status``.
 """
 
 from __future__ import annotations
+
+import os
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +30,13 @@ from repro.obs.atomic import atomic_write_json, merge_json_file
 record_report = record_bench_report
 
 
+def _artifact_target(path) -> Path | None:
+    """``path``'s file name under ``RICSA_BENCH_ARTIFACT_DIR``, or None
+    (write nothing) when the variable is unset."""
+    directory = os.environ.get("RICSA_BENCH_ARTIFACT_DIR")
+    return Path(directory) / Path(path).name if directory else None
+
+
 def write_json_artifact(path, payload: dict) -> None:
     """Serialize ``payload`` to ``path`` atomically (fsync + rename).
 
@@ -32,7 +46,9 @@ def write_json_artifact(path, payload: dict) -> None:
     payload or the previous one, never a prefix — even across a crash
     of the machine, not just the process.
     """
-    atomic_write_json(path, payload, sort_keys=False)
+    target = _artifact_target(path)
+    if target is not None:
+        atomic_write_json(target, payload, sort_keys=False)
 
 
 def merge_json_artifact(path, updates: dict) -> None:
@@ -45,7 +61,9 @@ def merge_json_artifact(path, updates: dict) -> None:
     committed version of the rest.  A section no job writes any more
     stays until it is removed from the committed file by hand.
     """
-    merge_json_file(path, updates, sort_keys=False)
+    target = _artifact_target(path)
+    if target is not None:
+        merge_json_file(target, updates, sort_keys=False)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -56,6 +74,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line("")
             for line in report.splitlines():
                 terminalreporter.write_line(line)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def committed_artifacts_untouched():
+    """However a bench writes, a run that names no artifact directory
+    ends with every committed ``BENCH_*.json`` byte-identical."""
+    files = sorted(Path(__file__).resolve().parent.parent.glob("BENCH_*.json"))
+    before = [f.read_bytes() for f in files]
+    yield
+    if not os.environ.get("RICSA_BENCH_ARTIFACT_DIR"):
+        assert [f.read_bytes() for f in files] == before, (
+            "a benchmark rewrote a committed BENCH_*.json")
 
 
 @pytest.fixture(scope="session")

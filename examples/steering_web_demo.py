@@ -205,7 +205,6 @@ def main() -> None:
             variable="pressure",
             technique="isosurface",
             n_cycles=120,
-            background=True,
             session_id="bowshock",
             sim_kwargs={"shape": (40, 24, 24)},
             push_every=4,
@@ -215,7 +214,6 @@ def main() -> None:
             simulator="heat",
             technique="isosurface",
             n_cycles=120,
-            background=True,
             session_id="heat",
             sim_kwargs={"shape": (16, 16, 16)},
             push_every=4,

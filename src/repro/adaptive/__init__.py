@@ -8,7 +8,7 @@ live estimates to pick a delivery tier from the fixed
 :data:`TIER_LADDER`.
 """
 
-from repro.adaptive.controller import AdaptiveDeliveryController
+from repro.adaptive.controller import AdaptiveDeliveryController, next_rung
 from repro.adaptive.estimator import ClientLinkEstimator
 from repro.adaptive.tiers import MAX_TIER, TIER_LADDER, DeliveryTier, clamp_tier
 
@@ -19,4 +19,5 @@ __all__ = [
     "TIER_LADDER",
     "MAX_TIER",
     "clamp_tier",
+    "next_rung",
 ]

@@ -31,7 +31,7 @@ from repro.net.measurement import PathEstimate
 from repro.net.topology import LinkSpec, NodeSpec, Topology
 from repro.viz.pipeline import ModuleSpec, VisualizationPipeline
 
-__all__ = ["AdaptiveDeliveryController"]
+__all__ = ["AdaptiveDeliveryController", "next_rung"]
 
 _SERVER = "server"
 _CLIENT = "client"
@@ -39,6 +39,53 @@ _CLIENT = "client"
 #: Per-byte display cost charged to the client node (decode + blit); the
 #: same order as the ``display`` module of ``standard_pipeline``.
 _DISPLAY_COMPLEXITY = 1.0e-9
+
+
+def next_rung(
+    tier: int,
+    max_tier: int,
+    lod_bias: int = 0,
+    max_bias: int | None = None,
+    *,
+    heavy: bool = False,
+    stale: bool = False,
+    decided_tier: int | None = None,
+    decided_bias: int | None = None,
+) -> tuple[int, int]:
+    """The degrade-before-disconnect ladder: ``(tier, lod_bias)`` to move to.
+
+    One rule for both places a connection is re-graded.  At every
+    enqueue the server passes what it sees of the write queue: ``heavy``
+    (backlog past half the write budget) sheds one rung per event, so
+    frames shrink before the budget can fill, and ``stale`` (backlog
+    older than the staleness budget) jumps to the last rung — the client
+    is so far behind that intermediate frames are pure liability.  At
+    the housekeeping cadence it also passes the controller's verdicts
+    (:meth:`AdaptiveDeliveryController.decide` as ``decided_tier``,
+    :meth:`~AdaptiveDeliveryController.decide_lod` minus the requested
+    LOD as ``decided_bias``), which apply when the backlog is neither
+    heavy nor stale — including promotions back toward full quality.
+
+    ``max_bias`` is how many LOD levels a windowed client can still be
+    coarsened by (None: not windowed).  Windowed clients shed bytes by
+    coarsening LOD first — an 8x per level lever on brick payloads — and
+    image tiers are the fallback once the LOD ladder saturates.
+    ``max_tier`` is the deepest tier the client accepts (0 pins full
+    quality: the server will disconnect rather than degrade).
+    """
+    if not (heavy or stale):
+        if decided_bias is not None:
+            lod_bias = max(0, decided_bias)
+        if decided_tier is not None:
+            tier = min(clamp_tier(decided_tier), max_tier)
+        return tier, lod_bias
+    if max_bias is not None:
+        bias = min(max(lod_bias + 1 if heavy else max_bias, 0), max_bias)
+        if bias != lod_bias:
+            return tier, bias
+    if tier < max_tier:
+        tier = tier + 1 if heavy else max_tier
+    return tier, lod_bias
 
 
 class AdaptiveDeliveryController:
@@ -103,10 +150,6 @@ class AdaptiveDeliveryController:
             ],
             [LinkSpec(_SERVER, _CLIENT, bandwidth=1.0, prop_delay=0.0)],
         )
-
-    def tier_bytes(self, tier: int) -> int:
-        """Approximate image payload bytes at ``tier``."""
-        return max(1, int(self.image_bytes * TIER_LADDER[clamp_tier(tier)].payload_fraction))
 
     def predicted_delay(self, tier: int, estimate: PathEstimate) -> float:
         """DP-predicted frame delay for ``tier`` over the estimated link."""

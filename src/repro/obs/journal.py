@@ -10,18 +10,22 @@ blob pool unboundedly.  With an :class:`~repro.obs.store.ObsStore`
 attached the same rows ride the store's single writer thread to SQLite,
 which is what makes replay survive eviction *and* server restart.
 
-Replay is :meth:`rehydrate`: rebuild a fresh ``EventSequenceStore`` by
-re-appending the journaled rows with their **original sequence
+Replay is a :class:`ReplayCursor`: a fresh ``EventSequenceStore`` that
+the journaled rows are re-appended into with their **original sequence
 numbers** (``EventSequenceStore.restore_event`` preserves seq and props
 verbatim), so the rebuilt store serves a byte-identical JSON delta
 sequence through the existing long-poll/SSE/WS surface.  Image rows
 whose blob fell out of the byte budget are restored meta-only and
 counted — the replay response reports them as ``skipped_images``.
+:meth:`SessionJournal.rehydrate` steps a cursor to its end at once; a
+paced replay is the same cursor stepped by the web tier's IO loop, one
+row per interval (:func:`step_replays`), so it costs zero threads.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import threading
 import time
 from collections import OrderedDict
@@ -29,20 +33,73 @@ from collections import OrderedDict
 from repro.errors import WebServerError
 from repro.steering.events import EventSequenceStore, SessionEvent
 
-__all__ = ["SessionJournal", "restore_row"]
+__all__ = ["SessionJournal", "ReplayCursor", "step_replays"]
 
 
 def _digest(blob: bytes) -> str:
     return hashlib.blake2b(blob, digest_size=16).hexdigest()
 
 
-def restore_row(events: EventSequenceStore, row: dict,
-                blob: bytes | None) -> int:
-    """Re-append one journaled row into ``events`` at its original seq."""
-    return events.restore_event(
-        row["kind"], row["component"], row["cycle"], row["props"],
-        seq=row["seq"], blob=blob,
-    )
+class ReplayCursor:
+    """One journaled session being restored, row by row, into ``events``.
+
+    ``interval`` seconds separate two rows (0 restores everything at the
+    first step) and ``now`` is the clock reading the pacing starts from;
+    the caller owns the clock and hands its reading to :meth:`step`.
+    Each restore fires the store's listeners, so connected clients are
+    woken through the normal publish path and can scrub the run "live".
+    """
+
+    __slots__ = ("events", "rows", "journal", "interval", "next_due",
+                 "pos", "skipped")
+
+    def __init__(self, journal: "SessionJournal", rows: list[dict],
+                 events: EventSequenceStore, interval: float = 0.0,
+                 now: float = 0.0) -> None:
+        self.journal = journal
+        self.rows = rows
+        self.events = events
+        self.interval = float(interval)
+        self.next_due = now + self.interval
+        self.pos = 0
+        self.skipped = 0  # image rows whose blob left the byte budget
+
+    def step(self, now: float = math.inf) -> bool:
+        """Restore every row due at ``now``; True once the replay is over.
+
+        A row that cannot be restored ends the replay (the cursor reads
+        as finished) and the error propagates to the caller.
+        """
+        try:
+            while self.pos < len(self.rows) and self.next_due <= now:
+                row = self.rows[self.pos]
+                self.pos += 1
+                self.next_due += self.interval
+                blob = self.journal.blob(row["digest"])  # None for a digest of None
+                if blob is None and row["kind"] == "image":
+                    self.skipped += 1  # left the byte budget: restored meta-only
+                self.events.restore_event(
+                    row["kind"], row["component"], row["cycle"], row["props"],
+                    seq=row["seq"], blob=blob)
+        except Exception:
+            self.pos = len(self.rows)
+            raise
+        return self.pos >= len(self.rows)
+
+
+def step_replays(cursors: list[ReplayCursor], now: float) -> None:
+    """Step every paced replay to ``now``; finished ones leave ``cursors``.
+
+    The list is edited in place, one ``remove`` per finished cursor, so
+    a worker thread may ``append`` a new replay while the IO loop steps.
+    """
+    for cursor in list(cursors):
+        try:
+            done = cursor.step(now)
+        except Exception:  # a bad row ends this replay and no other
+            done = True
+        if done:
+            cursors.remove(cursor)
 
 
 class SessionJournal:
@@ -84,6 +141,12 @@ class SessionJournal:
             self._register_locked(sid)
         events.attach_tap(
             lambda event, blob, sid=sid: self.record(sid, event, blob))
+
+    def forget(self, sid: str) -> None:
+        """Drop ``sid``'s in-memory rows (its creation was refused); rows
+        already queued for SQLite age out under the store's retention."""
+        with self._lock:
+            self._events.pop(sid, None)
 
     def _register_locked(self, sid: str) -> None:
         rows = self._events.get(sid)
@@ -174,15 +237,18 @@ class SessionJournal:
 
     # -- replay ------------------------------------------------------------------
 
-    def empty_store_for(self, rows: list[dict],
-                        file_size: int = 256 * 1024) -> EventSequenceStore:
-        """A fresh store sized so every journaled row stays retained."""
+    def replay(self, sid: str, file_size: int = 256 * 1024,
+               interval: float = 0.0, now: float = 0.0) -> ReplayCursor:
+        """A cursor over ``sid``'s rows and a fresh, still empty store
+        sized so every journaled row stays retained."""
+        rows = self.rows(sid)  # raises WebServerError if unknown
         images = sum(1 for row in rows if row["kind"] == "image")
-        return EventSequenceStore(
+        events = EventSequenceStore(
             file_size=file_size,
             capacity=max(len(rows), 1) + 16,
             image_capacity=max(images, 1),
         )
+        return ReplayCursor(self, rows, events, interval, now)
 
     def rehydrate(self, sid: str,
                   file_size: int = 256 * 1024) -> tuple[EventSequenceStore, int]:
@@ -193,17 +259,9 @@ class SessionJournal:
         out of the byte budget (clients fetching those versions get the
         same "no longer retained" answer a live slow poller gets).
         """
-        rows = self.rows(sid)
-        events = self.empty_store_for(rows, file_size=file_size)
-        skipped = 0
-        for row in rows:
-            blob = None
-            if row["kind"] == "image":
-                blob = self.blob(row["digest"])
-                if blob is None:
-                    skipped += 1
-            restore_row(events, row, blob)
-        return events, skipped
+        cursor = self.replay(sid, file_size)
+        cursor.step()
+        return cursor.events, cursor.skipped
 
     def stats(self) -> dict:
         with self._lock:

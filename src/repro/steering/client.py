@@ -2,9 +2,9 @@
 
 Drives sessions owned by a :class:`~repro.steering.manager.SessionManager`
 with the calls a GUI exposes: pick a simulation, watch images arrive,
-steer parameters, rotate/zoom, stop.  The web package's HTTP handlers
-delegate to exactly this object, so browser actions and test actions
-share one code path.  Unlike the seed's single-session client, one
+steer parameters, stop.  The web tier's ``POST /api/v1/sessions`` starts
+sessions through exactly this object, so browser actions and test
+actions share one code path.  Unlike the seed's single-session client, one
 client can start and address many named sessions; ``session_id=None``
 on the per-session calls means "the session started most recently".
 """
@@ -15,7 +15,6 @@ from repro.errors import SteeringError
 from repro.steering.central_manager import CentralManager
 from repro.steering.manager import SessionManager
 from repro.steering.session import SteeringSession
-from repro.viz.image import decode_fixed_size
 
 __all__ = ["SteeringClient"]
 
@@ -36,17 +35,17 @@ class SteeringClient:
         technique: str = "isosurface",
         variable: str | None = None,
         n_cycles: int = 20,
-        background: bool = True,
         session_id: str | None = None,
         initial_params: dict | None = None,
         sim_kwargs: dict | None = None,
         push_every: int = 1,
     ) -> SteeringSession:
-        """Begin a monitored run of ``simulator`` in a new named session."""
+        """Begin a monitored run of ``simulator`` in a new named session,
+        stepping on the manager's executor without blocking the caller."""
         session = self.manager.create(
             session_id,
-            configure=True,
             initial_params=initial_params,
+            n_cycles=n_cycles,
             simulator=simulator,
             technique=technique,
             variable=variable,
@@ -54,10 +53,6 @@ class SteeringClient:
             push_every=push_every,
         )
         self.session = session
-        if background:
-            session.start_background(n_cycles)
-        else:
-            session.run(n_cycles)
         return session
 
     def _resolve(self, session_id: str | None = None) -> SteeringSession:
@@ -69,14 +64,6 @@ class SteeringClient:
 
     # -- monitoring ------------------------------------------------------------------
 
-    def latest_image(self, session_id: str | None = None):
-        """Decode the most recent image, if any."""
-        s = self._resolve(session_id)
-        record = s.events.latest_image()
-        if record is None:
-            return None
-        return decode_fixed_size(record.blob), record
-
     def wait_for_image(self, since: int = 0, timeout: float = 10.0,
                        session_id: str | None = None):
         """Block until an image event newer than seq ``since`` arrives."""
@@ -86,24 +73,11 @@ class SteeringClient:
             raise SteeringError(f"no image newer than v{since} within {timeout}s")
         return record
 
-    def poll(self, since: int = 0, timeout: float = 5.0,
-             session_id: str | None = None) -> dict:
-        """One long poll against a session's event sequence."""
-        return self._resolve(session_id).events.wait_delta(since, timeout=timeout)
-
     # -- steering --------------------------------------------------------------------
 
     def steer(self, session_id: str | None = None, **params) -> None:
         """Adjust simulation parameters mid-run."""
         self._resolve(session_id).steer(params)
-
-    def rotate(self, azimuth: float, elevation: float | None = None,
-               session_id: str | None = None) -> None:
-        self._resolve(session_id).set_camera(azimuth=azimuth, elevation=elevation)
-
-    def zoom(self, factor: float, session_id: str | None = None) -> None:
-        s = self._resolve(session_id)
-        s.set_camera(zoom=s._camera.zoom * factor)
 
     def stop(self, session_id: str | None = None) -> None:
         s = self._resolve(session_id)

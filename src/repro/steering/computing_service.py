@@ -51,7 +51,7 @@ class ComputingServiceNode:
             if runner is not None
             else VisualizationLoopRunner.__new__(VisualizationLoopRunner)._run_module
         )
-        self.executor = executor  # None -> SimulationExecutor.shared() on demand
+        self.executor = executor  # what execute_async runs on
         self.records: list[ExecutionRecord] = []
 
     def execute(self, entry: VRTEntry, data, params: dict):
@@ -83,11 +83,10 @@ class ComputingServiceNode:
         work unit shares the executor's bounded worker pool with the
         sessions' step-slices — no thread is created per execution.
         """
-        from repro.steering.executor import SimulationExecutor
-
-        executor = self.executor if self.executor is not None \
-            else SimulationExecutor.shared()
-        return executor.submit_call(
+        if self.executor is None:
+            raise SteeringError(
+                f"computing service {self.spec.name!r} was given no executor")
+        return self.executor.submit_call(
             lambda: self.execute(entry, data, params),
             label=f"cs/{self.spec.name}",
         )

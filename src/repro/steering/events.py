@@ -319,11 +319,6 @@ class EventSequenceStore:
     # per-store image versions at call sites and in poll responses.
     version = seq
 
-    def first_retained_seq(self) -> int:
-        """Sequence number of the oldest event still in the ring."""
-        with self._cond:
-            return self._events[0].seq if self._events else self._seq + 1
-
     def component_count(self) -> int:
         """Distinct components in the merged snapshot view."""
         with self._cond:
@@ -389,11 +384,6 @@ class EventSequenceStore:
         """Call ``fn(seq)`` after every publish (outside the store lock)."""
         with self._cond:
             self._listeners.append(fn)
-
-    def remove_listener(self, fn: Callable[[int], None]) -> None:
-        with self._cond:
-            if fn in self._listeners:
-                self._listeners.remove(fn)
 
     def attach_tap(self, fn: Callable[[SessionEvent, bytes | None], None]) -> None:
         """Call ``fn(event, blob)`` after every publish, outside the lock.

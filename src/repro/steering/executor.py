@@ -185,9 +185,6 @@ class SimulationExecutor:
     #: reports "process".  Sessions branch on this to pick the submit path.
     backend = "thread"
 
-    _shared_lock = threading.Lock()
-    _shared: "SimulationExecutor | None" = None
-
     def __init__(
         self,
         workers: int | None = None,
@@ -208,14 +205,6 @@ class SimulationExecutor:
         self.deprioritized_steps = 0
         self.sessions_completed = 0
         self.sessions_cancelled = 0
-
-    @classmethod
-    def shared(cls) -> "SimulationExecutor":
-        """The process-wide default executor (lazily created)."""
-        with cls._shared_lock:
-            if cls._shared is None or cls._shared.is_shut_down():
-                cls._shared = cls()
-            return cls._shared
 
     # -- introspection -----------------------------------------------------------
 

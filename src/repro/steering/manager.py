@@ -92,9 +92,9 @@ class SessionManager:
         self._executor = executor
         self._owns_executor = executor is None
         self._executor_lock = threading.Lock()
-        # Observability: a SessionJournal-like object (attach(sid, events))
-        # tapped into every store this manager creates, before the first
-        # publish, so journaled sequences are contiguous from 1.
+        # Observability: a SessionJournal-like object (attach(sid, events),
+        # forget(sid)) tapped into every store this manager creates, before
+        # the first publish, so journaled sequences are contiguous from 1.
         self.journal = journal
 
     def attach_journal(self, journal) -> None:
@@ -203,11 +203,21 @@ class SessionManager:
             session = SteeringSession(
                 self.cm, events=events, session_id=sid, **session_kwargs
             )
-            self._sessions[sid] = ManagedSession(session, now, now)
-        if configure:
-            session.configure(initial_params=initial_params)
-        if n_cycles is not None:
-            session.start_background(n_cycles)
+            entry = self._sessions[sid] = ManagedSession(session, now, now)
+        try:
+            if configure:
+                session.configure(initial_params=initial_params)
+            if n_cycles is not None:
+                session.start_background(n_cycles)
+        except BaseException:
+            # Refused: a session that never ran must not hold a registry
+            # slot (or a journal entry) until the idle sweep.
+            with self._lock:
+                if self._sessions.get(sid) is entry:
+                    del self._sessions[sid]
+            if self.journal is not None:
+                self.journal.forget(sid)
+            raise
         return session
 
     def open_monitor(self, session_id: str, meta: dict | None = None) -> EventSequenceStore:

@@ -216,15 +216,6 @@ class SteeringSession:
 
     # -- running ------------------------------------------------------------------
 
-    def run(self, n_cycles: int) -> int:
-        """Run the instrumented main loop synchronously."""
-        from repro.steering.api import run_steered_cycles
-
-        self._require_simulation()
-        if self.decision is None:
-            self.configure()
-        return run_steered_cycles(self.server, n_cycles, push_every=self.push_every)
-
     def start_background(self, n_cycles: int):
         """Run the simulation loop without blocking the caller.
 
@@ -235,8 +226,10 @@ class SteeringSession:
         self._require_simulation()
         if self.is_running():
             raise SteeringError(f"session {self.session_id!r} is already running")
-        executor = self._executor if self._executor is not None \
-            else SimulationExecutor.shared()
+        executor = self._executor
+        if executor is None:
+            raise SteeringError(
+                f"session {self.session_id!r} was given no executor to run on")
         if getattr(executor, "backend", "thread") == "process":
             return self._start_on_process_executor(executor, n_cycles)
         from repro.steering.api import steered_cycle_slices

@@ -65,6 +65,12 @@ _MAX_HEADER_BYTES = 64 * 1024
 _MAX_BODY_BYTES = 4 * 1024 * 1024
 
 
+def _refuse_constant(name: str):
+    """``json.loads`` hook: ``NaN`` / ``Infinity`` / ``-Infinity`` are not
+    JSON, and a non-finite number poisons whatever it is added to."""
+    raise WebServerError(f"malformed JSON body: {name} is not a JSON number")
+
+
 class HttpRequest:
     """One parsed HTTP request."""
 
@@ -89,11 +95,13 @@ class HttpRequest:
 
     def json_body(self) -> dict:
         """The body as a JSON object ({} when empty); anything else —
-        undecodable, or a list / number / string / null — is malformed."""
+        undecodable, a list / number / string / null, or holding a
+        non-finite number literal — is malformed."""
         if not self.body:
             return {}
         try:
-            obj = json.loads(self.body.decode("utf-8"))
+            obj = json.loads(self.body.decode("utf-8"),
+                             parse_constant=_refuse_constant)
         except (json.JSONDecodeError, UnicodeDecodeError):
             raise WebServerError("malformed JSON body")
         if not isinstance(obj, dict):

@@ -47,10 +47,19 @@ class Subscriber:
     ``(key, since, framing)`` they name the frame group the record
     shares at delivery.  ``deadline`` (monotonic seconds) marks a
     one-shot parked poll; None marks a persistent stream.
+
+    A route builds the record before any connection is known, so it
+    also carries what the request asked of its connection, for the IO
+    loop to apply when it registers the record: ``store`` (the session's
+    event store), ``head`` (bytes an SSE / WS upgrade sends before its
+    first frame), ``max_tier`` (the ``min_quality`` hint, None if the
+    request gave none) and ``bind`` (``(wid, source)`` of the sliding
+    window the route is bound to, None for the whole domain).
     """
 
     __slots__ = ("id", "key", "since", "handle", "transport", "framing",
-                 "tier", "window", "deadline", "done", "woken_at")
+                 "tier", "window", "deadline", "done", "woken_at",
+                 "store", "head", "max_tier", "bind")
 
     def __init__(self, key: str, since: int, handle: Any, transport: str,
                  framing: str, tier: int = 0, window: tuple | None = None,
@@ -64,15 +73,13 @@ class Subscriber:
         self.tier = tier
         self.window = window
         self.deadline = deadline
-        self.done = False  # popped, removed or dropped; heap entries may linger
+        # Popped, removed or dropped (heap entries may linger) — or built
+        # answerable and never registered.
+        self.done = False
         # Stamped (monotonic) by the publish wake path so the IO loop
         # can gauge wake->delivery latency for the ops dashboard.
         self.woken_at = 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"Subscriber(id={self.id}, key={self.key!r}, "
-                f"since={self.since}, transport={self.transport!r}, "
-                f"deadline={self.deadline}, done={self.done})")
+        self.store = self.head = self.max_tier = self.bind = None
 
 
 class LongPollScheduler:

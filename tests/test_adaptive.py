@@ -21,6 +21,7 @@ from repro.adaptive import (
     AdaptiveDeliveryController,
     ClientLinkEstimator,
     clamp_tier,
+    next_rung,
 )
 from repro.costmodel.calibration import default_calibration
 from repro.net import build_paper_testbed
@@ -150,6 +151,70 @@ class TestControllerDecisions:
             AdaptiveDeliveryController(staleness_budget=0.0)
         with pytest.raises(ValueError):
             AdaptiveDeliveryController(promote_margin=0.0)
+
+
+class TestDegradeLadder:
+    """``next_rung`` as a table: no server, no throttled connection."""
+
+    #: (tier, max_tier, lod_bias, max_bias, heavy, stale) -> (tier, lod_bias)
+    TABLE = [
+        # neither heavy nor stale, no verdicts: stay put
+        ((0, 3, 0, None, False, False), (0, 0)),
+        ((1, 3, 2, 3, False, False), (1, 2)),
+        # whole-domain client: heavy sheds one tier per event, stale jumps
+        ((0, 3, 0, None, True, False), (1, 0)),
+        ((2, 3, 0, None, True, False), (3, 0)),
+        ((0, 3, 0, None, False, True), (3, 0)),
+        ((1, 2, 0, None, False, True), (2, 0)),
+        ((0, 3, 0, None, True, True), (1, 0)),  # heavy wins: one rung
+        # at the floor there is nowhere to go
+        ((3, 3, 0, None, True, True), (3, 0)),
+        ((1, 1, 0, None, True, False), (1, 0)),
+        # min_quality=0 pins full quality: disconnect rather than degrade
+        ((0, 0, 0, None, True, True), (0, 0)),
+        # windowed client: LOD coarsens first, the tier does not move
+        ((0, 3, 0, 2, True, False), (0, 1)),
+        ((0, 3, 1, 2, True, True), (0, 2)),
+        ((0, 3, 0, 2, False, True), (0, 2)),  # stale: straight to coarsest
+        ((0, 0, 0, 2, True, False), (0, 1)),  # even when the tier is pinned
+        # LOD ladder saturated (or the octree has one level): tiers take over
+        ((0, 3, 2, 2, True, False), (1, 2)),
+        ((0, 3, 2, 2, False, True), (3, 2)),
+        ((0, 3, 0, 0, True, False), (1, 0)),
+        ((3, 3, 2, 2, True, True), (3, 2)),
+        ((0, 0, 2, 2, True, True), (0, 2)),
+        # the client asked for a coarser window since: the bias follows it in
+        ((0, 3, 3, 1, True, False), (0, 1)),
+        # a bias left over from an unbound window is not touched
+        ((0, 3, 2, None, True, False), (1, 2)),
+    ]
+
+    @pytest.mark.parametrize("inputs, want", TABLE)
+    def test_table(self, inputs, want):
+        tier, max_tier, lod_bias, max_bias, heavy, stale = inputs
+        assert next_rung(tier, max_tier, lod_bias, max_bias,
+                         heavy=heavy, stale=stale) == want
+
+    @pytest.mark.parametrize("heavy, stale", [(True, False), (False, True),
+                                              (True, True)])
+    def test_a_backlog_overrides_the_controllers_verdicts(self, heavy, stale):
+        calm = next_rung(2, 3, 1, 2, decided_tier=0, decided_bias=0)
+        assert calm == (0, 0)  # housekeeping promotes when the queue is quiet
+        pressed = next_rung(2, 3, 1, 2, heavy=heavy, stale=stale,
+                            decided_tier=0, decided_bias=0)
+        assert pressed == (2, 2)
+
+    def test_verdicts_are_clamped_to_what_the_client_accepts(self):
+        assert next_rung(0, 1, 0, 2, decided_tier=3, decided_bias=-1) == (1, 0)
+        assert next_rung(1, 3, 0, None, decided_tier=MAX_TIER + 5) == (MAX_TIER, 0)
+
+    def test_ladder_walk_never_skips_the_lod_rungs(self):
+        """Heavy on every event: LOD 0 -> max, then tiers 0 -> floor, then stop."""
+        state, seen = (0, 0), []
+        for _ in range(8):
+            state = next_rung(state[0], 2, state[1], 2, heavy=True)
+            seen.append(state)
+        assert seen == [(0, 1), (0, 2), (1, 2), (2, 2)] + [(2, 2)] * 4
 
 
 @pytest.fixture(scope="module")

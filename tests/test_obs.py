@@ -30,6 +30,7 @@ from repro.obs import (
     merge_json_file,
     process_diagnostics,
 )
+from repro.obs.journal import step_replays
 from repro.obs.metrics import MetricsRecorder, SeriesRing
 from repro.steering import CentralManager, SteeringClient
 from repro.steering.events import (
@@ -331,6 +332,67 @@ class TestJournalReplay:
             cold.store.close()
 
 
+class TestReplayCursor:
+    """The paced replay, stepped by hand: a fake ``now``, no loop, no sleep."""
+
+    def test_paced_steps_restore_one_row_per_interval(self):
+        journal = SessionJournal()
+        store = _journaled_run(journal)
+        cursor = journal.replay("run", store.file_size, interval=0.5, now=100.0)
+        assert cursor.events.seq == 0 and cursor.next_due == 100.5
+        assert cursor.step(100.4) is False and cursor.events.seq == 0
+        assert cursor.step(100.5) is False and cursor.events.seq == 1
+        assert cursor.step(101.6) is False and cursor.events.seq == 3  # caught up
+        assert cursor.next_due == 102.0
+        assert cursor.step(1e9) is True and cursor.events.seq == store.seq
+
+    def test_paced_replay_ends_byte_identical_to_instant_rehydrate(self):
+        journal = SessionJournal()
+        store = _journaled_run(journal)
+        instant, _ = journal.rehydrate("run", store.file_size)
+        cursor = journal.replay("run", store.file_size, interval=0.25, now=0.0)
+        now = 0.0
+        while not cursor.step(now):
+            now += 0.25
+        assert cursor.skipped == 0
+        for since in range(store.seq + 1):
+            for framing in (FRAME_JSON, FRAME_SSE, FRAME_WS):
+                paced = cursor.events.framed_delta(since, framing)
+                assert paced == instant.framed_delta(since, framing), (since, framing)
+                assert paced == store.framed_delta(since, framing), (since, framing)
+
+    def test_blob_outside_the_byte_budget_restores_meta_only_and_is_counted(self):
+        journal = SessionJournal(blob_budget_bytes=1)  # evict all but newest
+        store = _journaled_run(journal, images=3)
+        cursor = journal.replay("run", store.file_size, interval=1.0)
+        assert cursor.step(1e9) is True
+        assert cursor.skipped == journal.blob_evictions >= 2
+        assert (cursor.events.framed_delta(0, FRAME_JSON)
+                == store.framed_delta(0, FRAME_JSON))
+        assert journal.rehydrate("run", store.file_size)[1] == cursor.skipped
+
+    def test_a_bad_row_ends_that_replay_and_no_other(self):
+        journal = SessionJournal()
+        store = _journaled_run(journal, sid="good")
+        _journaled_run(journal, sid="bad")
+        good = journal.replay("good", store.file_size, interval=1.0)
+        bad = journal.replay("bad", store.file_size, interval=1.0)
+        bad.rows[1] = {"kind": "status"}  # the second row cannot be restored
+        replays = [bad, good]
+        step_replays(replays, 1.0)
+        assert replays == [bad, good] and bad.events.seq == good.events.seq == 1
+        step_replays(replays, 2.0)
+        assert replays == [good]  # the bad replay is over, at the row before
+        assert bad.events.seq == 1 and bad.step(1e9) is True
+        step_replays(replays, 1e9)
+        assert replays == [] and good.events.seq == store.seq
+        # Stepped alone the same row raises: an instant rehydrate reports it.
+        alone = journal.replay("bad", store.file_size)
+        alone.rows[1] = {"kind": "status"}
+        with pytest.raises(KeyError):
+            alone.step()
+
+
 class TestObservabilityFacade:
     def test_in_memory_bundle(self):
         with Observability() as obs:
@@ -373,7 +435,6 @@ def obs_server(cm):
         simulator="heat",
         technique="isosurface",
         n_cycles=24,
-        background=True,
         sim_kwargs={"shape": (8, 8, 8)},
         push_every=2,
     )
@@ -522,7 +583,6 @@ class TestObsRestart:
                 simulator="heat",
                 technique="isosurface",
                 n_cycles=16,
-                background=True,
                 sim_kwargs={"shape": (8, 8, 8)},
                 push_every=2,
             )

@@ -55,6 +55,35 @@ class TestSessionLifecycle:
         assert session.events.latest_image() is not None
         assert mgr.sessions()["run"]["version"] >= 1
 
+    def test_refused_create_leaves_no_session_behind(self, cm):
+        """``configure`` or ``start_background`` raising must unregister:
+        a zombie counted against the capacity and competed with finished
+        sessions for eviction until the idle sweep."""
+        from repro.errors import ReproError
+        from repro.obs import SessionJournal
+        from repro.steering.executor import SimulationExecutor
+
+        journal = SessionJournal()
+        mgr = SessionManager(cm, capacity=4, journal=journal)
+        mgr.create("keep", configure=False, **SIM)
+        before = (mgr.sessions().keys(), len(mgr), journal.sessions())
+        for refused in (dict(initial_params={"no_such_parameter": 1}),
+                        dict(technique="nope"), dict(variable="nope"),
+                        dict(initial_params={"source_strength": "hot"})):
+            for sid in (None, "named"):
+                with pytest.raises(ReproError):
+                    mgr.create(sid, n_cycles=3, **{**SIM, **refused})
+        assert (mgr.sessions().keys(), len(mgr), journal.sessions()) == before
+        assert mgr.evictions == 0  # and nobody was evicted to make room
+        mgr.create("named", configure=False, **SIM)  # the id is free again
+        # a start that is refused after a good configure is rolled back too
+        dead = SimulationExecutor(workers=1)
+        dead.shutdown(wait=True)
+        late = SessionManager(cm, executor=dead, journal=journal)
+        with pytest.raises(SteeringError):
+            late.create("late", n_cycles=3, **SIM)
+        assert "late" not in late and "late" not in journal.sessions()
+
     def test_attach_detach_refcounting(self, cm):
         mgr = SessionManager(cm)
         mgr.create("a", configure=False, **SIM)

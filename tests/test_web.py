@@ -38,7 +38,6 @@ def running_server(cm):
         simulator="heat",
         technique="isosurface",
         n_cycles=200,
-        background=True,
         sim_kwargs={"shape": (12, 12, 12)},
         push_every=2,
     )
@@ -663,7 +662,6 @@ class TestSteeringChangesImages:
         client.start(
             simulator="heat",
             n_cycles=30,
-            background=True,
             sim_kwargs={"shape": (12, 12, 12)},
         )
         first = client.wait_for_image(since=0, timeout=20.0)

@@ -60,7 +60,7 @@ def api_server():
     server = AjaxWebServer(client, port=0)
     server.start()
     client.start(simulator="heat", technique="isosurface", n_cycles=400,
-                 background=True, sim_kwargs={"shape": (12, 12, 12)},
+                 sim_kwargs={"shape": (12, 12, 12)},
                  push_every=2)
     web = SteeringWebClient(server.url)
     web.wait_for_component("image", polls=40, timeout=2.0)
@@ -284,6 +284,10 @@ def test_non_object_json_body_is_a_400(api_server, tail, body):
 @pytest.mark.parametrize("spec", [
     {"n_cycles": "abc"}, {"n_cycles": 0}, {"n_cycles": 2.5},
     {"push_every": 0}, {"push_every": True},
+    # ...nor one whose pieces have the wrong JSON type (500s before), nor
+    # one keyed by a non-string (a 200 and a session no route could reach)
+    {"params": "oops"}, {"sim_kwargs": "oops"}, {"session_id": 5},
+    {"simulator": ["heat"]}, {"variable": 3},
 ])
 def test_session_that_cannot_step_is_refused_not_created(api_server, spec):
     server, _ = api_server
@@ -294,6 +298,88 @@ def test_session_that_cannot_step_is_refused_not_created(api_server, spec):
     assert status == 400, (spec, status, blob)
     assert json.loads(blob)["error"]["code"] == "bad_request"
     assert set(server.manager.sessions()) == before
+
+
+def test_refused_creates_leave_the_registry_as_it_was(api_server):
+    """``configure`` refusing a create (400) used to leave a never-running
+    ``sessionN`` behind, counted against the capacity until the idle sweep."""
+    server, _ = api_server
+    before = server.manager.sessions().keys()
+    refused = [{"params": {"no_such_parameter": 1}}, {"technique": "nope"},
+               {"variable": "nope"}, {"params": {"source_strength": "hot"}}]
+    for i in range(20):
+        spec = {"simulator": "heat", "sim_kwargs": {"shape": [8, 8, 8]},
+                **refused[i % len(refused)]}
+        status, _, blob = _request(server, "POST", "/api/v1/sessions",
+                                   json.dumps(spec).encode())
+        assert status == 400, (spec, status, blob)
+    assert server.manager.sessions().keys() == before
+    assert len(server.manager) == len(before)
+
+
+@pytest.mark.parametrize("body", [
+    b'{"rotate_azimuth": "abc"}', b'{"zoom": "x"}', b'{"zoom": [1]}',
+    b'{"rotate_azimuth": NaN}', b'{"zoom": Infinity}',
+    b'{"rotate_elevation": -Infinity}', b'{"rotate_azimuth": 1e999}',
+])
+def test_view_body_must_hold_finite_numbers(api_server, body):
+    server, sid = api_server
+    status, _, blob = _request(server, "POST", f"/api/v1/{sid}/view", body)
+    assert status == 400, (body, status, blob)
+    assert json.loads(blob)["error"]["code"] == "bad_request"
+
+
+def test_frames_keep_their_geometry_after_a_refused_nan_view(api_server):
+    """``{"rotate_azimuth": NaN}`` was a 200 and a NaN camera: every later
+    frame rendered empty, and no finite rotate could repair it."""
+    server, _ = api_server
+    web = SteeringWebClient(server.url)
+    sid = web.create_session(simulator="heat", n_cycles=400, push_every=2,
+                             sim_kwargs={"shape": [12, 12, 12]})
+    try:
+        web.wait_for_component("image", polls=40, timeout=2.0)
+        assert web.fetch_image(tier=0).nonblank_fraction() > 0.0
+        status, _, _ = _request(server, "POST", f"/api/v1/{sid}/view",
+                                b'{"rotate_azimuth": NaN}')
+        assert status == 400
+        assert web.view(rotate_azimuth=10.0)["ok"]
+        camera = server.manager.get(sid)._camera
+        assert camera.azimuth == camera.azimuth  # not NaN
+        seen = web.since
+        while web.since < seen + 4:  # frames rendered after the refusal
+            web.wait_for_component("image", polls=40, timeout=2.0)
+        assert web.fetch_image(tier=0).nonblank_fraction() > 0.0
+    finally:
+        server.manager.close(sid)
+
+
+@pytest.mark.parametrize("body", [
+    b'{"rate_hz": "abc"}', b'{"rate_hz": [1]}', b'{"rate_hz": Infinity}',
+    b'{"rate_hz": -2}',
+])
+def test_replay_rate_must_be_a_finite_number(api_server, body):
+    server, sid = api_server
+    with AjaxWebServer(SteeringClient(server.client.cm), port=0,
+                       obs=True) as obs_server:
+        obs_server.manager.open_monitor("run").publish_status("session", 0)
+        status, _, blob = _request(obs_server, "POST", "/api/v1/replay/run", body)
+        assert status == 400, (body, status, blob)
+        assert json.loads(blob)["error"]["code"] == "bad_request"
+        assert set(obs_server.manager.sessions()) == {"run"}
+        assert obs_server.stats()["replays_active"] == 0
+
+
+def test_missing_version_is_a_404_on_the_inline_and_the_offloaded_arm(api_server):
+    """One status rule: tier 0 is answered on the IO loop, a tier variant
+    on a worker — the same missing version used to read 404 and 400."""
+    server, sid = api_server
+    for tail in ("image?v=99999", "image?v=99999&tier=1",
+                 "image.png?v=99999", "image.png?v=99999&tier=1"):
+        status, _, blob = _request(server, "GET", f"/api/v1/{sid}/{tail}")
+        assert status == 404, (tail, status, blob)
+        assert json.loads(blob)["error"]["code"] == "not_found"
+    status, _, blob = _request(server, "GET", f"/api/v1/{sid}/brick?lod=0&id=99999")
+    assert status == 404 and json.loads(blob)["error"]["code"] == "not_found"
 
 
 # -- request framing the parser must refuse ---------------------------------------

@@ -53,7 +53,6 @@ def heat_server(cm):
         simulator="heat",
         technique="isosurface",
         n_cycles=200,
-        background=True,
         sim_kwargs={"shape": (12, 12, 12)},
         push_every=2,
     )
