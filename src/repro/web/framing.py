@@ -66,9 +66,12 @@ _MAX_BODY_BYTES = 4 * 1024 * 1024
 
 
 def _refuse_constant(name: str):
-    """``json.loads`` hook: ``NaN`` / ``Infinity`` / ``-Infinity`` are not
-    JSON, and a non-finite number poisons whatever it is added to."""
+    """Decoder hook: ``NaN`` / ``Infinity`` / ``-Infinity`` are not JSON."""
     raise WebServerError(f"malformed JSON body: {name} is not a JSON number")
+
+
+#: Built once: ``json.loads(..., parse_constant=)`` builds a decoder per call.
+_BODY_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
 
 
 class HttpRequest:
@@ -100,8 +103,7 @@ class HttpRequest:
         if not self.body:
             return {}
         try:
-            obj = json.loads(self.body.decode("utf-8"),
-                             parse_constant=_refuse_constant)
+            obj = _BODY_DECODER.decode(self.body.decode("utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError):
             raise WebServerError("malformed JSON body")
         if not isinstance(obj, dict):

@@ -73,9 +73,7 @@ class Subscriber:
         self.tier = tier
         self.window = window
         self.deadline = deadline
-        # Popped, removed or dropped (heap entries may linger) — or built
-        # answerable and never registered.
-        self.done = False
+        self.done = False  # popped, removed, dropped or built answerable; heap entries may linger
         # Stamped (monotonic) by the publish wake path so the IO loop
         # can gauge wake->delivery latency for the ops dashboard.
         self.woken_at = 0.0

@@ -52,8 +52,9 @@ _MAX_POLL_TIMEOUT = 30.0
 SNAPSHOT_OFFLOAD_COMPONENTS = 32
 _JSON = "application/json"
 _HTML = "text/html; charset=utf-8"
-_INDEX_BYTES = INDEX_HTML.encode("utf-8")  # encoded once, shared by every GET /
-_DASHBOARD_BYTES = DASHBOARD_HTML.encode("utf-8")  # GET /dashboard, same deal
+#: The two pages outside the API: encoded once, shared by every GET.
+_PAGES = {"/": INDEX_HTML.encode("utf-8"),
+          "/dashboard": DASHBOARD_HTML.encode("utf-8")}
 _WS_FRAMINGS = {
     "binary": FRAME_WS_BINARY,  # blobs raw after the JSON header
     "b64": FRAME_WS_B64,  # blobs base64-inlined in the JSON
@@ -583,10 +584,8 @@ def match_route(method: str, path: str) -> tuple[str | None, _Route]:
 def dispatch(request: HttpRequest, ctx: RouteContext):
     """Answer one request: its route's reply, or the error envelope."""
     try:
-        if request.method == "GET" and request.path == "/":
-            return 200, _INDEX_BYTES, _HTML
-        if request.method == "GET" and request.path == "/dashboard":
-            return 200, _DASHBOARD_BYTES, _HTML
+        if request.method == "GET" and request.path in _PAGES:
+            return 200, _PAGES[request.path], _HTML
         sid, route = match_route(request.method, request.path)
         return route.handler(request, sid, ctx)
     except Exception as exc:
