@@ -7,9 +7,11 @@ import threading
 import pytest
 
 from repro.costmodel.calibration import default_calibration
-from repro.errors import SteeringError, WebServerError
+from repro.errors import ReproError, SteeringError, WebServerError
 from repro.net import build_paper_testbed
+from repro.obs import SessionJournal
 from repro.steering import CentralManager, SessionManager
+from repro.steering.executor import SimulationExecutor
 from repro.web.longpoll import LongPollScheduler
 
 
@@ -59,10 +61,6 @@ class TestSessionLifecycle:
         """``configure`` or ``start_background`` raising must unregister:
         a zombie counted against the capacity and competed with finished
         sessions for eviction until the idle sweep."""
-        from repro.errors import ReproError
-        from repro.obs import SessionJournal
-        from repro.steering.executor import SimulationExecutor
-
         journal = SessionJournal()
         mgr = SessionManager(cm, capacity=4, journal=journal)
         mgr.create("keep", configure=False, **SIM)
