@@ -76,18 +76,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
                 terminalreporter.write_line(line)
 
 
-@pytest.fixture(scope="session", autouse=True)
-def committed_artifacts_untouched():
-    """However a bench writes, a run that names no artifact directory
-    ends with every committed ``BENCH_*.json`` byte-identical."""
-    files = sorted(Path(__file__).resolve().parent.parent.glob("BENCH_*.json"))
-    before = [f.read_bytes() for f in files]
-    yield
-    if not os.environ.get("RICSA_BENCH_ARTIFACT_DIR"):
-        assert [f.read_bytes() for f in files] == before, (
-            "a benchmark rewrote a committed BENCH_*.json")
-
-
 @pytest.fixture(scope="session")
 def calibration():
     from repro.costmodel.calibration import default_calibration

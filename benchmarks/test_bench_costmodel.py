@@ -42,23 +42,12 @@ class TestBenchCostModel:
         grid = make_jet(scale=0.18, seed=11)
         iso = 0.4 * (grid.vmin + grid.vmax)
         stats = compute_dataset_stats(grid, iso, block_cells=8)
+        predicted = calibration.isosurface.extraction_seconds(stats)
+
         blocks = build_blocks(grid, block_cells=8)
-
-        def one_try(model):
-            t0 = time.perf_counter()
-            mesh, _ = extract_blocks(grid, blocks, iso)
-            return model.extraction_seconds(stats), time.perf_counter() - t0, mesh
-
-        predicted, measured, mesh = one_try(calibration.isosurface)
-        # A shared host flips between a fast and a ~1.8x slower phase for
-        # seconds at a time; a model calibrated in one (at session start)
-        # and judged in the other reads as wrong.  Before failing, judge
-        # a model calibrated next to the measurement.
-        for _ in range(2):
-            if 0.4 < predicted / max(measured, 1e-9) < 2.5:
-                break
-            predicted, measured, mesh = one_try(
-                calibrate_isosurface(make_calibration_grids()))
+        t0 = time.perf_counter()
+        mesh, _ = extract_blocks(grid, blocks, iso)
+        measured = time.perf_counter() - t0
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
         ratio = predicted / max(measured, 1e-9)
         tri_est = calibration.isosurface.triangle_estimate(stats)
@@ -78,11 +67,11 @@ class TestBenchCostModel:
         grid = make_jet(scale=0.15, seed=7)
         iso = 0.4 * (grid.vmin + grid.vmax)
 
-        def one_pass(model=calibration.isosurface):
+        def one_pass():
             rows = []
             for bc in (4, 8, 16):
                 stats = compute_dataset_stats(grid, iso, block_cells=bc)
-                predicted = model.extraction_seconds(stats)
+                predicted = calibration.isosurface.extraction_seconds(stats)
                 blocks = build_blocks(grid, block_cells=bc)
                 t0 = time.perf_counter()
                 extract_blocks(grid, blocks, iso)
@@ -92,13 +81,12 @@ class TestBenchCostModel:
             return rows
 
         rows = benchmark.pedantic(one_pass, rounds=1, iterations=1)
-        # A slow phase of a shared host inflates `measured` against a
-        # model calibrated at session start and fakes a calibration error;
-        # re-measure against a model calibrated alongside before failing.
+        # A scheduler hiccup on a loaded/slow machine inflates `measured`
+        # and fakes a calibration error; re-measure before failing.
         for _ in range(2):
             if all(0.2 < row[4] < 4.0 for row in rows):
                 break
-            rows = one_pass(calibrate_isosurface(make_calibration_grids()))
+            rows = one_pass()
         record_report(
             format_table(
                 ["block cells", "active blocks", "predicted (s)", "measured (s)", "ratio"],

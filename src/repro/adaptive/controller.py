@@ -59,19 +59,16 @@ def next_rung(
     (backlog past half the write budget) sheds one rung per event, so
     frames shrink before the budget can fill, and ``stale`` (backlog
     older than the staleness budget) jumps to the last rung — the client
-    is so far behind that intermediate frames are pure liability.  At
-    the housekeeping cadence it also passes the controller's verdicts
-    (:meth:`AdaptiveDeliveryController.decide` as ``decided_tier``,
-    :meth:`~AdaptiveDeliveryController.decide_lod` minus the requested
+    is too far behind for intermediate frames to help.  At the
+    housekeeping cadence it also passes the controller's verdicts
+    (``decide`` as ``decided_tier``, ``decide_lod`` minus the requested
     LOD as ``decided_bias``), which apply when the backlog is neither
     heavy nor stale — including promotions back toward full quality.
 
     ``max_bias`` is how many LOD levels a windowed client can still be
-    coarsened by (None: not windowed).  Windowed clients shed bytes by
-    coarsening LOD first — an 8x per level lever on brick payloads — and
-    image tiers are the fallback once the LOD ladder saturates.
-    ``max_tier`` is the deepest tier the client accepts (0 pins full
-    quality: the server will disconnect rather than degrade).
+    coarsened by (None: not windowed); LOD goes first — 8x per level on
+    brick payloads — and image tiers once it saturates.  ``max_tier`` is
+    the deepest tier the client accepts (0: disconnect, never degrade).
     """
     if not (heavy or stale):
         if decided_bias is not None:

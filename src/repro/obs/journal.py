@@ -130,33 +130,41 @@ class SessionJournal:
 
     # -- capture -----------------------------------------------------------------
 
-    def attach(self, sid: str, events: EventSequenceStore) -> None:
+    def attach(self, sid: str, events: EventSequenceStore) -> int:
         """Tap ``events`` so every publish lands in this journal.
 
         Must run before the session's first publish so journaled seqs
         are contiguous from 1 — the session manager attaches right
-        after constructing the store.
+        after constructing the store.  Returns how many rows an earlier
+        run under the same id already holds here.
         """
         with self._lock:
-            self._register_locked(sid)
+            held = len(self._register_locked(sid))
         events.attach_tap(
             lambda event, blob, sid=sid: self.record(sid, event, blob))
+        return held
 
-    def forget(self, sid: str) -> None:
-        """Drop ``sid``'s in-memory rows (its creation was refused); rows
-        already queued for SQLite age out under the store's retention."""
+    def forget(self, sid: str, keep: int = 0) -> None:
+        """Drop the in-memory rows ``sid`` gained past the ``keep`` that
+        :meth:`attach` found (its creation was refused); rows already
+        queued for SQLite age out under the store's retention."""
         with self._lock:
-            self._events.pop(sid, None)
+            rows = self._events.get(sid)
+            if rows is not None:
+                del rows[keep:]
+                if not rows:
+                    del self._events[sid]
 
-    def _register_locked(self, sid: str) -> None:
+    def _register_locked(self, sid: str) -> list:
         rows = self._events.get(sid)
         if rows is None:
-            self._events[sid] = []
+            rows = self._events[sid] = []
             while len(self._events) > self.session_cap:
                 self._events.popitem(last=False)
                 self.sessions_dropped += 1
         else:
             self._events.move_to_end(sid)
+        return rows
 
     def record(self, sid: str, event: SessionEvent,
                blob: bytes | None = None) -> None:
@@ -175,8 +183,7 @@ class SessionJournal:
             "digest": digest,
         }
         with self._lock:
-            self._register_locked(sid)
-            rows = self._events[sid]
+            rows = self._register_locked(sid)
             rows.append(row)
             if len(rows) > self.event_cap:
                 del rows[0]

@@ -92,9 +92,10 @@ class SessionManager:
         self._executor = executor
         self._owns_executor = executor is None
         self._executor_lock = threading.Lock()
-        # Observability: a SessionJournal-like object (attach(sid, events),
-        # forget(sid)) tapped into every store this manager creates, before
-        # the first publish, so journaled sequences are contiguous from 1.
+        # Observability: a SessionJournal-like object (attach(sid, events)
+        # -> rows held, forget(sid, keep)) tapped into every store this
+        # manager creates, before the first publish, so journaled
+        # sequences are contiguous from 1.
         self.journal = journal
 
     def attach_journal(self, journal) -> None:
@@ -198,8 +199,8 @@ class SessionManager:
             events = EventSequenceStore(
                 file_size=self.file_size, capacity=self.event_capacity
             )
-            if self.journal is not None:
-                self.journal.attach(sid, events)
+            held = (self.journal.attach(sid, events)
+                    if self.journal is not None else 0)
             session = SteeringSession(
                 self.cm, events=events, session_id=sid, **session_kwargs
             )
@@ -211,12 +212,13 @@ class SessionManager:
                 session.start_background(n_cycles)
         except BaseException:
             # Refused: a session that never ran must not hold a registry
-            # slot (or a journal entry) until the idle sweep.
+            # slot (or journal rows of its own) until the idle sweep.  An
+            # earlier run journaled under the same id keeps its rows.
             with self._lock:
                 if self._sessions.get(sid) is entry:
                     del self._sessions[sid]
             if self.journal is not None:
-                self.journal.forget(sid)
+                self.journal.forget(sid, held)
             raise
         return session
 

@@ -20,10 +20,8 @@ backlog in its own queue only — never a copy of a shared frame — and is
 disconnected once the backlog exceeds the per-connection write budget,
 so one stalled reader can neither stall the loop nor other watchers.
 
-Jobs run on a small fixed worker pool; completions are queued back
+Jobs run on the server's fixed worker pool; completions are queued back
 through the loop's socketpair, the same wakeup the publish path uses.
-Server-side thread count is a constant (1 IO thread + ``workers``)
-however many clients are parked, streaming or connected.
 """
 
 from __future__ import annotations
@@ -55,7 +53,15 @@ from repro.web.framing import (
     parse_ws_frames,
 )
 from repro.web.longpoll import LongPollScheduler, Subscriber
-from repro.web.routes import RouteContext, _error_body, dispatch, error_reply
+from repro.web.routes import (
+    Bind,
+    Response,
+    RouteContext,
+    Subscribe,
+    _error_body,
+    dispatch,
+    error_reply,
+)
 
 _MAX_IOV = 64  # buffers per vectored write (safely under IOV_MAX everywhere)
 _HAS_SENDMSG = hasattr(socket.socket, "sendmsg")
@@ -134,13 +140,17 @@ class _Handler:
         """The uniform error envelope: ``{"error": {"code", "message"}}``."""
         self._send(status, _error_body(code, message))
 
-    def adopt(self, record: Subscriber) -> None:
-        """Make ``record`` this connection's registration, taking on what
-        its request asked of the delivery state."""
-        if record.max_tier is not None:
-            self.max_tier = record.max_tier
+    def bind(self, bind: Bind) -> None:
+        """Take on what a request asked of the delivery state."""
+        self.window_wid, self.window_source = bind.wid, bind.source
+        if bind.max_tier is not None:
+            self.max_tier = bind.max_tier
             self.tier = min(self.tier, self.max_tier)
-        self.window_wid, self.window_source = record.bind or (None, None)
+        if bind.lod_bias is not None:
+            self.lod_bias = bind.lod_bias
+
+    def adopt(self, record: Subscriber) -> None:
+        """Make ``record`` this connection's registration."""
         record.handle = self
         record.tier = self.tier
         self.subscriber = record  # holds the parser until delivery detaches it
@@ -215,8 +225,10 @@ class _IOLoop:
         self.tier_demotions = 0  # ...or down (degrade-before-disconnect)
         self.lod_promotions = 0  # windowed client refined back toward its LOD
         self.lod_demotions = 0  # ...or was coarsened (staleness ladder)
+        # A paced replay is adopted by its job on a worker thread; the
+        # job's completion is the wake that re-reads ``next_due``.
         self.ctx = RouteContext(server.manager, server.client, server.obs,
-                                server.stats, self._start_replay)
+                                server.stats, self._replays.append)
         # The one wake path (and its gauges: polls served, per-transport
         # bytes, tier savings, wake latency, swallowed delivery errors).
         self.delivery = Delivery(
@@ -257,11 +269,6 @@ class _IOLoop:
             self._wake_w.send(b"\x00")
         except (BlockingIOError, OSError):
             pass  # wake byte already pending, or server shutting down
-
-    def _start_replay(self, cursor: ReplayCursor) -> None:
-        """Adopt a paced replay (called from a worker thread)."""
-        self._replays.append(cursor)
-        self._wake()
 
     # -- the IO loop ------------------------------------------------------------------
 
@@ -502,24 +509,21 @@ class _IOLoop:
             handler.keep_alive = request.keep_alive
             # Route it, and send whichever kind of reply came back.
             reply = dispatch(request, self.ctx)
-            if type(reply) is tuple:
-                self._reply(handler, *reply)
-            elif type(reply) is Subscriber:
+            if type(reply) is Response:
+                self._reply(handler, reply)
+            elif type(reply) is Subscribe:
                 self._subscribe(handler, reply)
             else:
                 self._offload(handler, reply, request.method)
 
-    def _reply(self, handler: _Handler, code: int, body: bytes, ctype: str,
-               bind: tuple | None = None) -> None:
-        """Send a response; ``bind`` is the ``(wid, source)`` window the
-        request bound its connection to, at the LOD the client asked for."""
-        if bind is not None:
-            handler.window_wid, handler.window_source = bind
-            handler.lod_bias = 0
-        handler._send(code, body, ctype)
+    def _reply(self, handler: _Handler, response: Response) -> None:
+        """Send a response, rebinding the connection first if it says so."""
+        if response.bind is not None:
+            handler.bind(response.bind)
+        handler._send(response.code, response.body, response.ctype)
 
     def _offload(self, handler: _Handler, job, method: str) -> None:
-        """Run ``job() -> (code, body, ctype)`` on the worker pool.
+        """Run ``job() -> Response`` on the worker pool.
 
         The single home of the off-loop policy: the connection is marked
         ``busy`` (no further pipelined dispatch), the job runs on a
@@ -549,30 +553,32 @@ class _IOLoop:
             if handler.closed:
                 continue
             try:
-                self._reply(handler, *reply)
+                self._reply(handler, reply)
                 self._process_input(handler)  # pipelined requests behind the job
             except Exception:  # one bad connection must not kill the IO loop
                 self._close(handler)
 
-    def _subscribe(self, handler: _Handler, record: Subscriber) -> None:
+    def _subscribe(self, handler: _Handler, sub: Subscribe) -> None:
         """Register a route's record on its connection — poll or stream.
 
-        A poll the route found answerable is delivered this pass and
-        never registered.  Anything else registers first and re-checks
-        the head after, so a publish racing the request is either seen
-        by the re-check or finds the record; zero threads are held
-        either way.
+        A poll answerable on arrival (events past its cursor, or no time
+        to wait) is delivered this pass and never registered.  Anything
+        else registers first and re-checks the head after, so a publish
+        racing the request is either seen by the re-check or finds the
+        record; zero threads are held either way.
         """
-        store = record.store
+        record, store, bind, head = sub
         self.server._hook_store(record.key, store)
+        handler.bind(bind)
         handler.adopt(record)
-        if record.done:
+        stream = record.deadline is None
+        if not stream and (store.seq > record.since
+                           or record.deadline <= self.ctx.clock()):
             self._woken.append(record)
             return
-        stream = record.deadline is None
         self.scheduler.add(record)
         if stream:
-            self._enqueue_and_flush(handler, (record.head,))
+            self._enqueue_and_flush(handler, (head,))
         if store.seq > record.since and (stream or self.scheduler.remove(record)):
             self._woken.append(record)  # backlog behind the cursor goes out now
         if stream and not handler.closed and handler.inbuf:

@@ -47,19 +47,10 @@ class Subscriber:
     ``(key, since, framing)`` they name the frame group the record
     shares at delivery.  ``deadline`` (monotonic seconds) marks a
     one-shot parked poll; None marks a persistent stream.
-
-    A route builds the record before any connection is known, so it
-    also carries what the request asked of its connection, for the IO
-    loop to apply when it registers the record: ``store`` (the session's
-    event store), ``head`` (bytes an SSE / WS upgrade sends before its
-    first frame), ``max_tier`` (the ``min_quality`` hint, None if the
-    request gave none) and ``bind`` (``(wid, source)`` of the sliding
-    window the route is bound to, None for the whole domain).
     """
 
     __slots__ = ("id", "key", "since", "handle", "transport", "framing",
-                 "tier", "window", "deadline", "done", "woken_at",
-                 "store", "head", "max_tier", "bind")
+                 "tier", "window", "deadline", "done", "woken_at")
 
     def __init__(self, key: str, since: int, handle: Any, transport: str,
                  framing: str, tier: int = 0, window: tuple | None = None,
@@ -73,11 +64,10 @@ class Subscriber:
         self.tier = tier
         self.window = window
         self.deadline = deadline
-        self.done = False  # popped, removed, dropped or built answerable; heap entries may linger
+        self.done = False  # popped, removed or dropped; heap entries may linger
         # Stamped (monotonic) by the publish wake path so the IO loop
         # can gauge wake->delivery latency for the ops dashboard.
         self.woken_at = 0.0
-        self.store = self.head = self.max_tier = self.bind = None
 
 
 class LongPollScheduler:

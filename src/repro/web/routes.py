@@ -6,15 +6,18 @@ Every :data:`API_ROUTES` entry binds ``(method, pattern)`` to a function
 :class:`RouteContext` (the steering service, never a connection) and
 returns one of three things, which the IO loop sends:
 
-* a **response** — the tuple ``(code, body, ctype)``;
-* a **job** — a zero-argument callable returning such a tuple, run on
-  the worker pool because it is heavy (session start-up, a cold PNG or
-  tier encode, a large snapshot, a journal or metrics read);
-* a :class:`~repro.web.longpoll.Subscriber` to register on the
-  connection — a poll to park, or an SSE / WebSocket stream carrying
-  the ``head`` bytes its upgrade sends first — together with what the
-  request asked of the connection's delivery state (``max_tier``,
-  ``bind``).
+* a :class:`Response` — ``(code, body, ctype)``;
+* a **job** — a zero-argument callable returning a :class:`Response`,
+  run on the worker pool because it is heavy (session start-up, a cold
+  PNG or tier encode, a large snapshot, a journal or metrics read);
+* a :class:`Subscribe` — the :class:`~repro.web.longpoll.Subscriber` to
+  register on the connection (a poll to park, or an SSE / WebSocket
+  stream with the ``head`` bytes its upgrade sends first) and the
+  session's event store.
+
+What a request asks of its connection's delivery state — the sliding
+window to follow, the ``min_quality`` cap — travels one way only: as the
+:class:`Bind` a :class:`Subscribe` carries and a :class:`Response` may.
 
 A route that cannot answer raises; :func:`error_reply` is the one
 exception -> status rule, applied alike to a route that raised inline
@@ -27,7 +30,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.adaptive.tiers import MAX_TIER, clamp_tier
 from repro.errors import ConfigurationError, ReproError, WebServerError
@@ -44,8 +47,8 @@ from repro.web.longpoll import Subscriber
 from repro.web.static import DASHBOARD_HTML, INDEX_HTML
 from repro.window import WindowCursor
 
-__all__ = ["API_ROUTES", "RouteContext", "dispatch", "error_reply",
-           "match_route"]
+__all__ = ["API_ROUTES", "Bind", "Response", "RouteContext", "Subscribe",
+           "dispatch", "error_reply", "match_route"]
 
 _MAX_POLL_TIMEOUT = 30.0
 #: Snapshots past this many components are serialized off the IO loop.
@@ -81,6 +84,38 @@ class RouteContext:
     clock: Callable[[], float] = time.monotonic
 
 
+class Bind(NamedTuple):
+    """What a request asks of its connection's delivery state: the
+    sliding window to follow from here on (``wid`` in ``source``; None:
+    the whole domain), the ``min_quality`` cap and the staleness
+    ladder's coarsening (None leaves either as it was)."""
+
+    wid: str | None = None
+    source: Any = None
+    max_tier: int | None = None
+    lod_bias: int | None = None
+
+
+class Response(NamedTuple):
+    """A full HTTP response; ``bind`` if answering it rebinds the connection."""
+
+    code: int
+    body: bytes
+    ctype: str = _JSON
+    bind: Bind | None = None
+
+
+class Subscribe(NamedTuple):
+    """Register ``record`` on the connection, bound as ``bind`` says;
+    ``store`` is its session's, ``head`` what an SSE / WS upgrade sends
+    before its first frame."""
+
+    record: Subscriber
+    store: Any
+    bind: Bind
+    head: bytes | None = None
+
+
 class _HttpError(Exception):
     """A routing/validation failure with an explicit HTTP status.
 
@@ -103,7 +138,7 @@ def _error_body(code: str, message: str) -> bytes:
     return json.dumps({"error": {"code": code, "message": message}}).encode("utf-8")
 
 
-def error_reply(exc: Exception, method: str) -> tuple[int, bytes, str]:
+def error_reply(exc: Exception, method: str) -> Response:
     """The one exception -> status rule, inline or offloaded alike."""
     if isinstance(exc, _HttpError):
         status, code, message = exc.status, exc.code, exc.message
@@ -115,11 +150,11 @@ def error_reply(exc: Exception, method: str) -> tuple[int, bytes, str]:
         status, code, message = 400, "bad_request", str(exc)
     else:  # never kill the loop or a worker for one request
         status, code, message = 500, "internal", f"internal: {exc}"
-    return status, _error_body(code, message), _JSON
+    return Response(status, _error_body(code, message))
 
 
-def _json(payload) -> tuple[int, bytes, str]:
-    return 200, json.dumps(payload).encode("utf-8"), _JSON
+def _json(payload, bind: Bind | None = None) -> Response:
+    return Response(200, json.dumps(payload).encode("utf-8"), _JSON, bind)
 
 
 # -- request validation ------------------------------------------------------------
@@ -308,8 +343,9 @@ def state(request: HttpRequest, sid: str, ctx: RouteContext):
     return _json(store.snapshot())
 
 
-def _delivery(record: Subscriber, request: HttpRequest, store) -> Subscriber:
-    """What every delivery route reads of its request, set on ``record``.
+def _subscribe(record: Subscriber, request: HttpRequest, store,
+               head: bytes | None = None) -> Subscribe:
+    """The reply of every delivery route, with what it reads of its request.
 
     ``min_quality`` is the deepest tier index the client accepts: 0 pins
     full quality (the server will disconnect rather than degrade),
@@ -317,9 +353,9 @@ def _delivery(record: Subscriber, request: HttpRequest, store) -> Subscriber:
     route to a sliding window, which must have been registered via
     ``POST .../window`` first; absent means the whole domain.
     """
-    record.store = store
+    max_tier = source = None
     if "min_quality" in request.query:
-        record.max_tier = clamp_tier(
+        max_tier = clamp_tier(
             _query_num(request, "min_quality", str(MAX_TIER)))
     wid = request.query.get("window", [None])[0]
     if wid is not None:
@@ -327,8 +363,7 @@ def _delivery(record: Subscriber, request: HttpRequest, store) -> Subscriber:
         if source.cursor(wid) is None:
             raise WebServerError(
                 f"unknown window {wid!r}: register it via POST .../window first")
-        record.bind = (wid, source)
-    return record
+    return Subscribe(record, store, Bind(wid, source, max_tier), head)
 
 
 def poll(request: HttpRequest, sid: str, ctx: RouteContext):
@@ -336,11 +371,11 @@ def poll(request: HttpRequest, sid: str, ctx: RouteContext):
     since = _query_num(request, "since", "0")
     timeout = min(_query_num(request, "timeout", "20", float),
                   _MAX_POLL_TIMEOUT)
+    # The loop parks it only if it is still unanswerable on arrival:
+    # nothing past ``since`` and a deadline ahead of the clock.
     record = Subscriber(sid, since, None, "longpoll", FRAME_JSON,
                         deadline=ctx.clock() + timeout)
-    # Answerable as it stands: delivered this pass, never registered.
-    record.done = store.seq > since or timeout <= 0
-    return _delivery(record, request, store)
+    return _subscribe(record, request, store)
 
 
 def stream(request: HttpRequest, sid: str, ctx: RouteContext):
@@ -356,15 +391,14 @@ def stream(request: HttpRequest, sid: str, ctx: RouteContext):
         last_id = request.headers.get("last-event-id", "")
         # ASCII digits only: "²".isdigit() is true but int("²") raises.
         since = int(last_id) if last_id.isascii() and last_id.isdigit() else 0
-    record = _delivery(Subscriber(sid, since, None, "sse", FRAME_SSE),
-                       request, store)
-    record.head = (
+    head = (
         "HTTP/1.1 200 OK\r\n"
         "Content-Type: text/event-stream\r\n"
         "Cache-Control: no-store\r\nServer: RICSA/2.0\r\n"
         "Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n"
     ).encode("latin-1") + sse_comment_chunk(b"ok")
-    return record
+    return _subscribe(Subscriber(sid, since, None, "sse", FRAME_SSE),
+                      request, store, head)
 
 
 def ws(request: HttpRequest, sid: str, ctx: RouteContext):
@@ -382,16 +416,14 @@ def ws(request: HttpRequest, sid: str, ctx: RouteContext):
     if images not in _WS_FRAMINGS:
         raise _HttpError(400, "bad_request", f"unknown images mode {images!r}")
     since = _query_num(request, "since", "0")
-    record = _delivery(
-        Subscriber(sid, since, None, "ws", _WS_FRAMINGS[images]),
-        request, store)
-    record.head = (
+    head = (
         "HTTP/1.1 101 Switching Protocols\r\n"
         "Upgrade: websocket\r\nConnection: Upgrade\r\n"
         f"Sec-WebSocket-Accept: {ws_accept_key(key)}\r\n"
         "Server: RICSA/2.0\r\n\r\n"
     ).encode("latin-1")
-    return record
+    return _subscribe(Subscriber(sid, since, None, "ws", _WS_FRAMINGS[images]),
+                      request, store, head)
 
 
 def image(request: HttpRequest, sid: str, ctx: RouteContext):
@@ -401,9 +433,9 @@ def image(request: HttpRequest, sid: str, ctx: RouteContext):
     if tier:
         # A tier variant may need its lazy downscale encode — CPU work
         # that belongs on the worker pool, like the cold-PNG path below.
-        return lambda: (200, store.image_blob(version, tier),
-                        "application/octet-stream")
-    return 200, store.image_blob(version), "application/octet-stream"
+        return lambda: Response(200, store.image_blob(version, tier),
+                                "application/octet-stream")
+    return Response(200, store.image_blob(version), "application/octet-stream")
 
 
 def image_png(request: HttpRequest, sid: str, ctx: RouteContext):
@@ -412,10 +444,10 @@ def image_png(request: HttpRequest, sid: str, ctx: RouteContext):
     tier = clamp_tier(_query_num(request, "tier", "0"))
     cached = store.png_cached(version, tier)  # raises 404-wise if evicted
     if cached is not None:
-        return 200, cached, "image/png"
+        return Response(200, cached, "image/png")
     # Cold cache: the PNG re-encode is the priciest per-request CPU in
     # the serving tier — run it off the IO loop.
-    return lambda: (200, store.image_png(version, tier), "image/png")
+    return lambda: Response(200, store.image_png(version, tier), "image/png")
 
 
 def window_get(request: HttpRequest, sid: str, ctx: RouteContext):
@@ -434,8 +466,8 @@ def window_get(request: HttpRequest, sid: str, ctx: RouteContext):
 
 
 def window_set(request: HttpRequest, sid: str, ctx: RouteContext):
-    """Register or move a window.  The response's fourth element binds
-    the connection to it, at the LOD the client asked for."""
+    """Register or move a window, and bind the connection to it at the
+    LOD the client asked for."""
     store = ctx.manager.events(sid)
     source = _window_source(store)
     body = request.json_body()
@@ -450,7 +482,7 @@ def window_set(request: HttpRequest, sid: str, ctx: RouteContext):
         "bricks": metas,
         "version": store.seq,
     }
-    return (*_json(payload), (wid, source))
+    return _json(payload, Bind(wid, source, lod_bias=0))
 
 
 def brick(request: HttpRequest, sid: str, ctx: RouteContext):
@@ -464,7 +496,7 @@ def brick(request: HttpRequest, sid: str, ctx: RouteContext):
             payload = source.payload(lod, index)
         except ConfigurationError as exc:  # no such brick: a missing resource
             raise _HttpError(404, "not_found", str(exc)) from None
-        return 200, payload, "application/octet-stream"
+        return Response(200, payload, "application/octet-stream")
 
     return job
 
@@ -585,7 +617,7 @@ def dispatch(request: HttpRequest, ctx: RouteContext):
     """Answer one request: its route's reply, or the error envelope."""
     try:
         if request.method == "GET" and request.path in _PAGES:
-            return 200, _PAGES[request.path], _HTML
+            return Response(200, _PAGES[request.path], _HTML)
         sid, route = match_route(request.method, request.path)
         return route.handler(request, sid, ctx)
     except Exception as exc:

@@ -1,46 +1,25 @@
-"""The Ajax web server: one non-blocking IO loop, session routes.
+"""The Ajax web server: the facade that binds the serving tier to a port.
 
 The seed used ``ThreadingHTTPServer`` and parked one thread per
-outstanding long poll.  This server is one selector loop: every
-connection is non-blocking, and a long poll with no fresh events
-becomes a :class:`~repro.web.longpoll.Subscriber` record with a
-deadline on the loop's :class:`~repro.web.longpoll.LongPollScheduler`.
-Publishes from simulation threads pop ready polls and wake the loop
-through its socketpair; the scheduler's deadline heap bounds the
-loop's select timeout so expired polls get their empty delta on time.
-Server-side thread count is a constant (1 IO thread + ``workers``)
-regardless of how many clients are parked.
+outstanding long poll.  This server is one selector loop over
+non-blocking connections: a long poll with no fresh events becomes a
+:class:`~repro.web.longpoll.Subscriber` record, publishes from
+simulation threads wake the loop through its socketpair, and the thread
+count is ``1 + workers + executor_workers`` however many sessions step
+or clients park.  There is exactly one loop because parse, route, group,
+frame and enqueue are Python bytecode under one GIL: K = 2 and 4 loops
+measured a worse wake p99 than K = 1 at every herd size tried
+(ARCHITECTURE.md, "One IO loop").  Scaling past a core means processes.
 
-There is exactly one loop because parse, route, group, frame and
-enqueue are Python bytecode under one GIL: K selector threads add lock
-hand-overs and no throughput, and K = 2 and 4 measured a worse wake p99
-than K = 1 at every herd size tried (table in ARCHITECTURE.md, "One IO
-loop").  Scaling past one core means more processes, not more loops.
-
-The serving tier is four layers, each testable without a socket but the
-first: the *connection* layer (:mod:`repro.web.connection` — the IO
-loop, its write path and worker pool) sends what the *routes*
-(:mod:`repro.web.routes` — the ``/api/v1`` table, keyed by session and
-served out of each session's
-:class:`~repro.steering.events.EventSequenceStore`) return, hands woken
-subscribers to :mod:`repro.web.delivery`, asks the *ladder*
+The tier is four layers, each testable without a socket but the first:
+the *connection* layer (:mod:`repro.web.connection`) sends what the
+*routes* (:mod:`repro.web.routes`, the ``/api/v1`` table) return, hands
+woken subscribers to :mod:`repro.web.delivery`, asks the *ladder*
 (:func:`repro.adaptive.controller.next_rung`) which tier / LOD a slow
 client moves to, and steps the journal's *replay cursors*
-(:mod:`repro.obs.journal`).  This module is the facade that binds them
-to a port: :class:`AjaxWebServer`, its counters and the publish -> wake
+(:mod:`repro.obs.journal`).  Here live :class:`AjaxWebServer`, its
+worker pool, the ``GET /api/v1/stats`` counters and the publish -> wake
 hook.
-
-What is encoded once and shared by N clients, and how the long-poll, SSE
-and WebSocket transports differ after the frame is queued, is
-:mod:`repro.steering.events` and :mod:`repro.web.delivery`'s to say.
-
-With simulations on the shared
-:class:`~repro.steering.executor.SimulationExecutor` (or its
-multiprocess sibling), the whole process obeys
-``1 + workers + executor_workers`` threads however many sessions step
-or clients connect.  ``GET /api/v1/stats`` surfaces the serving counters
-plus the executor's block (including its backend and worker-process
-count).
 """
 
 from __future__ import annotations

@@ -82,6 +82,22 @@ class TestSessionLifecycle:
             late.create("late", n_cycles=3, **SIM)
         assert "late" not in late and "late" not in journal.sessions()
 
+    def test_refused_create_keeps_an_earlier_runs_journal(self, cm):
+        """Journals outlive eviction (replay targets finished or evicted
+        sessions), so rolling back a refused create must drop only what
+        that attempt added under a reused id."""
+        journal = SessionJournal()
+        mgr = SessionManager(cm, journal=journal)
+        mgr.create("run1", n_cycles=4, **SIM).join_background(timeout=30.0)
+        mgr.close("run1")
+        history = journal.rows("run1")
+        assert history
+        for refused in (dict(technique="nope"),
+                        dict(initial_params={"no_such_parameter": 1})):
+            with pytest.raises(ReproError):
+                mgr.create("run1", n_cycles=3, **{**SIM, **refused})
+        assert "run1" not in mgr and journal.rows("run1") == history
+
     def test_attach_detach_refcounting(self, cm):
         mgr = SessionManager(cm)
         mgr.create("a", configure=False, **SIM)

@@ -382,6 +382,23 @@ def test_missing_version_is_a_404_on_the_inline_and_the_offloaded_arm(api_server
     assert status == 404 and json.loads(blob)["error"]["code"] == "not_found"
 
 
+def test_a_poll_answerable_on_arrival_is_never_registered(api_server):
+    """Events past the cursor, or no time to wait: answered this pass."""
+    server, _ = api_server
+    store = server.manager.open_monitor("quiet")
+    try:
+        store.publish_status("probe", 0, value=1)
+        before = server.scheduler.stats()
+        status, _, blob = _request(server, "GET", "/api/v1/quiet/poll?since=0")
+        assert status == 200 and json.loads(blob)["version"] == store.seq
+        status, _, blob = _request(
+            server, "GET", f"/api/v1/quiet/poll?since={store.seq}&timeout=0")
+        assert status == 200 and json.loads(blob)["timeout"] is True
+        assert server.scheduler.stats() == before  # nothing parked or expired
+    finally:
+        server.manager.close("quiet")
+
+
 # -- request framing the parser must refuse ---------------------------------------
 
 

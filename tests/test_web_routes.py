@@ -3,9 +3,10 @@
 Every ``API_ROUTES`` entry is called the way the IO loop calls it —
 ``route.handler(request, sid, ctx)`` through :func:`dispatch` — against a
 real ``SessionManager`` / ``EventSequenceStore`` / journal, and the test
-looks at *what kind of reply came back*: a response tuple, a job for the
+looks at *what kind of reply came back*: a ``Response``, a job for the
 worker pool (run here inline, under the loop's error rule) or a
-``Subscriber`` to register.  The clock is a constant, nothing sleeps.
+``Subscribe`` carrying the ``Subscriber`` to register.  The clock is a
+constant, nothing sleeps.
 """
 
 from __future__ import annotations
@@ -37,7 +38,10 @@ from repro.web.framing import HttpRequest, decode_brick_payload, ws_accept_key
 from repro.web.longpoll import Subscriber
 from repro.web.routes import (
     API_ROUTES,
+    Bind,
+    Response,
     RouteContext,
+    Subscribe,
     _HttpError,
     dispatch,
     error_reply,
@@ -108,8 +112,8 @@ def _finish(reply, method: str):
 def _call(rig, method: str, target: str, body=None, **kw):
     """Dispatch and run to a response; (status, decoded JSON or raw body)."""
     reply = _finish(dispatch(_request(method, target, body, **kw), rig.ctx), method)
-    assert type(reply) is tuple, reply
-    code, payload, ctype = reply[:3]
+    assert type(reply) is Response, reply
+    code, payload, ctype, _ = reply
     return code, json.loads(payload) if ctype == "application/json" else payload
 
 
@@ -159,14 +163,14 @@ def test_route_returns_one_of_the_three_reply_kinds(ctx, route):
     target, body, headers, kind = CASES[route.action]
     reply = dispatch(_request(route.method, target, body, headers), ctx.ctx)
     if kind == "response":
-        assert type(reply) is tuple and reply[0] == 200, reply[:2]
-        assert isinstance(reply[1], bytes) and isinstance(reply[2], str)
+        assert type(reply) is Response and reply.code == 200, reply[:2]
+        assert isinstance(reply.body, bytes) and isinstance(reply.ctype, str)
     elif kind == "subscriber":
-        assert type(reply) is Subscriber
-        assert reply.handle is None  # the loop supplies the connection
-        assert reply.store is ctx.store and reply.key == "mon"
+        assert type(reply) is Subscribe and type(reply.record) is Subscriber
+        assert reply.record.handle is None  # the loop supplies the connection
+        assert reply.store is ctx.store and reply.record.key == "mon"
     else:
-        assert callable(reply) and not isinstance(reply, (tuple, Subscriber))
+        assert callable(reply) and not isinstance(reply, tuple)
 
 
 def test_jobs_answer_when_run(ctx):
@@ -180,7 +184,7 @@ def test_jobs_answer_when_run(ctx):
     assert code == 200 and png.startswith(b"\x89PNG")
     # the encode is cached now: the same request is answered inline
     reply = dispatch(_request("GET", "mon/image.png?v=3"), ctx.ctx)
-    assert reply == (200, png, "image/png")
+    assert reply == Response(200, png, "image/png")
 
 
 def test_large_snapshots_are_rendered_off_the_loop(ctx):
@@ -197,60 +201,58 @@ def test_large_snapshots_are_rendered_off_the_loop(ctx):
 
 def test_static_pages_and_the_stats_payload(ctx):
     for path in ("/", "/dashboard"):
-        code, body, ctype = dispatch(
+        code, body, ctype, _ = dispatch(
             HttpRequest("GET", path, "HTTP/1.1", {}, b""), ctx.ctx)
         assert code == 200 and ctype.startswith("text/html") and b"<html" in body
     assert _call(ctx, "GET", "stats") == (200, {"requests_served": 7})
     assert set(_call(ctx, "GET", "sessions")[1]) >= {"mon", "sim"}
 
 
-# -- delivery routes: the Subscriber is the reply ------------------------------------
+# -- delivery routes: the reply carries the Subscriber to register -------------------
 
 
 class TestDeliveryRoutes:
     def test_poll_deadline_comes_from_the_contexts_clock(self, ctx):
         head = ctx.store.seq
-        parked = dispatch(_request("GET", f"mon/poll?since={head}&timeout=7.5"), ctx.ctx)
+        reply = dispatch(_request("GET", f"mon/poll?since={head}&timeout=7.5"), ctx.ctx)
+        parked = reply.record
         assert (parked.transport, parked.framing) == ("longpoll", FRAME_JSON)
         assert parked.deadline == NOW + 7.5 and parked.since == head
-        assert parked.done is False  # nothing new: the loop parks it
-        assert parked.head is None and parked.max_tier is None and parked.bind is None
+        assert parked.done is False  # the scheduler's flag, not the route's
+        # it asked nothing of its connection: whole domain, tier cap untouched
+        assert reply.head is None and reply.bind == Bind()
         capped = dispatch(_request("GET", f"mon/poll?since={head}&timeout=999"), ctx.ctx)
-        assert capped.deadline == NOW + 30.0
-
-    def test_an_answerable_poll_is_marked_and_never_registered(self, ctx):
-        head = ctx.store.seq
-        behind = dispatch(_request("GET", f"mon/poll?since={head - 1}"), ctx.ctx)
-        assert behind.done is True
+        assert capped.record.deadline == NOW + 30.0
+        # timeout=0 leaves the loop nothing to wait for: deadline <= its clock
         no_wait = dispatch(_request("GET", f"mon/poll?since={head}&timeout=0"), ctx.ctx)
-        assert no_wait.done is True and no_wait.deadline == NOW
+        assert no_wait.record.deadline == NOW and no_wait.record.done is False
 
-    def test_min_quality_and_window_ride_on_the_record(self, ctx):
+    def test_min_quality_and_window_ride_on_the_bind(self, ctx):
         _call(ctx, "POST", "mon/window", {"lo": [0, 0, 0], "hi": [9, 9, 9], "wid": "roi"})
-        record = dispatch(_request(
+        reply = dispatch(_request(
             "GET", "mon/poll?since=0&min_quality=1&window=roi"), ctx.ctx)
-        assert record.max_tier == 1
-        assert record.bind == ("roi", ctx.store.window_source())
-        assert dispatch(_request("GET", "mon/poll?min_quality=99"), ctx.ctx).max_tier == 3
+        assert reply.bind == Bind("roi", ctx.store.window_source(), max_tier=1)
+        capped = dispatch(_request("GET", "mon/poll?min_quality=99"), ctx.ctx)
+        assert capped.bind == Bind(max_tier=3)
         # a window nobody registered, or a session with no windowed domain
         assert _error(ctx, "GET", "mon/poll?window=ghost") == (404, "not_found")
         assert _error(ctx, "GET", "sim/stream?window=roi") == (404, "not_found")
         assert _error(ctx, "GET", "mon/poll?min_quality=x") == (400, "bad_request")
 
     def test_stream_head_and_resume(self, ctx):
-        record = dispatch(_request("GET", "mon/stream",
-                                   headers={"last-event-id": "2"}), ctx.ctx)
+        record, _, bind, head = dispatch(_request(
+            "GET", "mon/stream", headers={"last-event-id": "2"}), ctx.ctx)
         assert (record.transport, record.framing) == ("sse", FRAME_SSE)
-        assert record.deadline is None and record.since == 2 and not record.done
-        assert record.head.startswith(b"HTTP/1.1 200 OK\r\n")
-        assert b"Transfer-Encoding: chunked\r\n" in record.head
-        assert record.head.endswith(b"\r\n\r\n" + sse_comment_chunk(b"ok"))
+        assert record.deadline is None and record.since == 2 and bind == Bind()
+        assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert b"Transfer-Encoding: chunked\r\n" in head
+        assert head.endswith(b"\r\n\r\n" + sse_comment_chunk(b"ok"))
         explicit = dispatch(_request("GET", "mon/stream?since=1",
                                      headers={"last-event-id": "2"}), ctx.ctx)
-        assert explicit.since == 1
+        assert explicit.record.since == 1
         garbage = dispatch(_request("GET", "mon/stream",
                                     headers={"last-event-id": "\xb2"}), ctx.ctx)
-        assert garbage.since == 0
+        assert garbage.record.since == 0
         assert _error(ctx, "GET", "mon/stream", version="HTTP/1.0") == (400, "bad_request")
 
     @pytest.mark.parametrize("images, framing", [
@@ -258,13 +260,13 @@ class TestDeliveryRoutes:
         ("binary", FRAME_WS_BINARY),
     ])
     def test_ws_upgrade_head_and_framing(self, ctx, images, framing):
-        record = dispatch(_request("GET", f"mon/ws?since=1&images={images}",
-                                   headers=WS_HEADERS), ctx.ctx)
+        record, _, _, head = dispatch(_request(
+            "GET", f"mon/ws?since=1&images={images}", headers=WS_HEADERS), ctx.ctx)
         assert (record.transport, record.framing, record.since) == ("ws", framing, 1)
         assert record.deadline is None
         accept = ws_accept_key(WS_HEADERS["sec-websocket-key"])
-        assert record.head.startswith(b"HTTP/1.1 101 Switching Protocols\r\n")
-        assert f"Sec-WebSocket-Accept: {accept}\r\n".encode() in record.head
+        assert head.startswith(b"HTTP/1.1 101 Switching Protocols\r\n")
+        assert f"Sec-WebSocket-Accept: {accept}\r\n".encode() in head
 
     @pytest.mark.parametrize("target, headers", [
         ("mon/ws", {}),
@@ -280,7 +282,9 @@ class TestDeliveryRoutes:
             "lo": [0, 0, 0], "hi": [17, 17, 17], "lod": 99, "wid": "pan"}), ctx.ctx)
         code, body, ctype, bind = reply
         assert (code, ctype) == (200, "application/json")
-        assert bind == ("pan", ctx.store.window_source())
+        # the same Bind a delivery route carries; here it also resets the
+        # staleness ladder's coarsening and leaves the tier cap alone
+        assert bind == Bind("pan", ctx.store.window_source(), lod_bias=0)
         payload = json.loads(body)
         source = ctx.store.window_source()
         assert payload["window"]["lod"] == source.octree.max_lod  # clamped
@@ -300,7 +304,7 @@ class TestStatusRule:
     ])
     def test_error_reply_table(self, exc, get, post):
         for method, want in (("GET", get), ("POST", post)):
-            status, body, ctype = error_reply(exc, method)
+            status, body, ctype, _ = error_reply(exc, method)
             error = json.loads(body)["error"]
             assert status == want and ctype == "application/json"
             assert error["code"] == {400: "bad_request", 404: "not_found",
@@ -309,7 +313,7 @@ class TestStatusRule:
 
     def test_a_missing_version_is_a_404_inline_and_offloaded(self, ctx):
         inline = dispatch(_request("GET", "mon/image?v=999"), ctx.ctx)
-        assert type(inline) is tuple  # tier 0 is answered on the loop
+        assert type(inline) is Response  # tier 0 is answered on the loop
         offloaded = dispatch(_request("GET", "mon/image?v=999&tier=1"), ctx.ctx)
         assert callable(offloaded)  # a tier variant is encoded on a worker
         offloaded = _finish(offloaded, "GET")
@@ -415,7 +419,7 @@ class TestBodies:
     def test_create_is_judged_before_it_is_offloaded(self, ctx, spec):
         before = ctx.manager.sessions().keys()
         reply = dispatch(_request("POST", "sessions", spec), ctx.ctx)
-        assert type(reply) is tuple and reply[0] == 400, reply  # no job was built
+        assert type(reply) is Response and reply.code == 400, reply  # no job was built
         assert json.loads(reply[1])["error"]["code"] == "bad_request"
         assert ctx.manager.sessions().keys() == before
 
