@@ -382,16 +382,6 @@ class TestBenchTransportCompare:
                 "pre-framed delta cache is not sharing"
             )
 
-    def test_ws_binary_image_frames_beat_base64(self, benchmark, transport_sweep):
-        """Raw-blob binary frames must be smaller than base64-in-JSON."""
-        benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-        fs = transport_sweep.frame_sizes
-        record_report(
-            f"WS image framing - binary {fs['ws_binary_bytes']} B vs "
-            f"b64-JSON {fs['ws_b64_bytes']} B ({fs['savings_pct']:.1f}% smaller)"
-        )
-        assert fs["ws_binary_bytes"] < fs["ws_b64_bytes"], fs
-
     def test_push_transports_beat_longpoll_wake_p99(
         self, benchmark, transport_sweep
     ):

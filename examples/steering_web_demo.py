@@ -99,7 +99,7 @@ def _spawn_slow_viewers(port: int, sid: str, n: int):
     """Start ``n`` WebSocket viewers throttled to an emulated modem link.
 
     Reuses the benchmark's paced stream client: image blobs ride inline
-    (``images=b64``) so the payloads actually stress the slow link, the
+    (``images=binary``) so the payloads actually stress the slow link, the
     drain rate is capped at the simulated bottleneck bandwidth, and a
     small receive buffer keeps the backlog server-visible — exactly the
     congestion signal the adaptive controller reacts to.
@@ -115,7 +115,7 @@ def _spawn_slow_viewers(port: int, sid: str, n: int):
     viewers = []
     for _ in range(n):
         viewer = _WSClient(port, sid, stop, gate)
-        viewer.images = "b64"
+        viewer.images = "binary"
         viewer.recv_bytes = 4096
         viewer.recv_interval = 4096 / bandwidth
         viewer.rcvbuf = 8192

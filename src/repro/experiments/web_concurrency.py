@@ -41,24 +41,21 @@ from repro.net.topology import LinkSpec, NodeSpec, Topology
 from repro.steering.central_manager import CentralManager
 from repro.steering.client import SteeringClient
 from repro.steering.manager import SessionManager
-from repro.steering.events import (
-    FRAME_WS_B64,
-    FRAME_WS_BINARY,
+from repro.viz.image import Image
+from repro.web.client import read_response_head
+from repro.web.server import AjaxWebServer
+from repro.window import WindowedDomainSource
+from repro.wire import (
+    WS_BINARY,
     WS_CLOSE,
     WS_PING,
     WS_PONG,
     WS_TEXT,
-    EventSequenceStore,
-)
-from repro.viz.image import Image
-from repro.web.framing import (
     decode_chunks,
     parse_ws_frames,
     split_sse_events,
     ws_client_frame,
 )
-from repro.web.server import AjaxWebServer
-from repro.window import WindowedDomainSource
 
 __all__ = [
     "AdaptiveDeliveryResult",
@@ -69,7 +66,6 @@ __all__ = [
     "default_client_counts",
     "emulated_slow_bandwidth",
     "ensure_fd_capacity",
-    "measure_image_frame_sizes",
     "read_http_response",
     "run_adaptive_delivery",
     "run_web_concurrency",
@@ -106,26 +102,14 @@ def read_http_response(sock: socket.socket, buf: bytearray) -> bytes:
     ``buf`` carries over bytes of a pipelined follow-up response between
     calls.  Shared by the benchmark clients and the backpressure tests.
     """
-    while True:
-        end = buf.find(b"\r\n\r\n")
-        if end >= 0:
-            break
+    length = int(read_response_head(sock, buf)[1]["content-length"])
+    while len(buf) < length:
         chunk = sock.recv(65536)
         if not chunk:
             raise ConnectionError("server closed connection")
         buf += chunk
-    head = bytes(buf[:end]).lower()
-    marker = head.index(b"content-length:") + len(b"content-length:")
-    eol = head.find(b"\r\n", marker)
-    length = int(head[marker : eol if eol >= 0 else len(head)])
-    total = end + 4 + length
-    while len(buf) < total:
-        chunk = sock.recv(65536)
-        if not chunk:
-            raise ConnectionError("server closed connection")
-        buf += chunk
-    body = bytes(buf[end + 4 : total])
-    del buf[:total]
+    body = bytes(buf[:length])
+    del buf[:length]
     return body
 
 
@@ -285,20 +269,11 @@ class _PollClient(threading.Thread):
                 sock.close()
 
 
-def _read_response_head(sock: socket.socket, buf: bytearray,
-                        expect_status: int) -> None:
+def _expect_status(sock: socket.socket, buf: bytearray, expect_status: int) -> None:
     """Read one response head into ``buf``; leave the body bytes in it."""
-    while b"\r\n\r\n" not in buf:
-        chunk = sock.recv(65536)
-        if not chunk:
-            raise ConnectionError("server closed during response head")
-        buf += chunk
-    head, _, rest = bytes(buf).partition(b"\r\n\r\n")
-    status = head.split(b"\r\n", 1)[0].split()
-    if len(status) < 2 or status[1] != str(expect_status).encode("ascii"):
-        raise ConnectionError(f"expected HTTP {expect_status}, got {head[:40]!r}")
-    del buf[:]
-    buf += rest
+    status, _headers = read_response_head(sock, buf)
+    if status != expect_status:
+        raise ConnectionError(f"expected HTTP {expect_status}, got {status}")
 
 
 class _StreamClientBase(threading.Thread):
@@ -439,7 +414,7 @@ class _SSEClient(_StreamClientBase):
             b"Host: 127.0.0.1\r\n\r\n"
             % (self.sid.encode("ascii"), self.since)
         )
-        _read_response_head(sock, buf, 200)
+        _expect_status(sock, buf, 200)
 
     def _consume(self, sock: socket.socket, buf: bytearray, now: float) -> None:
         payloads, ended = decode_chunks(buf)
@@ -457,9 +432,9 @@ _BENCH_WS_KEY = "d2ViLWNvbmN1cnJlbmN5LWJlbmNo"  # any 16-byte base64 token
 class _WSClient(_StreamClientBase):
     """One persistent WebSocket browser stand-in.
 
-    ``images="b64"`` subscribes with image blobs inlined in the text
-    frames — the framing the adaptive benchmark uses so delivered bytes
-    actually track the tier ladder's payload fractions.
+    ``images="binary"`` subscribes with image blobs inlined raw in
+    binary frames — the framing the adaptive benchmark uses so delivered
+    bytes actually track the tier ladder's payload fractions.
     """
 
     images: str | None = None
@@ -475,12 +450,17 @@ class _WSClient(_StreamClientBase):
             % (self.sid.encode("ascii"), self.since, images_q,
                _BENCH_WS_KEY.encode("ascii"))
         )
-        _read_response_head(sock, buf, 101)
+        _expect_status(sock, buf, 101)
 
     def _consume(self, sock: socket.socket, buf: bytearray, now: float) -> None:
         for opcode, payload in parse_ws_frames(buf, require_mask=False):
             if opcode == WS_TEXT:
                 self._account(payload, now)
+            elif opcode == WS_BINARY:
+                # [u32 json length][json][raw blobs]: keep the JSON alone
+                # for the deferred parse, drop the blobs now.
+                json_end = 4 + int.from_bytes(payload[:4], "big")
+                self._account(payload[4:json_end], now)
             elif opcode == WS_PING:
                 sock.sendall(ws_client_frame(payload, WS_PONG))
             elif opcode == WS_CLOSE:
@@ -665,7 +645,6 @@ class TransportCompareResult:
     client_counts: tuple
     sessions: int
     cells: list[ConcurrencyCell] = field(default_factory=list)
-    frame_sizes: dict = field(default_factory=dict)
 
     def cell(self, transport: str, clients: int) -> ConcurrencyCell:
         for c in self.cells:
@@ -679,7 +658,6 @@ class TransportCompareResult:
             "transports": list(self.transports),
             "client_counts": list(self.client_counts),
             "sessions": self.sessions,
-            "frame_sizes": dict(self.frame_sizes),
             "cells": [c.to_dict() for c in self.cells],
         }
 
@@ -695,34 +673,7 @@ class TransportCompareResult:
                 f"{c.wake_p50_ms:>8.2f} {c.wake_p99_ms:>8.2f} "
                 f"{c.server_threads:>8} {c.json_encodes_per_wake:>9.2f}"
             )
-        if self.frame_sizes:
-            fs = self.frame_sizes
-            lines.append(
-                f"  image frame: ws binary {fs['ws_binary_bytes']} B vs "
-                f"b64-JSON {fs['ws_b64_bytes']} B "
-                f"({fs['savings_pct']:.1f}% smaller)"
-            )
         return "\n".join(lines)
-
-
-def measure_image_frame_sizes(file_size: int = 64 * 1024) -> dict:
-    """WS binary vs base64-JSON frame bytes for one published image.
-
-    Both framings carry the image blob inline (a push stream has no
-    request channel to fetch ``/api/v1/<sid>/image`` over); the binary
-    frame appends the raw fixed-size container after the JSON header
-    where the b64 variant inflates it by 4/3 inside the JSON.
-    """
-    store = EventSequenceStore(file_size=file_size)
-    store.publish_image(_tiny_image(128), cycle=1)
-    binary = store.framed_delta(0, FRAME_WS_BINARY)
-    b64 = store.framed_delta(0, FRAME_WS_B64)
-    return {
-        "image_file_bytes": file_size,
-        "ws_binary_bytes": len(binary),
-        "ws_b64_bytes": len(b64),
-        "savings_pct": round(100.0 * (1.0 - len(binary) / len(b64)), 2),
-    }
 
 
 def run_transport_compare(
@@ -752,10 +703,7 @@ def run_transport_compare(
     if cm is None:
         topo, roles = build_paper_testbed(with_cross_traffic=False)
         cm = CentralManager(topo, roles, calibration=default_calibration(0))
-    result = TransportCompareResult(
-        tuple(transports), tuple(client_counts), sessions,
-        frame_sizes=measure_image_frame_sizes(),
-    )
+    result = TransportCompareResult(tuple(transports), tuple(client_counts), sessions)
     # Count-major order: the three transport cells of one column run
     # back-to-back, so slow drift in machine state (cache/thermal/VM
     # noise over a long sweep) lands on comparable cells, not on
@@ -867,7 +815,7 @@ def _run_adaptive_cell(
 ) -> dict:
     """One mixed-fleet run; returns raw counters for the result builder.
 
-    All clients ride WS with b64-inlined images so delivered bytes track
+    All clients ride WS with images inlined raw so delivered bytes track
     the tier ladder's payload fractions; slow clients pace their reads
     at ``slow_bandwidth`` and shrink their receive window so the backlog
     is server-visible (the server additionally caps SO_SNDBUF).
@@ -898,7 +846,7 @@ def _run_adaptive_cell(
         fleet: list[_WSClient] = []
         for _ in range(n_fast + n_slow):
             c = _WSClient(server.port, "adapt", stop, gate)
-            c.images = "b64"
+            c.images = "binary"
             c.warmup = 0.25 * duration
             fleet.append(c)
         slow_fleet = fleet[n_fast:]

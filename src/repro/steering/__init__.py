@@ -13,7 +13,9 @@ implementation.  The pieces:
 * :mod:`~repro.steering.central_manager` — CM node: profiling + DP
   mapping -> VRT (thread-safe, per-session decision history),
 * :mod:`~repro.steering.events` — per-session monotonic event-sequence
-  store (images, status, steering) with shared-encode caching,
+  store (images, status, steering), composing the image ring of
+  :mod:`~repro.steering.images` (shared-encode caching) and the frame
+  plane of :mod:`~repro.steering.frames` (encode-once delta frames),
 * :mod:`~repro.steering.manager` — SessionManager: many named sessions
   with create/attach/detach, idle eviction and capped capacity,
 * :mod:`~repro.steering.executor` — the shared SimulationExecutor: every

@@ -316,15 +316,11 @@ class SteeringSession:
             )
 
     def _pollers_stalled(self) -> bool:
-        """Backpressure probe: nobody is consuming this session's events.
-
-        Live demand first — a parked long poll registered on the web
-        tier's scheduler counts even when no poll has *completed* recently —
-        then the short poll-recency grace for clients between polls.
-        """
-        if self.events.live_demand() > 0:
-            return False
-        return not self.events.recently_polled(STALLED_POLL_GRACE)
+        """Backpressure probe: nobody is consuming this session's events —
+        no poll completed within the grace for clients between polls, and
+        no watcher (a parked long poll or push stream on the web tier's
+        scheduler counts even when nothing has *completed* recently)."""
+        return not self.events.in_demand(STALLED_POLL_GRACE)
 
     def _on_executor_done(self, task) -> None:
         self._run_error = task.error

@@ -36,24 +36,40 @@ import urllib.parse
 import urllib.request
 
 from repro.errors import WebServerError
-from repro.steering.events import WS_BINARY, WS_CLOSE, WS_PING, WS_PONG, WS_TEXT
 from repro.viz.image import Image, decode_fixed_size
-from repro.web.framing import (
+from repro.wire import (
+    WS_BINARY,
+    WS_CLOSE,
+    WS_PING,
+    WS_PONG,
+    WS_TEXT,
     decode_binary_delta,
     decode_brick_payload,
     decode_chunks,
+    parse_response_head,
     parse_ws_frames,
     split_sse_events,
     ws_accept_key,
     ws_client_frame,
 )
 
-__all__ = ["SteeringWebClient"]
+__all__ = ["SteeringWebClient", "read_response_head"]
 
 TRANSPORTS = ("longpoll", "sse", "ws")
 
 #: The API mount point every route lives under.
 API_PREFIX = "/api/v1"
+
+
+def read_response_head(sock: socket.socket, buf: bytearray) -> tuple[int, dict[str, str]]:
+    """Receive into ``buf`` until it holds one response head; return
+    ``(status, headers)`` with the bytes that followed left in ``buf``."""
+    while (head := parse_response_head(buf)) is None:
+        chunk = sock.recv(65536)
+        if not chunk:
+            raise ConnectionError("connection closed during response head")
+        buf += chunk
+    return head
 
 
 def _http_error(verb: str, path: str, exc: urllib.error.HTTPError) -> WebServerError:
@@ -227,8 +243,9 @@ class SteeringWebClient:
         poll's timeout contract, kept for the push transports).  Dropped
         connections reconnect with capped exponential backoff, resuming
         from ``since``; protocol errors (e.g. the session is gone)
-        propagate to the caller.  ``images`` ("b64" | "binary") asks the
-        WS transport to inline image blobs in the deltas.
+        propagate to the caller.  ``images="binary"`` asks the WS
+        transport to inline image blobs in the deltas (raw, after the
+        JSON header of a binary frame).
         """
         if transport not in TRANSPORTS:
             raise WebServerError(f"unknown transport {transport!r}")
@@ -251,157 +268,118 @@ class SteeringWebClient:
             time.sleep(delay)
             delay = min(delay * 2, self.backoff_cap)
 
-    def _read_stream_head(self, sock: socket.socket, buf: bytearray,
-                          expect_status: int) -> dict[str, str]:
-        """Read one response head into ``buf``; leftover bytes stay in it."""
-        while b"\r\n\r\n" not in buf:
-            try:
-                chunk = sock.recv(65536)
-            except (TimeoutError, OSError) as exc:
-                raise ConnectionError(f"stream handshake failed: {exc}") from exc
-            if not chunk:
-                raise ConnectionError("connection closed during response head")
-            buf += chunk
-            if len(buf) > 65536:
-                raise WebServerError("oversized response head")
-        head, _, rest = bytes(buf).partition(b"\r\n\r\n")
-        del buf[:]
-        buf += rest
-        lines = head.decode("latin-1").split("\r\n")
-        parts = lines[0].split()
-        status = int(parts[1]) if len(parts) >= 2 and parts[1].isdigit() else 0
-        if status != expect_status:
-            raise WebServerError(
-                f"expected HTTP {expect_status}, got {lines[0]!r}"
-            )
-        headers: dict[str, str] = {}
-        for line in lines[1:]:
-            name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        return headers
-
-    def _timeout_delta(self) -> dict:
-        return {"version": self.since, "components": [], "dropped": 0,
-                "tier": self.tier, "timeout": True}
-
-    def _sse_stream(self, timeout: float = 5.0, images: str | None = None):
-        """One SSE connection; yields deltas until it drops (then raises)."""
-        sid = self.resolve_session()
+    def _open_stream(self, target: str, headers: str,
+                     expect_status: int) -> tuple[socket.socket, bytearray, dict[str, str]]:
+        """Connect, ``GET`` the session's ``target`` with the extra
+        ``headers`` and read the response head; returns the socket, the
+        bytes that followed the head and the response headers."""
         host, port = self._hostport()
+        request = (f"GET {API_PREFIX}/{self.resolve_session()}/{target}"
+                   f"{self._quality_query()}{self._window_query()} HTTP/1.1\r\n"
+                   f"Host: {host}:{port}\r\n{headers}\r\n")
         try:
             sock = socket.create_connection((host, port), timeout=self.timeout)
         except OSError as exc:
             raise ConnectionError(f"stream connect failed: {exc}") from exc
+        buf = bytearray()
         try:
-            request = (
-                f"GET {API_PREFIX}/{sid}/stream?since={self.since}"
-                f"{self._quality_query()}{self._window_query()} HTTP/1.1\r\n"
-                f"Host: {host}:{port}\r\n"
-                f"Last-Event-ID: {self.since}\r\n"
-                "Accept: text/event-stream\r\n\r\n"
-            )
-            sock.sendall(request.encode("latin-1"))
-            buf = bytearray()
-            self._read_stream_head(sock, buf, expect_status=200)
-            eventbuf = bytearray()
-            # Heartbeat comments arriving faster than ``timeout`` would
-            # keep recv returning non-event bytes forever; the deadline
-            # keeps the every-``timeout``-seconds synthetic-delta
-            # contract regardless of server chatter.
-            quiet_deadline = time.monotonic() + timeout
-            while True:
-                payloads, ended = decode_chunks(buf)
-                for payload in payloads:
-                    eventbuf += payload
-                for _event_id, data in split_sse_events(eventbuf):
-                    delta = json.loads(data.decode("utf-8"))
-                    self._advance(delta)
-                    yield delta
-                    quiet_deadline = time.monotonic() + timeout
-                if ended:
-                    return  # server finished the stream (session closed)
-                remaining = quiet_deadline - time.monotonic()
-                if remaining <= 0:
-                    yield self._timeout_delta()
-                    quiet_deadline = time.monotonic() + timeout
-                    continue
+            try:
+                sock.sendall(request.encode("latin-1"))
+                status, response_headers = read_response_head(sock, buf)
+            except OSError as exc:  # a timeout, a reset, a close mid-head
+                raise ConnectionError(f"stream handshake failed: {exc}") from exc
+            if status != expect_status:
+                raise WebServerError(f"expected HTTP {expect_status}, got {status}")
+        except BaseException:
+            sock.close()
+            raise
+        return sock, buf, response_headers
+
+    def _pump(self, sock: socket.socket, buf: bytearray, timeout: float, parse):
+        """Yield the deltas of one open stream until it drops (then
+        raises) or the server ends it (then returns).
+
+        ``parse()`` consumes what ``buf`` holds and returns ``(deltas,
+        ended)``.  Heartbeats (comments, pings) arriving faster than
+        ``timeout`` would keep recv returning non-event bytes forever; the
+        quiet deadline keeps the every-``timeout``-seconds synthetic-delta
+        contract regardless of server chatter.
+        """
+        quiet_deadline = time.monotonic() + timeout
+        while True:
+            deltas, ended = parse()
+            for delta in deltas:
+                self._advance(delta)
+                yield delta
+                quiet_deadline = time.monotonic() + timeout
+            if ended:
+                return  # server finished the stream (session closed)
+            remaining = quiet_deadline - time.monotonic()
+            chunk = None  # stays None when the quiet deadline passes unread
+            if remaining > 0:
                 try:
                     sock.settimeout(remaining)
                     chunk = sock.recv(65536)
                 except TimeoutError:
-                    yield self._timeout_delta()
-                    quiet_deadline = time.monotonic() + timeout
-                    continue
+                    pass
                 except OSError as exc:
                     raise ConnectionError(f"stream read failed: {exc}") from exc
-                if not chunk:
+                if chunk == b"":
                     raise ConnectionError("stream connection closed")
+            if chunk is None:
+                yield {"version": self.since, "components": [], "dropped": 0,
+                       "tier": self.tier, "timeout": True}
+                quiet_deadline = time.monotonic() + timeout
+            else:
                 buf += chunk
+
+    def _sse_stream(self, timeout: float = 5.0, images: str | None = None):
+        """One SSE connection; yields deltas until it drops (then raises)."""
+        sock, buf, _headers = self._open_stream(
+            f"stream?since={self.since}",
+            f"Last-Event-ID: {self.since}\r\nAccept: text/event-stream\r\n",
+            expect_status=200)
+        eventbuf = bytearray()
+
+        def parse() -> tuple[list[dict], bool]:
+            payloads, ended = decode_chunks(buf)
+            for payload in payloads:
+                eventbuf.extend(payload)
+            return [json.loads(data.decode("utf-8"))
+                    for _event_id, data in split_sse_events(eventbuf)], ended
+
+        try:
+            yield from self._pump(sock, buf, timeout, parse)
         finally:
             sock.close()
 
     def _ws_stream(self, timeout: float = 5.0, images: str | None = None):
         """One WebSocket connection; yields deltas until close/drop."""
-        sid = self.resolve_session()
-        host, port = self._hostport()
+        key = base64.b64encode(os.urandom(16)).decode("ascii")
+        sock, buf, headers = self._open_stream(
+            f"ws?since={self.since}" + (f"&images={images}" if images else ""),
+            "Upgrade: websocket\r\nConnection: Upgrade\r\n"
+            f"Sec-WebSocket-Key: {key}\r\nSec-WebSocket-Version: 13\r\n",
+            expect_status=101)
+
+        def parse() -> tuple[list[dict], bool]:
+            deltas = []
+            for opcode, payload in parse_ws_frames(buf, require_mask=False):
+                if opcode == WS_PING:
+                    sock.sendall(ws_client_frame(payload, WS_PONG))
+                elif opcode == WS_CLOSE:
+                    sock.sendall(ws_client_frame(payload[:2], WS_CLOSE))
+                    return deltas, True
+                elif opcode == WS_TEXT:
+                    deltas.append(json.loads(payload.decode("utf-8")))
+                elif opcode == WS_BINARY:
+                    deltas.append(decode_binary_delta(payload))
+            return deltas, False
+
         try:
-            sock = socket.create_connection((host, port), timeout=self.timeout)
-        except OSError as exc:
-            raise ConnectionError(f"ws connect failed: {exc}") from exc
-        try:
-            key = base64.b64encode(os.urandom(16)).decode("ascii")
-            images_q = f"&images={images}" if images else ""
-            request = (
-                f"GET {API_PREFIX}/{sid}/ws?since={self.since}{images_q}"
-                f"{self._quality_query()}{self._window_query()} HTTP/1.1\r\n"
-                f"Host: {host}:{port}\r\n"
-                "Upgrade: websocket\r\nConnection: Upgrade\r\n"
-                f"Sec-WebSocket-Key: {key}\r\n"
-                "Sec-WebSocket-Version: 13\r\n\r\n"
-            )
-            sock.sendall(request.encode("latin-1"))
-            buf = bytearray()
-            headers = self._read_stream_head(sock, buf, expect_status=101)
             if headers.get("sec-websocket-accept") != ws_accept_key(key):
                 raise WebServerError("WS handshake returned a bad accept key")
-            # Same quiet-deadline discipline as the SSE loop: server
-            # pings faster than ``timeout`` must not starve the caller
-            # of its periodic synthetic deltas.
-            quiet_deadline = time.monotonic() + timeout
-            while True:
-                for opcode, payload in parse_ws_frames(buf, require_mask=False):
-                    if opcode == WS_PING:
-                        sock.sendall(ws_client_frame(payload, WS_PONG))
-                    elif opcode == WS_CLOSE:
-                        sock.sendall(ws_client_frame(payload[:2], WS_CLOSE))
-                        return  # server finished the stream (session closed)
-                    elif opcode == WS_TEXT:
-                        delta = json.loads(payload.decode("utf-8"))
-                        self._advance(delta)
-                        yield delta
-                        quiet_deadline = time.monotonic() + timeout
-                    elif opcode == WS_BINARY:
-                        delta = decode_binary_delta(payload)
-                        self._advance(delta)
-                        yield delta
-                        quiet_deadline = time.monotonic() + timeout
-                remaining = quiet_deadline - time.monotonic()
-                if remaining <= 0:
-                    yield self._timeout_delta()
-                    quiet_deadline = time.monotonic() + timeout
-                    continue
-                try:
-                    sock.settimeout(remaining)
-                    chunk = sock.recv(65536)
-                except TimeoutError:
-                    yield self._timeout_delta()
-                    quiet_deadline = time.monotonic() + timeout
-                    continue
-                except OSError as exc:
-                    raise ConnectionError(f"ws read failed: {exc}") from exc
-                if not chunk:
-                    raise ConnectionError("ws connection closed")
-                buf += chunk
+            yield from self._pump(sock, buf, timeout, parse)
         finally:
             sock.close()
 
@@ -479,7 +457,7 @@ class SteeringWebClient:
         """Download and decode one brick payload (binary, out-of-band).
 
         Returns the decoded dict from
-        :func:`repro.web.framing.decode_brick_payload` — offset/shape/
+        :func:`repro.wire.decode_brick_payload` — offset/shape/
         step metadata plus the float32 sample block.
         """
         blob = self._get(self._api("brick") + f"?lod={int(lod)}&id={int(brick)}")

@@ -38,20 +38,7 @@ from repro.adaptive.estimator import ClientLinkEstimator
 from repro.adaptive.tiers import MAX_TIER
 from repro.errors import WebServerError
 from repro.obs.journal import ReplayCursor, step_replays
-from repro.steering.events import (
-    WS_CLOSE,
-    WS_PING,
-    WS_PONG,
-    sse_comment_chunk,
-    ws_server_frame,
-)
 from repro.web.delivery import Delivery
-from repro.web.framing import (
-    _MAX_BODY_BYTES,
-    _MAX_HEADER_BYTES,
-    parse_request,
-    parse_ws_frames,
-)
 from repro.web.longpoll import LongPollScheduler, Subscriber
 from repro.web.routes import (
     Bind,
@@ -61,6 +48,17 @@ from repro.web.routes import (
     _error_body,
     dispatch,
     error_reply,
+)
+from repro.wire import (
+    _MAX_BODY_BYTES,
+    _MAX_HEADER_BYTES,
+    WS_CLOSE,
+    WS_PING,
+    WS_PONG,
+    parse_request,
+    parse_ws_frames,
+    sse_comment_chunk,
+    ws_server_frame,
 )
 
 _MAX_IOV = 64  # buffers per vectored write (safely under IOV_MAX everywhere)

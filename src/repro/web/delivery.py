@@ -22,12 +22,11 @@ import time
 
 from repro.adaptive.tiers import MAX_TIER
 from repro.errors import ReproError
-from repro.steering.events import WS_CLOSE, sse_comment_chunk, ws_server_frame
+from repro.wire import CHUNKED_END, WS_CLOSE, sse_comment_chunk, ws_server_frame
 
 __all__ = ["TRANSPORTS", "Delivery"]
 
 TRANSPORTS = ("longpoll", "sse", "ws")
-_SSE_TERMINAL = b"0\r\n\r\n"  # chunked-transfer end marker
 
 
 class Delivery:
@@ -171,7 +170,7 @@ class Delivery:
         if rec.transport == "ws":
             goodbye = (ws_server_frame(b"\x03\xe8", WS_CLOSE),)  # 1000 normal
         else:
-            goodbye = (sse_comment_chunk(b"session closed"), _SSE_TERMINAL)
+            goodbye = (sse_comment_chunk(b"session closed"), CHUNKED_END)
         self.count_tx(rec.transport, sum(len(b) for b in goodbye),
                       kind="farewells")
         self._enqueue(conn, goodbye)

@@ -2,7 +2,7 @@
 
 Every :data:`API_ROUTES` entry binds ``(method, pattern)`` to a function
 ``route(request, sid, ctx)`` that reads the parsed
-:class:`~repro.web.framing.HttpRequest`, the bound session id and a
+:class:`~repro.wire.HttpRequest`, the bound session id and a
 :class:`RouteContext` (the steering service, never a connection) and
 returns one of three things, which the IO loop sends:
 
@@ -34,18 +34,18 @@ from typing import Any, Callable, NamedTuple
 
 from repro.adaptive.tiers import MAX_TIER, clamp_tier
 from repro.errors import ConfigurationError, ReproError, WebServerError
-from repro.steering.events import (
-    FRAME_JSON,
-    FRAME_SSE,
-    FRAME_WS,
-    FRAME_WS_B64,
-    FRAME_WS_BINARY,
-    sse_comment_chunk,
-)
-from repro.web.framing import HttpRequest, ws_accept_key
 from repro.web.longpoll import Subscriber
 from repro.web.static import DASHBOARD_HTML, INDEX_HTML
 from repro.window import WindowCursor
+from repro.wire import (
+    FRAME_JSON,
+    FRAME_SSE,
+    FRAME_WS,
+    FRAME_WS_BINARY,
+    HttpRequest,
+    sse_comment_chunk,
+    ws_accept_key,
+)
 
 __all__ = ["API_ROUTES", "Bind", "Response", "RouteContext", "Subscribe",
            "dispatch", "error_reply", "match_route"]
@@ -60,7 +60,6 @@ _PAGES = {"/": INDEX_HTML.encode("utf-8"),
           "/dashboard": DASHBOARD_HTML.encode("utf-8")}
 _WS_FRAMINGS = {
     "binary": FRAME_WS_BINARY,  # blobs raw after the JSON header
-    "b64": FRAME_WS_B64,  # blobs base64-inlined in the JSON
     "": FRAME_WS,  # meta only; images fetched over HTTP
     "none": FRAME_WS,
 }

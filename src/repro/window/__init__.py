@@ -10,7 +10,7 @@ The client side (:class:`WindowView`) reassembles strided brick
 payloads into one seamless window array.
 
 The package deliberately never imports :mod:`repro.web`; the web tier
-imports *us* (``web/framing.py`` re-exports the payload decoder), which
+imports *us* (``repro/wire.py`` re-exports the payload decoder), which
 keeps the dependency graph acyclic.
 """
 

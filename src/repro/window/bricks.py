@@ -7,9 +7,9 @@ payload on the global per-LOD sample lattice without any other state,
 plus the publish ``version`` the samples reflect so a client can drop
 stale fetches.
 
-This module is the only place that knows the byte layout; the web tier
-re-exports :func:`decode_brick_payload` from ``repro.web.framing`` for
-client-side symmetry with the other wire helpers.
+This module is the only place that knows the byte layout;
+:mod:`repro.wire` re-exports :func:`decode_brick_payload` for
+client-side symmetry with the other wire formats.
 """
 
 from __future__ import annotations

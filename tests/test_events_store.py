@@ -84,25 +84,6 @@ class TestEventSequence:
             store.image_blob(v1)
         assert store.dropped_images == 1
 
-    def test_wait_delta_blocks_until_publish(self):
-        store = EventSequenceStore()
-        out = []
-
-        def waiter():
-            out.append(store.wait_delta(0, timeout=5.0))
-
-        t = threading.Thread(target=waiter)
-        t.start()
-        store.publish_status("session", x=1)
-        t.join(timeout=5.0)
-        assert out and out[0]["timeout"] is False
-        assert out[0]["components"][0]["props"]["x"] == 1
-
-    def test_wait_delta_timeout_is_empty(self):
-        store = EventSequenceStore()
-        delta = store.wait_delta(0, timeout=0.05)
-        assert delta["timeout"] is True and delta["components"] == []
-
     def test_listeners_fire_outside_lock(self):
         store = EventSequenceStore()
         seen = []
@@ -117,6 +98,11 @@ class TestEventSequence:
         assert [s for s, _ in seen] == [1, 2]
 
 
+def _notify(cond: threading.Condition) -> None:
+    with cond:
+        cond.notify_all()
+
+
 class TestConcurrentPollCorrectness:
     def test_no_lost_wakeups_and_strictly_increasing_versions(self):
         """Satellite: N pollers during a publish burst each observe a
@@ -127,11 +113,16 @@ class TestConcurrentPollCorrectness:
         errors: list[str] = []
         observed: list[list[int]] = [[] for _ in range(n_pollers)]
 
+        woken = threading.Condition()
+        store.add_listener(lambda seq: _notify(woken))
+
         def poller(idx: int):
             start.wait()
             since = 0
             while since < n_publishes:
-                delta = store.wait_delta(since, timeout=10.0)
+                with woken:  # park on the publish listener, as a waiter does
+                    woken.wait_for(lambda: store.seq > since, timeout=10.0)
+                delta = store.delta(since)
                 if delta["timeout"]:
                     errors.append(f"poller {idx} lost a wakeup at {since}")
                     return
@@ -185,7 +176,7 @@ class TestDeltaFrameCache:
         """The encode-once wake path: N waiters at one cursor, 1 encode."""
         store = EventSequenceStore()
         store.publish_status("session", tick=1)
-        frames = [store.delta_frame(0) for _ in range(50)]
+        frames = [store.framed_delta(0) for _ in range(50)]
         assert all(f is frames[0] for f in frames)  # the same cached bytes
         assert store.json_encodes == 1
         assert json.loads(frames[0]) == store.delta(0)
@@ -194,8 +185,8 @@ class TestDeltaFrameCache:
         store = EventSequenceStore()
         store.publish_status("session", a=1)
         store.publish_status("session", b=2)
-        f0 = store.delta_frame(0)
-        f1 = store.delta_frame(1)
+        f0 = store.framed_delta(0)
+        f1 = store.framed_delta(1)
         assert store.json_encodes == 2
         assert len(json.loads(f0)["components"]) == 2
         assert len(json.loads(f1)["components"]) == 1
@@ -203,9 +194,9 @@ class TestDeltaFrameCache:
     def test_publish_invalidates_window(self):
         store = EventSequenceStore()
         store.publish_status("session", tick=1)
-        first = store.delta_frame(0)
+        first = store.framed_delta(0)
         store.publish_status("session", tick=2)
-        second = store.delta_frame(0)
+        second = store.framed_delta(0)
         assert first is not second
         assert store.json_encodes == 2
         assert json.loads(second)["version"] == 2
@@ -214,7 +205,7 @@ class TestDeltaFrameCache:
         store = EventSequenceStore()
         store.publish_status("session", tick=1)
         head = store.seq
-        frames = [store.delta_frame(head) for _ in range(10)]
+        frames = [store.framed_delta(head) for _ in range(10)]
         assert all(f is frames[0] for f in frames)
         assert store.json_encodes == 1
         delta = json.loads(frames[0])
@@ -224,15 +215,14 @@ class TestDeltaFrameCache:
         store = EventSequenceStore(frame_cache_size=4)
         store.publish_status("session", tick=1)
         for since in range(64):
-            store.delta_frame(since)
-        stats = store.frame_cache_stats()
-        assert stats["size"] <= 4
-        assert stats["json_encodes"] == 64
+            store.framed_delta(since)
+        assert len(store._frames.cache) <= 4
+        assert store.json_encodes == 64
         # re-asking for an evicted window re-encodes rather than failing
-        assert json.loads(store.delta_frame(0))["version"] == 1
+        assert json.loads(store.framed_delta(0))["version"] == 1
 
     def test_cache_is_byte_bounded_but_serves_large_frames(self):
-        from repro.steering.events import DeltaFrameCache
+        from repro.steering.frames import DeltaFrameCache
 
         cache = DeltaFrameCache(capacity=16, byte_limit=1000)
         big = b"x" * 900
@@ -257,7 +247,7 @@ class TestDeltaFrameCache:
         try:
             for _ in range(300):
                 since = max(0, store.seq - 2)
-                delta = json.loads(store.delta_frame(since))
+                delta = json.loads(store.framed_delta(since))
                 assert delta["version"] >= since
                 for comp in delta["components"]:
                     assert comp["version"] > since
@@ -315,21 +305,21 @@ class TestComponentCardinalityBound:
 class TestPollDemandClock:
     def test_fresh_store_counts_as_recently_polled(self):
         store = EventSequenceStore()
-        assert store.recently_polled(window=5.0)
+        assert store.in_demand(5.0)
 
     def test_poll_paths_touch_the_demand_clock(self):
         store = EventSequenceStore()
         store.publish_status("session", x=1)
         store._last_poll -= 100.0  # simulate a long-stalled consumer
-        assert not store.recently_polled(window=5.0)
+        assert not store.in_demand(5.0)
         store.delta(0)
-        assert store.recently_polled(window=5.0)
+        assert store.in_demand(5.0)
         store._last_poll -= 100.0
-        store.delta_frame(0)
-        assert store.recently_polled(window=5.0)
+        store.framed_delta(0)
+        assert store.in_demand(5.0)
         store._last_poll -= 100.0
         store.snapshot()
-        assert store.recently_polled(window=5.0)
+        assert store.in_demand(5.0)
 
     def test_png_cached_returns_none_until_encoded(self):
         store = EventSequenceStore()
@@ -401,8 +391,8 @@ class TestTieredDelivery:
     def test_frames_shared_within_a_tier_distinct_across(self):
         store = EventSequenceStore()
         store.publish_image(tiny_image(), cycle=1)
-        f0 = [store.delta_frame(0, tier=0) for _ in range(20)]
-        f1 = [store.delta_frame(0, tier=1) for _ in range(20)]
+        f0 = [store.framed_delta(0, tier=0) for _ in range(20)]
+        f1 = [store.framed_delta(0, tier=1) for _ in range(20)]
         assert all(f is f0[0] for f in f0)
         assert all(f is f1[0] for f in f1)
         assert f0[0] is not f1[0]
@@ -410,7 +400,7 @@ class TestTieredDelivery:
         assert json.loads(f1[0])["tier"] == 1
 
     def test_wrapped_framings_share_the_tier_json_base(self):
-        from repro.steering.events import FRAME_SSE
+        from repro.wire import FRAME_SSE
 
         store = EventSequenceStore()
         store.publish_status("session", tick=1)
@@ -418,7 +408,7 @@ class TestTieredDelivery:
         assert store.json_encodes == 1
         store.framed_delta(0, FRAME_SSE, tier=2)
         assert store.json_encodes == 1  # SSE wrap cached, base cached
-        store.delta_frame(0, tier=2)
+        store.framed_delta(0, tier=2)
         assert store.json_encodes == 1  # raw JSON reuses the same base
 
     def test_tier_hopping_client_cannot_grow_the_cache(self):
@@ -426,12 +416,11 @@ class TestTieredDelivery:
         store = EventSequenceStore(frame_cache_size=8)
         store.publish_status("session", tick=1)
         for i in range(200):
-            store.delta_frame(i % 3, tier=i % 4)
-        stats = store.frame_cache_stats()
-        assert stats["size"] <= 8
-        assert stats["evictions"] > 0
+            store.framed_delta(i % 3, tier=i % 4)
+        assert len(store._frames.cache) <= 8
+        assert store._frames.cache.evictions > 0
         # evicted windows are re-encoded on demand, never an error
-        assert json.loads(store.delta_frame(0, tier=3))["tier"] == 3
+        assert json.loads(store.framed_delta(0, tier=3))["tier"] == 3
 
     def test_bad_tier_values_clamp(self):
         store = EventSequenceStore()

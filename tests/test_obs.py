@@ -33,14 +33,10 @@ from repro.obs import (
 from repro.obs.journal import step_replays
 from repro.obs.metrics import MetricsRecorder, SeriesRing
 from repro.steering import CentralManager, SteeringClient
-from repro.steering.events import (
-    FRAME_JSON,
-    FRAME_SSE,
-    FRAME_WS,
-    EventSequenceStore,
-)
+from repro.steering.events import EventSequenceStore
 from repro.viz.image import Image
 from repro.web import AjaxWebServer, SteeringWebClient
+from repro.wire import FRAME_JSON, FRAME_SSE, FRAME_WS
 
 
 @pytest.fixture(scope="module")
@@ -284,7 +280,7 @@ class TestJournalReplay:
         journal = SessionJournal()
         store = _journaled_run(journal)
         replay, _ = journal.rehydrate("run")
-        record = store.latest_image()
+        record = store.image_record()
         assert replay.image_blob(record.version) == store.image_blob(record.version)
 
     def test_evicted_blobs_replay_meta_only(self):

@@ -26,11 +26,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import DataFormatError, WebServerError
-from repro.steering import events as events_module
-from repro.steering.events import (FRAME_WS_BINARY, WS_BINARY,
-                                   EventSequenceStore, ws_server_frame)
+from repro.steering import images as images_module
+from repro.steering.events import EventSequenceStore
 from repro.viz.image import Image, decode_fixed_size, encode_fixed_size
-from repro.web.framing import decode_binary_delta, parse_ws_frames
+from repro.wire import (FRAME_WS_BINARY, WS_BINARY, decode_binary_delta,
+                        parse_ws_frames, ws_server_frame)
 
 _PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 
@@ -457,7 +457,7 @@ class TestImagePng:
         for store in (live, replay):
             assert store.image_png(v, tier=tier) is store.png_cached(v, tier=tier)
             assert store.png_encode_count == 1
-            assert store.tier_encode_count == (1 if tier else 0)
+            assert store.tier_encode_count == 0  # a PNG needs no container
             assert store.encode_count == (1 if store is live else 0)
 
     def test_live_record_is_not_inflated(self, bowshock_frame, monkeypatch):
@@ -467,11 +467,11 @@ class TestImagePng:
         def refuse(blob):
             raise AssertionError("inflated a container whose pixels are retained")
 
-        monkeypatch.setattr(events_module, "decode_fixed_size", refuse)
+        monkeypatch.setattr(images_module, "decode_fixed_size", refuse)
         assert store.image_png(v) == png_row_join(bowshock_frame)
         assert store.image_png(v, tier=1) == png_row_join(bowshock_frame.downscale(2))
         assert store.png_encode_count == 2
-        assert store.tier_encode_count == 1
+        assert store.tier_encode_count == 0  # a PNG needs no container
 
 
 # -- the ws+bin frame and its decoder ------------------------------------------

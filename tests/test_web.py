@@ -363,7 +363,7 @@ class TestParkedPollDemand:
             store = client.manager.open_monitor("watched")
             cursor = store.seq
             store._last_poll -= 100.0  # decay: no reads, no probe yet
-            assert not store.recently_polled(window=5.0)
+            assert not store.in_demand(5.0)
             conn = http.client.HTTPConnection("127.0.0.1", server.port,
                                               timeout=30.0)
             try:
@@ -374,13 +374,13 @@ class TestParkedPollDemand:
                     deadline -= 1
                 assert server.scheduler.pending() == 1
                 store._last_poll -= 100.0  # decay the clock again mid-park
-                assert store.recently_polled(window=5.0), (
+                assert store.in_demand(5.0), (
                     "a parked poll did not register as live demand"
                 )
                 store.publish_status("session", tick=1)
                 assert conn.getresponse().status == 200
                 # waiter delivered: demand now rests on the (touched) clock
-                assert store.recently_polled(window=5.0)
+                assert store.in_demand(5.0)
             finally:
                 conn.close()
 

@@ -12,17 +12,17 @@ import json
 import pytest
 
 from repro.errors import WebServerError
-from repro.steering.events import (
+from repro.steering.events import EventSequenceStore
+from repro.web.delivery import Delivery
+from repro.web.longpoll import LongPollScheduler, Subscriber
+from repro.wire import (
     FRAME_JSON,
     FRAME_SSE,
     FRAME_WS,
     WS_CLOSE,
-    EventSequenceStore,
     sse_comment_chunk,
     ws_server_frame,
 )
-from repro.web.delivery import Delivery
-from repro.web.longpoll import LongPollScheduler, Subscriber
 
 
 class StubConn:

@@ -1,4 +1,4 @@
-"""``repro.web.framing``: the HTTP request parser, WebSocket frames, ``ws+bin``.
+"""``repro.wire``: HTTP heads, WebSocket frames, ``ws+bin``, SSE over chunks.
 
 Socket-free: the parsers are pure functions of a byte buffer, so
 split-invariance (any chunking of the same bytes parses the same) and
@@ -6,6 +6,8 @@ every rejection path are checked without a server.  The WebSocket half
 holds the vectorized (un)masking to the per-byte loop it replaced, the
 frame parser to one answer however its bytes arrive, and both it and the
 binary-delta decoder to one exception type whatever the bytes say.
+Every format is checked in both directions — what one side of the
+module frames, the other side parses back to exactly what was sent.
 """
 
 from __future__ import annotations
@@ -19,16 +21,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import WebServerError
-from repro.steering.events import ws_server_frame
-from repro.web.framing import (
+from repro.wire import (
     _MAX_BODY_BYTES,
     _MAX_HEADER_BYTES,
     _MAX_WS_PAYLOAD,
+    CHUNKED_END,
     HttpRequest,
     decode_binary_delta,
+    decode_chunks,
     parse_request,
+    parse_response_head,
     parse_ws_frames,
+    split_sse_events,
+    sse_comment_chunk,
+    sse_event_chunk,
     ws_client_frame,
+    ws_header,
+    ws_server_frame,
 )
 
 
@@ -399,3 +408,179 @@ def test_any_binary_delta_decodes_or_raises_web_server_error(header, blobs, lie,
             assert comp["props"]["blob"] == section[start:start + length]
             assert type(comp["props"]["blob"]) is bytes
             assert "blob_offset" not in comp["props"] and "blob_len" not in comp["props"]
+
+
+# -- both directions of a WebSocket frame, at every length encoding's edge ------
+
+@pytest.mark.parametrize("masked", [False, True], ids=["server-frames", "client-frames"])
+@pytest.mark.parametrize("length,header_len", [
+    (0, 2), (125, 2), (126, 4), (65535, 4), (65536, 10)])
+def test_a_frame_at_a_length_boundary_parses_back(masked, length, header_len):
+    payload = np.random.default_rng(length).bytes(length)
+    frame = (ws_client_frame if masked else ws_server_frame)(payload, _WS_BINARY)
+    header = ws_header(length, _WS_BINARY, masked)
+    assert len(header) == header_len and frame.startswith(header)
+    assert len(frame) == header_len + 4 * masked + length
+    buf = bytearray(frame + frame[:1])  # and the first byte of the next one
+    assert parse_ws_frames(buf, require_mask=masked) == [(_WS_BINARY, payload)]
+    assert bytes(buf) == frame[:1]
+
+
+# -- SSE over chunked transfer: what the server frames, a client reads back ------
+
+def _feed_sse(chunks) -> tuple[list[tuple[int | None, bytes]], bool, bytes, bytes]:
+    """Read as the SSE client does: de-chunk into an event buffer, split events."""
+    buf, eventbuf = bytearray(), bytearray()
+    events, ended = [], False
+    for chunk in chunks:
+        buf += chunk
+        payloads, done = decode_chunks(buf)
+        ended = ended or done
+        for payload in payloads:
+            eventbuf += payload
+        events += split_sse_events(eventbuf)
+    return events, ended, bytes(buf), bytes(eventbuf)
+
+
+_ONE_LINE = st.binary(max_size=120).filter(lambda b: b"\n" not in b)
+_SSE_ITEM = st.one_of(
+    st.tuples(st.just("event"), st.none() | st.integers(0, 10**17), _ONE_LINE),
+    st.tuples(st.just("comment"), st.none(), _ONE_LINE))
+
+
+@settings(max_examples=150, deadline=None)
+@given(items=st.lists(_SSE_ITEM, max_size=6), end=st.booleans(),
+       tail=st.sampled_from([b"", b"1", b"1f\r\nid: 3\ndata: {", b"5;x=y\r\nab"]),
+       data=st.data())
+def test_sse_chunks_read_back_as_the_events_sent_under_any_chunking(
+        items, end, tail, data):
+    stream = b"".join(
+        sse_event_chunk(text, event_id) if kind == "event" else sse_comment_chunk(text)
+        for kind, event_id, text in items) + (CHUNKED_END if end else b"") + tail
+    sent = [(event_id, text) for kind, event_id, text in items if kind == "event"]
+    whole = _feed_sse([stream])
+    assert whole == (sent, end, tail, b"")  # heartbeats dropped, the tail left be
+    assert _feed_sse(_chunkings(data, stream)) == whole
+    assert _feed_sse([stream[i:i + 1] for i in range(len(stream))]) == whole
+
+
+@pytest.mark.parametrize("size_line", [
+    b"1_0", b"+3", b"0x3", b" 3 ", b"3 ", b"-2", b"", b";ext", b"\xb2", b"g",
+    b"FFFFFFFFFFFFFFFF",                     # would be buffered without limit
+    b"%x" % (_MAX_WS_PAYLOAD + 1),           # one past the cap the WS side uses
+])
+def test_a_chunk_size_is_hex_digits_under_the_cap_or_refused(size_line):
+    # Refused from the size line alone: no payload byte has arrived yet.
+    for prefix in (b"", sse_comment_chunk(b"ok")):
+        with pytest.raises(WebServerError, match="chunk"):
+            decode_chunks(bytearray(prefix + size_line + b"\r\n"))
+
+
+def test_chunk_sizes_that_are_plain_hex_are_read_as_before():
+    buf = bytearray(b"3;ext=1\r\nabc\r\nA\r\n0123456789\r\n00a\r\n0123456789\r\n"
+                    b"%x\r\n" % _MAX_WS_PAYLOAD)
+    assert decode_chunks(buf) == ([b"abc", b"0123456789", b"0123456789"], False)
+    assert bytes(buf) == b"%x\r\n" % _MAX_WS_PAYLOAD  # at the cap: awaited, not refused
+    with pytest.raises(WebServerError, match="CRLF"):
+        decode_chunks(bytearray(b"3\r\nabcde"))
+    with pytest.raises(WebServerError, match="header limit"):
+        decode_chunks(bytearray(b"1" * (_MAX_HEADER_BYTES + 1)))
+
+
+@pytest.mark.parametrize("token", [b"1_0", b"-7", b"+7", b"\xc2\xb2", b"abc", b"1.0",
+                                    b"", b"9" * 19])
+def test_an_sse_event_id_is_ascii_digits_or_refused(token):
+    with pytest.raises(WebServerError, match="event id"):
+        split_sse_events(bytearray(b"id: " + token + b"\ndata: {}\n\n"))
+
+
+def test_sse_fields_parse_as_the_server_writes_them():
+    buf = bytearray(b": ok\n\nid: 7\ndata: {}\n\nid:  12 \ndata:a\ndata:  b\n\nid: 3")
+    assert split_sse_events(buf) == [(7, b"{}"), (12, b"a\n b")]
+    assert bytes(buf) == b"id: 3"  # an unfinished event stays for the next read
+
+
+@settings(max_examples=300, deadline=None)
+@given(garbage=st.binary(max_size=64), data=st.data())
+def test_garbage_chunks_and_events_parse_or_raise_web_server_error(garbage, data):
+    def outcome(feed, chunks):
+        try:
+            return feed(chunks)
+        except WebServerError:
+            return "refused"
+
+    def feed_events(chunks):
+        buf, events = bytearray(), []
+        for chunk in chunks:
+            buf += chunk
+            events += split_sse_events(buf)
+        return events, bytes(buf)
+
+    for feed in (_feed_sse, feed_events):
+        assert outcome(feed, _chunkings(data, garbage)) == outcome(feed, [garbage])
+
+
+# -- parse_response_head: the head the three socket loops used to split by hand ---
+
+def _feed_head(chunks) -> tuple[tuple[int, dict[str, str]] | None, bytes]:
+    """Read as a client would: append a chunk, stop at the first complete head."""
+    buf, head = bytearray(), None
+    for chunk in chunks:
+        buf += chunk
+        if head is None:
+            head = parse_response_head(buf)
+    return head, bytes(buf)
+
+
+@st.composite
+def _response_bytes(draw) -> tuple[bytes, int, dict[str, str]]:
+    status = draw(st.sampled_from([101, 200, 400, 404, 500]))
+    reason = draw(st.sampled_from(["", " OK", " Switching Protocols", " Not Found"]))
+    version = draw(st.sampled_from(["HTTP/1.0", "HTTP/1.1"]))
+    fields = draw(st.lists(st.tuples(_TOKEN, _TOKEN), max_size=4))
+    head = "\r\n".join([f"{version} {status}{reason}",
+                         *(f"X-{k}: {v}" for k, v in fields)])
+    return (head.encode("latin-1") + b"\r\n\r\n", status,
+            {f"x-{k}": v for k, v in fields})
+
+
+@settings(max_examples=150, deadline=None)
+@given(response=_response_bytes(), body=st.binary(max_size=64), data=st.data())
+def test_any_chunking_parses_the_same_response_head(response, body, data):
+    head, status, headers = response
+    whole = _feed_head([head + body])
+    assert whole == ((status, headers), body)  # the body's bytes are left in place
+    assert _feed_head(_chunkings(data, head + body)) == whole
+    assert _feed_head([(head + body)[i:i + 1] for i in range(len(head + body))]) == whole
+    for cut in (1, len(head) // 2, len(head) - 1):  # incomplete: untouched
+        buf = bytearray(head[:cut])
+        assert parse_response_head(buf) is None and bytes(buf) == head[:cut]
+
+
+@pytest.mark.parametrize("line", [
+    b"", b"HTTP/1.1", b"HTTP/1.1 OK", b"HTTP/1.1 20 OK", b"HTTP/1.1 2000 OK",
+    b"HTTP/1.1 2_0 OK", b"HTTP/1.1 +20 OK", b"HTTP/1.1 \xb2\xb2\xb2 OK",
+    b"HTTP/2 200 OK", b"ICY 200 OK", b"GET / HTTP/1.1",
+])
+def test_a_malformed_status_line_is_refused(line):
+    with pytest.raises(WebServerError, match="status line"):
+        parse_response_head(bytearray(line + b"\r\nServer: x\r\n\r\n"))
+
+
+def test_a_response_head_without_terminator_trips_the_header_cap():
+    buf = bytearray(b"HTTP/1.1 200 OK\r\n" + b"X-Pad: " + b"a" * _MAX_HEADER_BYTES)
+    with pytest.raises(WebServerError, match="header limit"):
+        parse_response_head(buf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(garbage=st.binary(max_size=64), tail=st.sampled_from([b"", b"\r\n\r\n"]),
+       data=st.data())
+def test_a_garbage_response_head_parses_or_raises_web_server_error(garbage, tail, data):
+    def outcome(chunks):
+        try:
+            return _feed_head(chunks)
+        except WebServerError:
+            return "refused"
+
+    assert outcome(_chunkings(data, garbage + tail)) == outcome([garbage + tail])

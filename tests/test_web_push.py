@@ -21,10 +21,17 @@ from repro.costmodel.calibration import default_calibration
 from repro.errors import WebServerError
 from repro.net import build_paper_testbed
 from repro.steering import CentralManager, SteeringClient
-from repro.steering.events import WS_CLOSE, WS_PING, WS_PONG
 from repro.viz.image import decode_fixed_size
 from repro.web import AjaxWebServer, SteeringWebClient
-from repro.web.framing import parse_ws_frames, ws_accept_key, ws_client_frame
+from repro.wire import (
+    WS_CLOSE,
+    WS_PING,
+    WS_PONG,
+    parse_response_head,
+    parse_ws_frames,
+    ws_accept_key,
+    ws_client_frame,
+)
 
 
 @pytest.fixture(scope="module")
@@ -235,6 +242,26 @@ class TestWebSocketStream:
             )
             head = s.recv(65536)
         assert b"400" in head.split(b"\r\n", 1)[0]
+
+    def test_ws_base64_images_mode_answers_the_400_envelope(self, quiet_server):
+        # ``images=b64`` (blobs base64-inlined in text frames) was a mode
+        # once; it is now as unknown as any other.
+        server, client = quiet_server
+        client.manager.open_monitor("wsb64")
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as s:
+            s.sendall(
+                b"GET /api/v1/wsb64/ws?images=b64 HTTP/1.1\r\nHost: x\r\n"
+                b"Upgrade: websocket\r\nConnection: Upgrade\r\n"
+                b"Sec-WebSocket-Key: dGhlIHNhbXBsZSBub25jZQ==\r\n\r\n")
+            buf = bytearray()
+            while (head := parse_response_head(buf)) is None:
+                buf += s.recv(65536)
+            status, headers = head
+            while len(buf) < int(headers["content-length"]):
+                buf += s.recv(65536)
+        assert status == 400
+        assert json.loads(buf)["error"] == {
+            "code": "bad_request", "message": "unknown images mode 'b64'"}
 
     def test_ws_binary_frames_carry_raw_image_blob(self, heat_server):
         server, _ = heat_server

@@ -25,17 +25,9 @@ from repro.errors import ConfigurationError, SteeringError, WebServerError
 from repro.net import build_paper_testbed
 from repro.obs import Observability
 from repro.steering import CentralManager, SteeringClient
-from repro.steering.events import (
-    FRAME_JSON,
-    FRAME_SSE,
-    FRAME_WS,
-    FRAME_WS_B64,
-    FRAME_WS_BINARY,
-    sse_comment_chunk,
-)
 from repro.viz.image import Image
-from repro.web.framing import HttpRequest, decode_brick_payload, ws_accept_key
 from repro.web.longpoll import Subscriber
+from repro.web.server import AjaxWebServer
 from repro.web.routes import (
     API_ROUTES,
     Bind,
@@ -47,6 +39,17 @@ from repro.web.routes import (
     error_reply,
 )
 from repro.window import WindowedDomainSource
+from repro.wire import (
+    FRAME_JSON,
+    FRAME_SSE,
+    FRAME_WS,
+    FRAME_WS_BINARY,
+    HttpRequest,
+    decode_brick_payload,
+    parse_response_head,
+    sse_comment_chunk,
+    ws_accept_key,
+)
 
 NOW = 100.0  # what the stub context's clock always reads
 WS_HEADERS = {"upgrade": "websocket", "sec-websocket-key": "dGhlIHNhbXBsZSBub25jZQ=="}
@@ -256,8 +259,7 @@ class TestDeliveryRoutes:
         assert _error(ctx, "GET", "mon/stream", version="HTTP/1.0") == (400, "bad_request")
 
     @pytest.mark.parametrize("images, framing", [
-        ("", FRAME_WS), ("none", FRAME_WS), ("b64", FRAME_WS_B64),
-        ("binary", FRAME_WS_BINARY),
+        ("", FRAME_WS), ("none", FRAME_WS), ("binary", FRAME_WS_BINARY),
     ])
     def test_ws_upgrade_head_and_framing(self, ctx, images, framing):
         record, _, _, head = dispatch(_request(
@@ -272,6 +274,7 @@ class TestDeliveryRoutes:
         ("mon/ws", {}),
         ("mon/ws", {"upgrade": "websocket"}),
         ("mon/ws?images=jpeg", WS_HEADERS),
+        ("mon/ws?images=b64", WS_HEADERS),  # base64-in-JSON is no longer a mode
         ("mon/ws?since=abc", WS_HEADERS),
     ])
     def test_ws_handshake_violations_are_400s(self, ctx, target, headers):
@@ -471,3 +474,42 @@ class TestReplayRoute:
             assert ctx.started[0].interval == 1e-3
         finally:
             ctx.manager.close("fast")
+
+
+# -- the heads the server renders, read back by the parser the clients use ---------------
+
+
+class TestRenderedHeadsParseBack:
+    @pytest.fixture()
+    def rendered(self, ctx):
+        """``(head + first body bytes, status, a header it must carry)`` for the
+        four shapes the server writes: a keep-alive 200, an error envelope
+        on a closing connection, the chunked SSE head, the 101 upgrade."""
+        server = AjaxWebServer(ctx.client, port=0)  # never started: it only renders
+        try:
+            error = error_reply(WebServerError("unknown session 'x'"), "GET")
+            heads = [
+                (server._render_head(200, "application/json", 2, True) + b"{}",
+                 200, ("content-length", "2"), b"{}"),
+                (server._render_head(error.code, error.ctype, len(error.body), False)
+                 + error.body, 404, ("connection", "close"), error.body),
+            ]
+        finally:
+            server.stop()
+        sse = dispatch(_request("GET", "mon/stream"), ctx.ctx).head
+        heads.append((sse, 200, ("transfer-encoding", "chunked"), sse_comment_chunk(b"ok")))
+        upgrade = dispatch(_request("GET", "mon/ws", headers=WS_HEADERS), ctx.ctx).head
+        accept = ws_accept_key(WS_HEADERS["sec-websocket-key"])
+        heads.append((upgrade, 101, ("sec-websocket-accept", accept), b""))
+        return heads
+
+    def test_every_split_gives_the_status_the_headers_and_the_body_untouched(
+            self, rendered):
+        for wire, status, (name, value), body in rendered:
+            for cut in range(len(wire) + 1):
+                buf, head = bytearray(), None
+                for chunk in (wire[:cut], wire[cut:]):
+                    buf += chunk
+                    head = head or parse_response_head(buf)
+                assert head[0] == status and head[1][name] == value, (wire, cut)
+                assert head[1]["server"] == "RICSA/2.0" and bytes(buf) == body

@@ -156,11 +156,11 @@ class TestWindowedDeltas:
         source.set_cursor("c", WindowCursor((32, 32, 32), (49, 49, 49), 0))
         store.publish_window_step(0)
         before = store.json_encodes
-        same = [store.delta_frame(0, window=source.window_key(w))
+        same = [store.framed_delta(0, window=source.window_key(w))
                 for w in ("a", "b", "a", "b")]
         assert len({id(f) for f in same}) == 1  # one shared buffer
         assert store.json_encodes == before + 1
-        store.delta_frame(0, window=source.window_key("c"))
+        store.framed_delta(0, window=source.window_key("c"))
         assert store.json_encodes == before + 2
 
 
