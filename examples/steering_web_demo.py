@@ -98,29 +98,21 @@ def _parse_args() -> tuple[float, str, int, object, bool]:
 def _spawn_slow_viewers(port: int, sid: str, n: int):
     """Start ``n`` WebSocket viewers throttled to an emulated modem link.
 
-    Reuses the benchmark's paced stream client: image blobs ride inline
+    Reuses the benchmark's viewer, paced: image blobs ride inline
     (``images=binary``) so the payloads actually stress the slow link, the
     drain rate is capped at the simulated bottleneck bandwidth, and a
     small receive buffer keeps the backlog server-visible — exactly the
     congestion signal the adaptive controller reacts to.
     """
-    from repro.experiments.web_concurrency import (
-        _WSClient,
-        emulated_slow_bandwidth,
-    )
+    from repro.experiments.web_concurrency import Viewer, emulated_slow_bandwidth
 
     bandwidth = emulated_slow_bandwidth(mbits=1.0)
     stop = threading.Event()
     gate = threading.Barrier(n + 1)
-    viewers = []
-    for _ in range(n):
-        viewer = _WSClient(port, sid, stop, gate)
-        viewer.images = "binary"
-        viewer.recv_bytes = 4096
-        viewer.recv_interval = 4096 / bandwidth
-        viewer.rcvbuf = 8192
+    viewers = [Viewer(port, sid, stop, gate, transport="ws", images="binary",
+                      pace=bandwidth) for _ in range(n)]
+    for viewer in viewers:
         viewer.start()
-        viewers.append(viewer)
     gate.wait()
     return stop, viewers, bandwidth
 

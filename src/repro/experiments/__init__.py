@@ -28,7 +28,7 @@ from repro.experiments.reporting import format_series, format_table
 from repro.experiments.transport_exp import run_alpha_sweep, run_transport_comparison
 from repro.experiments.web_concurrency import (
     ConcurrencyCell,
-    WebConcurrencyResult,
+    SweepResult,
     run_web_concurrency,
 )
 
@@ -38,7 +38,7 @@ __all__ = [
     "ExecutorScalingResult",
     "Fig9Result",
     "Fig10Result",
-    "WebConcurrencyResult",
+    "SweepResult",
     "format_series",
     "format_table",
     "run_alpha_sweep",

@@ -11,7 +11,11 @@ scheduler); images as fixed-size files or PNGs.
 
 :class:`~repro.web.client.SteeringWebClient` is the programmatic browser
 used by tests and examples; it speaks all three event transports
-behind one :meth:`events` generator with since-resume reconnects.
+behind one :meth:`events` generator with since-resume reconnects.  A
+client author starts from :mod:`repro.web.client`: the class for the
+whole protocol, or the socket level beside it (``connect``,
+``read_response``, ``open_stream`` and its decoder) that it and the
+concurrency harness's viewer both read a stream through.
 :class:`~repro.web.longpoll.LongPollScheduler` is the subscriber
 registry + deadline wheel behind the non-blocking polls and push
 streams; :mod:`repro.web.delivery` is the one path that frames a wake

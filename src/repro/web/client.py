@@ -22,6 +22,12 @@ server's QoS controller assigned the connection, mirrored into
 ``min_quality`` constructor hint caps how far the server may degrade
 this client (0 pins full quality).  Image fetches default to the
 negotiated tier's encode.
+
+Above the class sits the socket level every browser stand-in under
+``src/`` shares — :func:`connect`, :func:`read_response`,
+:func:`open_stream` and its decoder — so the herd harness
+(:class:`repro.experiments.web_concurrency.Viewer`) and this client read
+one stream through one copy of the code.  A client author starts here.
 """
 
 from __future__ import annotations
@@ -48,12 +54,21 @@ from repro.wire import (
     decode_chunks,
     parse_response_head,
     parse_ws_frames,
+    response_body_length,
     split_sse_events,
     ws_accept_key,
     ws_client_frame,
 )
 
-__all__ = ["SteeringWebClient", "read_response_head"]
+__all__ = [
+    "API_PREFIX",
+    "TRANSPORTS",
+    "SteeringWebClient",
+    "connect",
+    "open_stream",
+    "read_response",
+    "read_response_head",
+]
 
 TRANSPORTS = ("longpoll", "sse", "ws")
 
@@ -61,15 +76,140 @@ TRANSPORTS = ("longpoll", "sse", "ws")
 API_PREFIX = "/api/v1"
 
 
+# -- the socket level: one copy for this client and the herd harness ---------------
+#
+# JSON-free: what a payload means is its reader's business (this module's
+# SteeringWebClient decodes each one as it arrives; the concurrency
+# harness's viewer stamps the arrival and decodes after its measured window).
+
+def connect(address: tuple[str, int], timeout: float = 10.0,
+            rcvbuf: int | None = None) -> socket.socket:
+    """A connected client socket, Nagle off.  ``rcvbuf`` shrinks the
+    receive window, so a reader that drains slowly backs up into the
+    server's send queue instead of hiding in this end's kernel buffer."""
+    sock = socket.create_connection(address, timeout=timeout)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    if rcvbuf is not None:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
+    return sock
+
+
+def _fill(sock: socket.socket, buf: bytearray, what: str) -> None:
+    chunk = sock.recv(65536)
+    if not chunk:
+        raise ConnectionError(f"connection closed during {what}")
+    buf += chunk
+
+
 def read_response_head(sock: socket.socket, buf: bytearray) -> tuple[int, dict[str, str]]:
     """Receive into ``buf`` until it holds one response head; return
     ``(status, headers)`` with the bytes that followed left in ``buf``."""
     while (head := parse_response_head(buf)) is None:
-        chunk = sock.recv(65536)
-        if not chunk:
-            raise ConnectionError("connection closed during response head")
-        buf += chunk
+        _fill(sock, buf, "response head")
     return head
+
+
+def read_response(sock: socket.socket, buf: bytearray) -> tuple[int, dict[str, str], bytes]:
+    """Read one ``Content-Length``-framed keep-alive response:
+    ``(status, headers, body)``.
+
+    ``buf`` carries the bytes of a pipelined follow-up response over to
+    the next call.  A head that does not announce a plain-digit length
+    under the cap raises :class:`WebServerError` before any body byte is
+    taken (:func:`repro.wire.response_body_length`).
+    """
+    status, headers = read_response_head(sock, buf)
+    length = response_body_length(headers)
+    while len(buf) < length:
+        _fill(sock, buf, "response body")
+    body = bytes(buf[:length])
+    del buf[:length]
+    return status, headers, body
+
+
+def _sse_decoder(buf: bytearray):
+    events = bytearray()  # de-chunked bytes not yet a whole event
+
+    def decode() -> tuple[list[bytes], bool]:
+        chunks, ended = decode_chunks(buf)
+        for chunk in chunks:
+            events.extend(chunk)
+        return [data for _event_id, data in split_sse_events(events)], ended
+
+    return decode
+
+
+def _ws_decoder(sock: socket.socket, buf: bytearray):
+    def decode() -> tuple[list[bytes], bool]:
+        payloads = []
+        for opcode, payload in parse_ws_frames(buf, require_mask=False):
+            if opcode in (WS_TEXT, WS_BINARY):
+                payloads.append(payload)
+            elif opcode == WS_PING:
+                sock.sendall(ws_client_frame(payload, WS_PONG))
+            elif opcode == WS_CLOSE:
+                sock.sendall(ws_client_frame(payload[:2], WS_CLOSE))
+                return payloads, True
+        return payloads, False
+
+    return decode
+
+
+def open_stream(address: tuple[str, int], session: str, transport: str,
+                since: int = 0, query: str = "", timeout: float = 10.0,
+                rcvbuf: int | None = None):
+    """Subscribe to ``session``'s events past ``since`` over a push
+    ``transport`` (``sse`` / ``ws``); ``query`` is appended to the
+    request target (``&images=binary``, ``&window=w``, ...).
+
+    Sends the transport's request — SSE: ``Accept`` and ``Last-Event-ID``
+    on ``GET .../stream``; WS: the RFC 6455 upgrade on ``GET .../ws`` with
+    a fresh nonce, the accept key checked — and returns ``(sock, buf,
+    decode)``: the socket, the buffer holding whatever followed the
+    response head (receive into it), and a decoder.  ``decode()`` drains
+    ``buf`` into ``(payloads, ended)``: the raw delta payloads that are
+    complete (JSON bytes; a whole ``ws+bin`` payload on a WebSocket
+    opened with ``&images=binary``) and whether the server ended the
+    stream.  Pings and the close handshake are answered inside it.
+
+    Refused / reset / timed-out connects and handshakes raise
+    :class:`ConnectionError`; a wrong status or accept key
+    :class:`WebServerError`.
+    """
+    host, port = address
+    if transport == "sse":
+        route, expect_status = "stream", 200
+        headers = f"Last-Event-ID: {since}\r\nAccept: text/event-stream\r\n"
+    elif transport == "ws":
+        route, expect_status = "ws", 101
+        key = base64.b64encode(os.urandom(16)).decode("ascii")
+        headers = ("Upgrade: websocket\r\nConnection: Upgrade\r\n"
+                   f"Sec-WebSocket-Key: {key}\r\nSec-WebSocket-Version: 13\r\n")
+    else:
+        raise WebServerError(f"{transport!r} is not a push transport")
+    request = (f"GET {API_PREFIX}/{session}/{route}?since={since}{query} HTTP/1.1\r\n"
+               f"Host: {host}:{port}\r\n{headers}\r\n")
+    try:
+        sock = connect(address, timeout, rcvbuf)
+    except OSError as exc:
+        raise ConnectionError(f"stream connect failed: {exc}") from exc
+    buf = bytearray()
+    try:
+        try:
+            sock.sendall(request.encode("latin-1"))
+            status, response_headers = read_response_head(sock, buf)
+        except OSError as exc:  # a timeout, a reset, a close mid-head
+            raise ConnectionError(f"stream handshake failed: {exc}") from exc
+        if status != expect_status:
+            raise WebServerError(f"expected HTTP {expect_status}, got {status}")
+        if transport == "sse":
+            return sock, buf, _sse_decoder(buf)
+        if response_headers.get("sec-websocket-accept") != ws_accept_key(key):
+            raise WebServerError("WS handshake returned a bad accept key")
+        return sock, buf, _ws_decoder(sock, buf)
+    except BaseException:
+        sock.close()
+        raise
 
 
 def _http_error(verb: str, path: str, exc: urllib.error.HTTPError) -> WebServerError:
@@ -86,9 +226,10 @@ def _http_error(verb: str, path: str, exc: urllib.error.HTTPError) -> WebServerE
 class SteeringWebClient:
     """Synchronous steering-web client over urllib + raw sockets.
 
-    urllib carries the request/response routes; the persistent stream
-    transports (SSE chunked transfer, WebSocket) run over plain sockets
-    using the same framing helpers the server side uses.
+    urllib carries the request/response routes — stdlib already does
+    that job, and a keep-alive socket of our own would need idle-close
+    recovery nothing here asks for; the persistent stream transports
+    (SSE chunked transfer, WebSocket) run over :func:`open_stream`.
     """
 
     def __init__(self, base_url: str, session: str | None = None,
@@ -256,9 +397,7 @@ class SteeringWebClient:
                     yield self.poll(timeout=timeout)
                     delay = self.backoff_base
                     continue
-                stream = (self._sse_stream if transport == "sse"
-                          else self._ws_stream)
-                for delta in stream(timeout=timeout, images=images):
+                for delta in self._stream(transport, timeout, images):
                     delay = self.backoff_base
                     yield delta
             except ConnectionError:
@@ -268,118 +407,52 @@ class SteeringWebClient:
             time.sleep(delay)
             delay = min(delay * 2, self.backoff_cap)
 
-    def _open_stream(self, target: str, headers: str,
-                     expect_status: int) -> tuple[socket.socket, bytearray, dict[str, str]]:
-        """Connect, ``GET`` the session's ``target`` with the extra
-        ``headers`` and read the response head; returns the socket, the
-        bytes that followed the head and the response headers."""
-        host, port = self._hostport()
-        request = (f"GET {API_PREFIX}/{self.resolve_session()}/{target}"
-                   f"{self._quality_query()}{self._window_query()} HTTP/1.1\r\n"
-                   f"Host: {host}:{port}\r\n{headers}\r\n")
-        try:
-            sock = socket.create_connection((host, port), timeout=self.timeout)
-        except OSError as exc:
-            raise ConnectionError(f"stream connect failed: {exc}") from exc
-        buf = bytearray()
-        try:
-            try:
-                sock.sendall(request.encode("latin-1"))
-                status, response_headers = read_response_head(sock, buf)
-            except OSError as exc:  # a timeout, a reset, a close mid-head
-                raise ConnectionError(f"stream handshake failed: {exc}") from exc
-            if status != expect_status:
-                raise WebServerError(f"expected HTTP {expect_status}, got {status}")
-        except BaseException:
-            sock.close()
-            raise
-        return sock, buf, response_headers
-
-    def _pump(self, sock: socket.socket, buf: bytearray, timeout: float, parse):
-        """Yield the deltas of one open stream until it drops (then
+    def _stream(self, transport: str, timeout: float = 5.0,
+                images: str | None = None):
+        """One push connection; yields deltas until it drops (then
         raises) or the server ends it (then returns).
 
-        ``parse()`` consumes what ``buf`` holds and returns ``(deltas,
-        ended)``.  Heartbeats (comments, pings) arriving faster than
-        ``timeout`` would keep recv returning non-event bytes forever; the
-        quiet deadline keeps the every-``timeout``-seconds synthetic-delta
+        Heartbeats (comments, pings) arriving faster than ``timeout``
+        would keep recv returning non-event bytes forever; the quiet
+        deadline keeps the every-``timeout``-seconds synthetic-delta
         contract regardless of server chatter.
         """
-        quiet_deadline = time.monotonic() + timeout
-        while True:
-            deltas, ended = parse()
-            for delta in deltas:
-                self._advance(delta)
-                yield delta
-                quiet_deadline = time.monotonic() + timeout
-            if ended:
-                return  # server finished the stream (session closed)
-            remaining = quiet_deadline - time.monotonic()
-            chunk = None  # stays None when the quiet deadline passes unread
-            if remaining > 0:
-                try:
-                    sock.settimeout(remaining)
-                    chunk = sock.recv(65536)
-                except TimeoutError:
-                    pass
-                except OSError as exc:
-                    raise ConnectionError(f"stream read failed: {exc}") from exc
-                if chunk == b"":
-                    raise ConnectionError("stream connection closed")
-            if chunk is None:
-                yield {"version": self.since, "components": [], "dropped": 0,
-                       "tier": self.tier, "timeout": True}
-                quiet_deadline = time.monotonic() + timeout
-            else:
-                buf += chunk
-
-    def _sse_stream(self, timeout: float = 5.0, images: str | None = None):
-        """One SSE connection; yields deltas until it drops (then raises)."""
-        sock, buf, _headers = self._open_stream(
-            f"stream?since={self.since}",
-            f"Last-Event-ID: {self.since}\r\nAccept: text/event-stream\r\n",
-            expect_status=200)
-        eventbuf = bytearray()
-
-        def parse() -> tuple[list[dict], bool]:
-            payloads, ended = decode_chunks(buf)
-            for payload in payloads:
-                eventbuf.extend(payload)
-            return [json.loads(data.decode("utf-8"))
-                    for _event_id, data in split_sse_events(eventbuf)], ended
-
+        inline = f"&images={images}" if images and transport == "ws" else ""
+        sock, buf, decode = open_stream(
+            self._hostport(), self.resolve_session(), transport, self.since,
+            inline + self._quality_query() + self._window_query(), self.timeout)
+        # What a payload is follows from what was subscribed to.
+        loads = (decode_binary_delta if (transport, images) == ("ws", "binary")
+                 else json.loads)
         try:
-            yield from self._pump(sock, buf, timeout, parse)
-        finally:
-            sock.close()
-
-    def _ws_stream(self, timeout: float = 5.0, images: str | None = None):
-        """One WebSocket connection; yields deltas until close/drop."""
-        key = base64.b64encode(os.urandom(16)).decode("ascii")
-        sock, buf, headers = self._open_stream(
-            f"ws?since={self.since}" + (f"&images={images}" if images else ""),
-            "Upgrade: websocket\r\nConnection: Upgrade\r\n"
-            f"Sec-WebSocket-Key: {key}\r\nSec-WebSocket-Version: 13\r\n",
-            expect_status=101)
-
-        def parse() -> tuple[list[dict], bool]:
-            deltas = []
-            for opcode, payload in parse_ws_frames(buf, require_mask=False):
-                if opcode == WS_PING:
-                    sock.sendall(ws_client_frame(payload, WS_PONG))
-                elif opcode == WS_CLOSE:
-                    sock.sendall(ws_client_frame(payload[:2], WS_CLOSE))
-                    return deltas, True
-                elif opcode == WS_TEXT:
-                    deltas.append(json.loads(payload.decode("utf-8")))
-                elif opcode == WS_BINARY:
-                    deltas.append(decode_binary_delta(payload))
-            return deltas, False
-
-        try:
-            if headers.get("sec-websocket-accept") != ws_accept_key(key):
-                raise WebServerError("WS handshake returned a bad accept key")
-            yield from self._pump(sock, buf, timeout, parse)
+            quiet_deadline = time.monotonic() + timeout
+            while True:
+                payloads, ended = decode()
+                for payload in payloads:
+                    delta = loads(payload)
+                    self._advance(delta)
+                    yield delta
+                    quiet_deadline = time.monotonic() + timeout
+                if ended:
+                    return  # server finished the stream (session closed)
+                remaining = quiet_deadline - time.monotonic()
+                chunk = None  # stays None when the quiet deadline passes unread
+                if remaining > 0:
+                    try:
+                        sock.settimeout(remaining)
+                        chunk = sock.recv(65536)
+                    except TimeoutError:
+                        pass
+                    except OSError as exc:
+                        raise ConnectionError(f"stream read failed: {exc}") from exc
+                    if chunk == b"":
+                        raise ConnectionError("stream connection closed")
+                if chunk is None:
+                    yield {"version": self.since, "components": [], "dropped": 0,
+                           "tier": self.tier, "timeout": True}
+                    quiet_deadline = time.monotonic() + timeout
+                else:
+                    buf += chunk
         finally:
             sock.close()
 

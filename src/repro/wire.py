@@ -8,12 +8,14 @@ one implementation of each format, and no import cycle can run through
 it.  Which format, which direction:
 
 * **HTTP/1.x heads** — client -> server :func:`parse_request` (the IO
-  loop's), server -> client :func:`parse_response_head` (the clients').
+  loop's), server -> client :func:`parse_response_head` then
+  :func:`response_body_length` (the clients').
 * **WebSocket (RFC 6455)** — :func:`ws_header` is the one length ladder;
   :func:`ws_server_frame` is parsed by ``parse_ws_frames(buf, False)``,
   :func:`ws_client_frame` (masked) by ``parse_ws_frames(buf, True)``.
 * **``ws+bin`` delta** (``[u32 json length][json][raw blobs]``) —
-  :func:`ws_binary_frame` / :func:`decode_binary_delta`.
+  :func:`ws_binary_frame` / :func:`decode_binary_delta` (its JSON alone:
+  :func:`binary_delta_json`).
 * **SSE over chunked transfer** — :func:`sse_event_chunk`,
   :func:`sse_comment_chunk`, :data:`CHUNKED_END` / :func:`decode_chunks`
   then :func:`split_sse_events`.
@@ -57,12 +59,14 @@ __all__ = [
     "HttpRequest",
     "parse_request",
     "parse_response_head",
+    "response_body_length",
     "ws_accept_key",
     "ws_header",
     "ws_server_frame",
     "ws_client_frame",
     "parse_ws_frames",
     "ws_binary_frame",
+    "binary_delta_json",
     "decode_binary_delta",
     "decode_brick_payload",
     "sse_event_chunk",
@@ -161,6 +165,18 @@ def _split_head(buf: bytearray, what: str) -> tuple[str, dict[str, str], int] | 
     return lines[0], headers, end + 4
 
 
+def _content_length(raw_length: str, cap: int, what: str) -> int:
+    """A ``Content-Length`` value as a body size no larger than ``cap``."""
+    # ASCII digits only: int() would also take "1_0", "+10" and "١٠".  The
+    # length cap keeps int() away from its own digit-count limit.
+    if not (raw_length.isascii() and raw_length.isdigit()) or len(raw_length) > 18:
+        raise WebServerError(f"malformed Content-Length {raw_length[:32]!r}")
+    length = int(raw_length)
+    if length > cap:
+        raise WebServerError(f"{what} body of {length} bytes is too large")
+    return length
+
+
 def parse_request(buf: bytearray) -> HttpRequest | None:
     """Consume one complete HTTP/1.x request from the front of ``buf``.
 
@@ -181,15 +197,8 @@ def parse_request(buf: bytearray) -> HttpRequest | None:
         raise WebServerError("malformed request line")
     if "transfer-encoding" in headers:
         raise WebServerError("Transfer-Encoding request bodies are not supported")
-    raw_length = headers.get("content-length") or "0"
-    # ASCII digits only: int() would also take "1_0", "+10" and "١٠".  The
-    # length cap keeps int() away from its own digit-count limit.
-    if not (raw_length.isascii() and raw_length.isdigit()) or len(raw_length) > 18:
-        raise WebServerError(f"malformed Content-Length {raw_length[:32]!r}")
-    length = int(raw_length)
-    if length > _MAX_BODY_BYTES:
-        raise WebServerError(f"request body of {length} bytes is too large")
-    total = body_at + length
+    total = body_at + _content_length(
+        headers.get("content-length") or "0", _MAX_BODY_BYTES, "request")
     if len(buf) < total:
         return None
     body = bytes(buf[body_at:total])
@@ -217,6 +226,20 @@ def parse_response_head(buf: bytearray) -> tuple[int, dict[str, str]] | None:
         raise WebServerError(f"malformed status line {line[:64]!r}")
     del buf[:body_at]
     return int(parts[1]), headers
+
+
+def response_body_length(headers: dict[str, str]) -> int:
+    """How many body bytes follow a response head :func:`parse_response_head`
+    returned, for the one body framing the request / response routes use.
+
+    :func:`parse_request`'s rule, the other way: ``Content-Length`` is
+    plain ASCII digits under the cap the push payloads share.  A head
+    without one (a chunked stream, a 101) has no length to read: that is
+    refused, not read as 0.
+    """
+    if "transfer-encoding" in headers or "content-length" not in headers:
+        raise WebServerError("response body is not Content-Length framed")
+    return _content_length(headers["content-length"], _MAX_WS_PAYLOAD, "response")
 
 
 # -- WebSocket (RFC 6455) ------------------------------------------------------
@@ -330,6 +353,17 @@ def ws_binary_frame(base: bytes, blobs: list[bytes]) -> bytes:
                      struct.pack(">I", len(base)), base, *blobs))
 
 
+def binary_delta_json(payload: bytes) -> bytes:
+    """The JSON header of a ``FRAME_WS_BINARY`` payload, still encoded —
+    what a reader that wants the delta but not its blobs keeps."""
+    if len(payload) < 4:
+        raise WebServerError("binary delta shorter than its length prefix")
+    json_len = struct.unpack_from(">I", payload, 0)[0]
+    if 4 + json_len > len(payload):
+        raise WebServerError("binary delta JSON header is truncated")
+    return payload[4:4 + json_len]
+
+
 def decode_binary_delta(payload: bytes) -> dict:
     """Decode a ``FRAME_WS_BINARY`` payload back into a delta dict.
 
@@ -337,20 +371,16 @@ def decode_binary_delta(payload: bytes) -> dict:
     container) in place of their ``blob_offset``/``blob_len`` pointers
     into the trailing blob section.
     """
-    if len(payload) < 4:
-        raise WebServerError("binary delta shorter than its length prefix")
-    json_len = struct.unpack_from(">I", payload, 0)[0]
-    if 4 + json_len > len(payload):
-        raise WebServerError("binary delta JSON header is truncated")
+    base = binary_delta_json(payload)
     try:
-        delta = json.loads(payload[4:4 + json_len].decode("utf-8"))
+        delta = json.loads(base.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
         raise WebServerError(f"binary delta header is not JSON: {exc}") from None
     components = delta.get("components", []) if isinstance(delta, dict) else None
     if not isinstance(components, list):
         raise WebServerError("binary delta is not an object holding a component list")
     # A view: each blob is copied once, out of the payload into its own bytes.
-    blob_section = memoryview(payload)[4 + json_len:]
+    blob_section = memoryview(payload)[4 + len(base):]
     for comp in components:
         props = comp.get("props", {}) if isinstance(comp, dict) else None
         if not isinstance(props, dict):

@@ -22,10 +22,10 @@ import time
 import pytest
 
 from repro.costmodel.calibration import default_calibration
-from repro.experiments.web_concurrency import read_http_response
 from repro.net import build_paper_testbed
 from repro.steering import CentralManager, SteeringClient
 from repro.web import AjaxWebServer
+from repro.web.client import read_response
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +109,7 @@ class TestSlowClientBackpressure:
                     b"GET /api/v1/budget/poll?since=0&timeout=0 "
                     b"HTTP/1.1\r\nHost: x\r\n\r\n"
                 )
-                delta = json.loads(read_http_response(fresh, buf))
+                delta = json.loads(read_response(fresh, buf)[2])
                 blobs = [
                     c["props"]["blob"] for c in delta["components"]
                     if "blob" in c["props"]
@@ -165,7 +165,7 @@ class TestSlowClientBackpressure:
                     )
                     time.sleep(0.002)
                     store.publish_status("session", tick=tick, pad="z" * 512)
-                    delta = json.loads(read_http_response(fast, buf))
+                    delta = json.loads(read_response(fast, buf)[2])
                     assert delta["version"] >= since + 1
                     ticks = [
                         c["props"]["tick"] for c in delta["components"]

@@ -21,12 +21,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import WebServerError
+from repro.web.client import read_response
 from repro.wire import (
     _MAX_BODY_BYTES,
     _MAX_HEADER_BYTES,
     _MAX_WS_PAYLOAD,
     CHUNKED_END,
     HttpRequest,
+    binary_delta_json,
     decode_binary_delta,
     decode_chunks,
     parse_request,
@@ -371,6 +373,15 @@ def test_a_lying_binary_delta_raises_web_server_error(payload):
         decode_binary_delta(payload)
 
 
+def test_the_json_header_alone_is_checked_not_sliced():
+    # what a reader that defers the JSON parse keeps of a ws+bin payload
+    assert binary_delta_json(_binary_delta({"version": 2}, b"blobs")) == b'{"version": 2}'
+    assert binary_delta_json(_binary_delta(b"", b"blobs")) == b""
+    for lying in (struct.pack(">I", 50) + b'{"components": []}', b"\x00\x00", b""):
+        with pytest.raises(WebServerError, match="binary delta"):
+            binary_delta_json(lying)
+
+
 _JSON = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(-4, 12), st.floats(allow_nan=False),
               st.text(max_size=4)),
@@ -580,6 +591,96 @@ def test_a_garbage_response_head_parses_or_raises_web_server_error(garbage, tail
     def outcome(chunks):
         try:
             return _feed_head(chunks)
+        except WebServerError:
+            return "refused"
+
+    assert outcome(_chunkings(data, garbage + tail)) == outcome([garbage + tail])
+
+
+# -- read_response: a whole Content-Length-framed response off a socket's receive side ---
+
+class _Wire:
+    """The receive side of a socket: hands out its chunks, then EOF."""
+
+    def __init__(self, chunks) -> None:
+        self._chunks = iter([chunk for chunk in chunks if chunk])
+
+    def recv(self, _size: int) -> bytes:
+        return next(self._chunks, b"")
+
+
+def _read_all(chunks) -> tuple[list[tuple[int, dict[str, str], bytes]], bytes]:
+    """Every complete response ``chunks`` holds, and what was left unread."""
+    wire, buf, responses = _Wire(chunks), bytearray(), []
+    try:
+        while True:
+            responses.append(read_response(wire, buf))
+    except ConnectionError:  # EOF: the stream held no further whole response
+        return responses, bytes(buf)
+
+
+def _rendered(status: int, body: bytes, length: str | None = None) -> bytes:
+    """``Response(status, body)`` as the server's head renderer writes it."""
+    return (f"HTTP/1.1 {status} X\r\nContent-Type: application/json\r\n"
+            f"Content-Length: {len(body) if length is None else length}\r\n"
+            "Server: RICSA/2.0\r\nConnection: keep-alive\r\n\r\n").encode("latin-1") + body
+
+
+@settings(max_examples=150, deadline=None)
+@given(responses=st.lists(st.tuples(st.sampled_from([200, 400, 404, 503]),
+                                    st.binary(max_size=200)), min_size=1, max_size=3),
+       tail=st.sampled_from([b"", b"HTTP/1.1 200", _rendered(200, b"abcdef")[:-3]]),
+       data=st.data())
+def test_any_chunking_reads_the_same_responses(responses, tail, data):
+    stream = b"".join(_rendered(status, body) for status, body in responses) + tail
+    whole, left = _read_all([stream])
+    assert [(status, body) for status, _headers, body in whole] == responses
+    assert all(headers["content-length"] == str(len(body)) for _s, headers, body in whole)
+    # an unfinished follow-up is never returned short (EOF ends the
+    # connection: its head may be consumed, its bytes are not invented)
+    assert tail.endswith(left)
+    assert _read_all(_chunkings(data, stream)) == (whole, left)
+    assert _read_all([stream[i:i + 1] for i in range(len(stream))]) == (whole, left)
+
+
+@pytest.mark.parametrize("length", [
+    "1_0", "+3", "-1", "0x10", "", "ten", "\xb2", "9" * 5000, str(_MAX_WS_PAYLOAD + 1)])
+def test_a_response_length_is_plain_digits_under_the_cap_or_refused(length):
+    with pytest.raises(WebServerError, match="Content-Length|too large|not Content-Length"):
+        read_response(_Wire([_rendered(200, b"x" * 16, length)]), bytearray())
+
+
+@pytest.mark.parametrize("head", [
+    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n0\r\n\r\n",
+    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nContent-Length: 3\r\n\r\nabc",
+    b"HTTP/1.1 101 Switching Protocols\r\nUpgrade: websocket\r\n\r\n",
+    b"HTTP/1.1 200 OK\r\nServer: x\r\n\r\nread-until-close body",
+])
+def test_a_response_without_a_length_is_refused_not_a_key_error(head):
+    with pytest.raises(WebServerError, match="not Content-Length framed"):
+        read_response(_Wire([head]), bytearray())
+
+
+def test_a_length_that_lies_is_never_sliced_short():
+    # more announced than sent: EOF is an error, not a 3-byte body
+    with pytest.raises(ConnectionError, match="response body"):
+        read_response(_Wire([_rendered(200, b"abc", "10")]), bytearray())
+    # less announced than sent: exactly that much, the rest left for the next read
+    buf = bytearray()
+    assert read_response(_Wire([_rendered(200, b"abcdef", "2")]), buf)[2] == b"ab"
+    assert bytes(buf) == b"cdef"
+    # at the cap the head is legal and the reader just waits for the body
+    with pytest.raises(ConnectionError, match="response body"):
+        read_response(_Wire([_rendered(200, b"", str(_MAX_WS_PAYLOAD))]), bytearray())
+
+
+@settings(max_examples=300, deadline=None)
+@given(garbage=st.binary(max_size=64), tail=st.sampled_from([b"", b"\r\n\r\n"]),
+       data=st.data())
+def test_a_garbage_response_reads_or_raises_web_server_error(garbage, tail, data):
+    def outcome(chunks):
+        try:
+            return _read_all(chunks)
         except WebServerError:
             return "refused"
 

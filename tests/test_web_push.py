@@ -367,16 +367,16 @@ class TestClientReconnect:
         store = client.manager.open_monitor("dropfeed")
         store.publish_status("session", tick=1)
         wc = SteeringWebClient(server.url, session="dropfeed", backoff_base=0.01)
-        real_stream = wc._sse_stream
+        real_stream = wc._stream
         dropped = {"done": False}
 
-        def dropping_stream(timeout=5.0, images=None):
+        def dropping_stream(transport, timeout=5.0, images=None):
             if not dropped["done"]:
                 dropped["done"] = True
                 raise ConnectionError("injected mid-stream drop")
-            return real_stream(timeout=timeout, images=images)
+            return real_stream(transport, timeout=timeout, images=images)
 
-        wc._sse_stream = dropping_stream
+        wc._stream = dropping_stream
         gen = wc.events(transport="sse", timeout=2.0)
         try:
             delta = _drain_until(gen, lambda d: d.get("components"))

@@ -47,6 +47,7 @@ from repro.wire import (
     HttpRequest,
     decode_brick_payload,
     parse_response_head,
+    response_body_length,
     sse_comment_chunk,
     ws_accept_key,
 )
@@ -513,3 +514,12 @@ class TestRenderedHeadsParseBack:
                     head = head or parse_response_head(buf)
                 assert head[0] == status and head[1][name] == value, (wire, cut)
                 assert head[1]["server"] == "RICSA/2.0" and bytes(buf) == body
+
+    def test_only_the_length_framed_heads_announce_a_body_length(self, rendered):
+        for wire, status, _header, body in rendered:
+            _status, headers = parse_response_head(bytearray(wire))
+            if status in (200, 404) and "content-length" in headers:
+                assert response_body_length(headers) == len(body)
+            else:  # the SSE stream and the 101: nothing to read by length
+                with pytest.raises(WebServerError, match="not Content-Length framed"):
+                    response_body_length(headers)
