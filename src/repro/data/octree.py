@@ -180,6 +180,11 @@ class Octree:
     axis.  :meth:`active_blocks` prunes whole subtrees whose value range
     excludes the isovalue — the traversal the paper's Eq. 4 counts as
     ``n_blocks``.
+
+    ``max_lod`` is the coarsest useful brick level: one brick tile spans
+    the whole domain.  It and the per-level brick grid are plain values
+    computed here, since a tree's shape never changes: the window plane
+    reads them on every pan, fetch and publish.
     """
 
     def __init__(self, grid: StructuredGrid, leaf_cells: int = 16) -> None:
@@ -188,9 +193,17 @@ class Octree:
         self.grid = grid
         self.leaf_cells = leaf_cells
         self._leaf_count = 0
-        self._brick_lists: dict[int, list[Brick]] = {}
         nx, ny, nz = grid.shape
         self.root = self._build((0, 0, 0), (nx, ny, nz))
+        self._samples = (nx, ny, nz)
+        cells = [max(s - 1, 1) for s in self._samples]
+        lod = 0
+        while leaf_cells << lod < max(cells):
+            lod += 1
+        self.max_lod = lod
+        self._grids = [tuple(-(-c // (leaf_cells << level)) for c in cells)
+                       for level in range(lod + 1)]
+        self._brick_lists: list[list[Brick] | None] = [None] * (lod + 1)
 
     def _build(self, offset: tuple[int, int, int], shape: tuple[int, int, int]) -> _Node:
         sub = self.grid.values[
@@ -259,36 +272,24 @@ class Octree:
 
     # -- LOD bricks (sliding-window decomposition) --------------------------------
 
-    @property
-    def max_lod(self) -> int:
-        """Coarsest useful level: one brick tile spans the whole domain."""
-        cells = max(max(s - 1, 1) for s in self.grid.shape)
-        lod = 0
-        while self.leaf_cells << lod < cells:
-            lod += 1
-        return lod
-
     def clamp_lod(self, lod: int) -> int:
         """Clamp ``lod`` to the tree's valid range (0 = finest = leaf depth)."""
         return min(max(int(lod), 0), self.max_lod)
 
     def brick_grid(self, lod: int) -> tuple[int, int, int]:
         """Brick counts per axis at ``lod``."""
-        tile = self.leaf_cells << self.clamp_lod(lod)
-        return tuple(  # type: ignore[return-value]
-            (max(s - 1, 1) + tile - 1) // tile for s in self.grid.shape
-        )
+        return self._grids[self.clamp_lod(lod)]  # type: ignore[return-value]
 
     def bricks(self, lod: int) -> list[Brick]:
         """Every brick at ``lod`` (built once per level, then cached)."""
         lod = self.clamp_lod(lod)
-        cached = self._brick_lists.get(lod)
+        cached = self._brick_lists[lod]
         if cached is not None:
             return cached
         tile = self.leaf_cells << lod
         step = 1 << lod
-        nbx, nby, nbz = self.brick_grid(lod)
-        shape = self.grid.shape
+        nbx, nby, nbz = self._grids[lod]
+        shape = self._samples
         out: list[Brick] = []
         index = 0
         for ix in range(nbx):
@@ -309,29 +310,31 @@ class Octree:
     def bricks_in(self, lo, hi, lod: int) -> list[Brick]:
         """Bricks at ``lod`` intersecting the ROI sample box ``[lo, hi)``.
 
-        The box is clamped to the domain; a box fully outside (or empty
-        after clamping) intersects nothing.  This is the sliding-window
+        The box is clamped to the domain's samples first; a box fully
+        outside (or empty after clamping) intersects nothing.  The bricks
+        are those of the cells ``[lo, hi - 1)`` between the box's
+        samples, and an axis one sample thick takes the cell holding its
+        sample (the last cell for the last sample), so every sample of
+        the box lies in a returned brick.  This is the sliding-window
         query: the web tier streams exactly these bricks to a client
-        whose cursor covers ``[lo, hi)``.
+        whose cursor covers ``[lo, hi)``, and dirties exactly these when a
+        step touches ``[lo, hi)``.
         """
         lod = self.clamp_lod(lod)
         tile = self.leaf_cells << lod
-        ranges: list[tuple[int, int]] = []
-        for a in range(3):
-            n_cells = max(self.grid.shape[a] - 1, 0)
-            c0 = max(0, min(int(lo[a]), n_cells))
-            c1 = max(0, min(int(hi[a]) - 1, n_cells))  # cells in [lo, hi)
-            if c1 <= c0:
+        ranges: list[range] = []
+        for a, n in enumerate(self._samples):
+            s0 = max(int(lo[a]), 0)
+            s1 = min(int(hi[a]), n)  # samples [s0, s1) inside the domain
+            if s1 <= s0:
                 return []
-            ranges.append((c0 // tile, (c1 - 1) // tile + 1))
-        bricks = self.bricks(lod)
-        _, nby, nbz = self.brick_grid(lod)
-        out: list[Brick] = []
-        for ix in range(*ranges[0]):
-            for iy in range(*ranges[1]):
-                for iz in range(*ranges[2]):
-                    out.append(bricks[(ix * nby + iy) * nbz + iz])
-        return out
+            c0 = min(s0, max(n - 2, 0))
+            c1 = max(s1 - 1, c0 + 1)  # cells [c0, c1), at least one
+            ranges.append(range(c0 // tile, (c1 - 1) // tile + 1))
+        bricks = self._brick_lists[lod] or self.bricks(lod)
+        _, nby, nbz = self._grids[lod]
+        return [bricks[(ix * nby + iy) * nbz + iz]
+                for ix in ranges[0] for iy in ranges[1] for iz in ranges[2]]
 
     def brick_values(self, brick: Brick):
         """The brick's strided payload samples (a view into the grid)."""

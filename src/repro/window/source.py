@@ -33,6 +33,12 @@ __all__ = ["BrickCache", "WindowedDomainSource"]
 class BrickCache:
     """Byte-budget LRU of encoded brick payloads with prefetch accounting.
 
+    One entry per brick ``key``, holding the payload of one ``version``:
+    a fetch asks for the brick's current version, so putting a newer
+    version replaces the entry instead of leaving the old payload to
+    take budget from live bricks until LRU eviction.  A get for any
+    other version than the held one is a miss.
+
     Entries carry a ``prefetched`` flag; when a real fetch lands on a
     flagged entry it counts as one prefetch hit and the flag clears, so
     ``prefetch_hits / prefetch_issued`` is the fraction of speculative
@@ -43,7 +49,8 @@ class BrickCache:
         if max_bytes < 1:
             raise ConfigurationError("brick cache budget must be >= 1 byte")
         self.max_bytes = max_bytes
-        self._entries: OrderedDict[tuple, list] = OrderedDict()  # key -> [bytes, prefetched]
+        # key -> [version, bytes, prefetched]
+        self._entries: OrderedDict[tuple, list] = OrderedDict()
         self.bytes = 0
         self.hits = 0
         self.misses = 0
@@ -51,32 +58,39 @@ class BrickCache:
         self.prefetch_issued = 0
         self.prefetch_hits = 0
 
-    def get(self, key: tuple) -> bytes | None:
+    def get(self, key: tuple, version: int) -> bytes | None:
         entry = self._entries.get(key)
-        if entry is None:
+        if entry is None or entry[0] != version:
             self.misses += 1
             return None
         self._entries.move_to_end(key)
         self.hits += 1
-        if entry[1]:
+        if entry[2]:
             self.prefetch_hits += 1
-            entry[1] = False
-        return entry[0]
+            entry[2] = False
+        return entry[1]
 
-    def put(self, key: tuple, payload: bytes, *, prefetched: bool = False) -> None:
-        if key in self._entries:
-            return
-        self._entries[key] = [payload, prefetched]
+    def put(self, key: tuple, version: int, payload: bytes, *,
+            prefetched: bool = False) -> None:
+        old = self._entries.get(key)
+        if old is not None:
+            if old[0] == version:
+                return
+            del self._entries[key]  # superseded: nothing asks for it again
+            self.bytes -= len(old[1])
+        self._entries[key] = [version, payload, prefetched]
         self.bytes += len(payload)
         if prefetched:
             self.prefetch_issued += 1
         while self.bytes > self.max_bytes and len(self._entries) > 1:
-            _, (old, _flag) = self._entries.popitem(last=False)
-            self.bytes -= len(old)
+            _, (_version, old_payload, _flag) = self._entries.popitem(last=False)
+            self.bytes -= len(old_payload)
             self.evictions += 1
 
-    def __contains__(self, key: tuple) -> bool:
-        return key in self._entries
+    def holds(self, key: tuple, version: int) -> bool:
+        """Whether ``key``'s entry is the payload of ``version``."""
+        entry = self._entries.get(key)
+        return entry is not None and entry[0] == version
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -192,15 +206,15 @@ class WindowedDomainSource:
         version — encode-once via the shared cache."""
         with self._lock:
             brick = self._brick(lod, index)
+            key = (brick.lod, brick.index)
             version = self._version(brick)
-            key = (brick.lod, brick.index, version)
-            cached = self.cache.get(key)
+            cached = self.cache.get(key, version)
             if cached is not None:
                 return cached
             payload = encode_brick_payload(
                 brick, self.octree.brick_values(brick), version
             )
-            self.cache.put(key, payload)
+            self.cache.put(key, version, payload)
             return payload
 
     # -- internals -----------------------------------------------------------------
@@ -238,14 +252,14 @@ class WindowedDomainSource:
         for brick in self._bricks_in(ahead.key()):
             if issued >= self.prefetch_limit:
                 break
+            key = (brick.lod, brick.index)
             version = self._version(brick)
-            key = (brick.lod, brick.index, version)
-            if key in self.cache:
+            if self.cache.holds(key, version):
                 continue
             payload = encode_brick_payload(
                 brick, self.octree.brick_values(brick), version
             )
-            self.cache.put(key, payload, prefetched=True)
+            self.cache.put(key, version, payload, prefetched=True)
             issued += 1
 
     def stats(self) -> dict:

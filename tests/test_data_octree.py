@@ -10,6 +10,7 @@ from repro.data import StructuredGrid, build_blocks
 from repro.data.octree import Octree
 from repro.errors import ConfigurationError
 
+from tests.octree_oracle import OctreeGeometryOracle
 from tests.test_data_grid import sphere_grid
 
 
@@ -102,3 +103,53 @@ class TestOctree:
         g = sphere_grid(n)
         tree = Octree(g, leaf_cells=leaf)
         assert sum(b.n_cells for b in tree.leaves()) == g.n_cells
+
+
+@st.composite
+def _thick_box(draw, shape):
+    """A sample box at least 2 samples thick on every axis once clamped to
+    ``shape``; an axis that reaches the domain's edge may run past it."""
+    lo, hi = [], []
+    for n in shape:
+        a = draw(st.integers(0, n - 2))
+        b = draw(st.integers(a + 2, n))
+        lo.append(a - (draw(st.integers(0, 5)) if a == 0 else 0))
+        hi.append(b + (draw(st.integers(0, 5)) if b == n else 0))
+    return tuple(lo), tuple(hi)
+
+
+class TestBrickGeometryOracle:
+    """The geometry computed once in ``__init__`` equals the geometry the
+    tree used to derive from its shape on every call (tests/octree_oracle.py)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(shape=st.tuples(*[st.integers(2, 33)] * 3),
+           leaf=st.integers(1, 32), data=st.data())
+    def test_levels_grids_and_bricks_equal_the_oracle(self, shape, leaf, data):
+        tree = Octree(StructuredGrid(np.zeros(shape, dtype=np.float32)),
+                      leaf_cells=leaf)
+        oracle = OctreeGeometryOracle(tree)
+        assert tree.max_lod == oracle.max_lod
+        for lod in range(-1, tree.max_lod + 2):
+            assert tree.clamp_lod(lod) == oracle.clamp_lod(lod)
+            assert tree.brick_grid(lod) == oracle.brick_grid(lod)
+            assert tree.bricks(lod) == oracle.bricks(lod)
+        for _ in range(8):
+            lo, hi = data.draw(_thick_box(shape))
+            lod = data.draw(st.integers(-1, tree.max_lod + 1))
+            assert tree.bricks_in(lo, hi, lod) == oracle.bricks_in(lo, hi, lod), (
+                lo, hi, lod)
+
+    def test_a_one_sample_slab_is_where_the_oracle_saw_nothing(self):
+        """The x = 16 slice of a 65^3 domain: the old cell rule found no
+        cell between one sample and itself; the slab now takes the bricks
+        holding it, and the last sample plane takes the last bricks."""
+        tree = Octree(StructuredGrid(np.zeros((65,) * 3, dtype=np.float32)),
+                      leaf_cells=16)
+        oracle = OctreeGeometryOracle(tree)
+        assert oracle.bricks_in((16, 0, 0), (17, 65, 65), 0) == []
+        slab = tree.bricks_in((16, 0, 0), (17, 65, 65), 0)
+        assert {b.ijk[0] for b in slab} == {1} and len(slab) == 16
+        last = tree.bricks_in((64, 0, 0), (65, 65, 65), 0)
+        assert {b.ijk[0] for b in last} == {3} and len(last) == 16
+        assert tree.bricks_in((65, 0, 0), (66, 65, 65), 0) == []

@@ -146,7 +146,7 @@ CASES = {
     "window.get": ("mon/window?window=w", None, None, "response"),
     "window.set": ("mon/window", {"lo": [0, 0, 0], "hi": [17, 17, 17],
                                   "lod": 0, "wid": "w"}, None, "response"),
-    "brick": ("mon/brick?lod=0&id=0", None, None, "job"),
+    "brick": ("mon/brick?lod=0&id=0", None, None, "response"),
     "steer": ("sim/steer", {}, None, "response"),
     "view": ("sim/view", {"zoom": 1.0}, None, "response"),
     "stop": ("sim/stop", {}, None, "response"),

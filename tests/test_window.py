@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import http.client
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.adaptive.controller import AdaptiveDeliveryController
+from repro.costmodel.calibration import default_calibration
 from repro.data.grid import StructuredGrid
 from repro.data.octree import Octree
 from repro.errors import ConfigurationError
+from repro.net import build_paper_testbed
 from repro.net.measurement import PathEstimate
+from repro.steering import CentralManager, SteeringClient
 from repro.steering.events import EventSequenceStore
+from repro.web.server import AjaxWebServer, _WorkerPool
 from repro.window import (
     BrickCache,
     WindowCursor,
@@ -95,6 +103,53 @@ class TestWindowEdgeCases:
                                       tree.grid.values[0:33, 0:33, 0:33])
 
 
+def _random_tree(shape, leaf: int) -> Octree:
+    values = np.random.default_rng(11).random(shape, dtype=np.float32)
+    return Octree(StructuredGrid(values), leaf_cells=leaf)
+
+
+_SHAPES = st.tuples(*[st.integers(1, 20)] * 3)
+
+
+class TestThinBoxes:
+    """A box one sample thick on an axis is a slab of real samples: its
+    window must fill and a step touching it must dirty the brick holding it."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(shape=_SHAPES, leaf=st.integers(1, 16), data=st.data())
+    def test_every_in_domain_box_is_covered_by_its_announced_bricks(
+            self, shape, leaf, data):
+        tree = _random_tree(shape, leaf)
+        source = WindowedDomainSource(tree)
+        lo = tuple(data.draw(st.integers(0, n - 1)) for n in shape)
+        hi = tuple(data.draw(st.integers(l + 1, n)) for l, n in zip(lo, shape))
+        for lod in range(tree.max_lod + 1):
+            metas = source.set_cursor("w", WindowCursor(lo, hi, lod))
+            view = WindowView(source.cursor("w"))
+            for meta in metas:
+                view.apply(decode_brick_payload(
+                    source.payload(meta["lod"], meta["brick"])))
+            assert view.coverage == 1.0, (lo, hi, lod)
+            step = 1 << lod
+            first = [-(-l // step) * step for l in lo]
+            np.testing.assert_array_equal(view.values, tree.grid.values[
+                first[0]:hi[0]:step, first[1]:hi[1]:step, first[2]:hi[2]:step])
+
+    @settings(max_examples=80, deadline=None)
+    @given(shape=_SHAPES, leaf=st.integers(1, 16), data=st.data())
+    def test_a_one_sample_dirty_box_dirties_the_brick_holding_it(
+            self, shape, leaf, data):
+        tree = _random_tree(shape, leaf)
+        source = WindowedDomainSource(tree)
+        sample = tuple(data.draw(st.integers(0, n - 1)) for n in shape)
+        source.mark_step(7, (sample, tuple(s + 1 for s in sample)))
+        for lod in range(tree.max_lod + 1):
+            dirty = source.bricks_for(((0, 0, 0), shape, lod), since=0)
+            assert len(dirty) == 1 and dirty[0]["version"] == 7, (sample, lod)
+            assert all(o <= s < o + n for s, o, n in
+                       zip(sample, dirty[0]["offset"], dirty[0]["shape"]))
+
+
 class TestPrefetch:
     def test_steady_pan_hits_prefetched_bricks(self, tree):
         source = WindowedDomainSource(tree)
@@ -115,9 +170,25 @@ class TestPrefetch:
         cache = BrickCache(max_bytes=1 << 14)
         payload = b"x" * (1 << 13)
         for i in range(8):
-            cache.put(("k", i), payload)
+            cache.put(("k", i), 0, payload)
         assert cache.bytes <= cache.max_bytes
         assert cache.evictions >= 1
+
+    def test_a_new_version_replaces_the_superseded_entry(self, tree):
+        source = WindowedDomainSource(tree)
+        metas = source.set_cursor("w", WindowCursor((0, 0, 0), (33, 33, 33), 0))
+        rounds = 200
+        for version in range(1, rounds + 1):
+            source.mark_step(version, ((0, 0, 0), (8, 8, 8)))
+            for meta in source.set_cursor("w", source.cursor("w")):
+                source.payload(meta["lod"], meta["brick"])
+        stats = source.cache.stats()
+        assert stats["entries"] == len(metas) == 8
+        assert stats["bytes"] == sum(meta["bytes"] for meta in metas)
+        assert stats["evictions"] == 0
+        # every round: the dirtied brick misses, the seven others hit
+        assert stats["misses"] == len(metas) + rounds - 1
+        assert stats["hits"] == (rounds - 1) * (len(metas) - 1)
 
 
 class TestWindowedDeltas:
@@ -180,3 +251,48 @@ class TestLodLadder:
         assert controller.decide_lod(None, 1, 0, 3, 1 << 20) == 1
         assert controller.decide_lod(
             PathEstimate(1e9, 0.0, 1.0, 8), 1, 0, 3, 0) == 1
+
+
+class TestBrickRouteOnTheLoop:
+    def test_brick_fetches_never_reach_the_worker_pool(self, tree, monkeypatch):
+        """A hit, a miss, an unknown brick and a malformed ``lod`` are all
+        answered by the IO loop: with the worker pool refusing work, a
+        route that still handed its fetch to a worker would cost the
+        connection."""
+        def refuse(pool, fn):
+            raise AssertionError("GET brick was handed to the worker pool")
+
+        monkeypatch.setattr(_WorkerPool, "submit", refuse)
+        topo, roles = build_paper_testbed(with_cross_traffic=False)
+        client = SteeringClient(
+            CentralManager(topo, roles, calibration=default_calibration()))
+        with AjaxWebServer(client, port=0) as server:
+            source = WindowedDomainSource(tree)
+            client.manager.open_monitor("dom").set_window_source(source)
+            conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                              timeout=10.0)
+
+            def get(query: str):
+                conn.request("GET", f"/api/v1/dom/brick?{query}")
+                response = conn.getresponse()
+                return response.status, response.read()
+
+            try:
+                brick = tree.bricks(1)[3]
+                for hit in (False, True):  # the miss encodes, the hit reuses it
+                    before = source.cache.stats()
+                    status, body = get("lod=1&id=3")
+                    after = source.cache.stats()
+                    assert status == 200
+                    assert (after["hits"] - before["hits"],
+                            after["misses"] - before["misses"]) == (hit, not hit)
+                    np.testing.assert_array_equal(
+                        decode_brick_payload(body)["values"],
+                        tree.brick_values(brick))
+                status, body = get(f"lod=0&id={len(tree.bricks(0))}")
+                assert (status, json.loads(body)["error"]["code"]) == (404, "not_found")
+                status, body = get("lod=x&id=0")
+                assert (status, json.loads(body)["error"]["code"]) == (400, "bad_request")
+            finally:
+                conn.close()
+            assert server.io_thread_count() == 1
