@@ -8,8 +8,7 @@ equivalents we control end-to-end:
 * :mod:`~repro.data.octree` — block decomposition with per-block ranges
   (the octree traversal that accelerates isosurface extraction),
 * :mod:`~repro.data.datasets` — synthetic stand-ins for the paper's Jet
-  (16 MB), Rage (64 MB) and Visible Woman (108 MB) volumes,
-* :mod:`~repro.data.formats` — a minimal self-describing binary container.
+  (16 MB), Rage (64 MB) and Visible Woman (108 MB) volumes.
 """
 
 from repro.data.datasets import (
@@ -20,7 +19,6 @@ from repro.data.datasets import (
     make_rage,
     make_viswoman,
 )
-from repro.data.formats import load_grid, save_grid
 from repro.data.grid import StructuredGrid, VectorField
 from repro.data.octree import Block, Octree, build_blocks
 
@@ -32,10 +30,8 @@ __all__ = [
     "StructuredGrid",
     "VectorField",
     "build_blocks",
-    "load_grid",
     "make_dataset",
     "make_jet",
     "make_rage",
     "make_viswoman",
-    "save_grid",
 ]

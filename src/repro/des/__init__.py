@@ -3,9 +3,7 @@
 A minimal, deterministic event-driven simulator in the style of SimPy:
 an event heap with a virtual clock (:class:`~repro.des.simulator.Simulator`),
 generator-based processes (:class:`~repro.des.process.Process`) that
-``yield`` waitables (timeouts, triggerable events, store get/put), and
-bounded FIFO stores for producer/consumer coupling
-(:class:`~repro.des.resources.Store`).
+``yield`` waitables (timeouts, triggerable events, other processes).
 
 This kernel is the substrate under the simulated wide-area network
 (:mod:`repro.net`) and the transport protocols (:mod:`repro.transport`).
@@ -15,7 +13,6 @@ orders, which the experiment harness relies on.
 
 from repro.des.event import Event, EventQueue, ScheduledCallback
 from repro.des.process import Process, ProcessExit
-from repro.des.resources import Store
 from repro.des.simulator import Simulator, Timeout, Trigger
 
 __all__ = [
@@ -25,7 +22,6 @@ __all__ = [
     "Process",
     "ProcessExit",
     "Simulator",
-    "Store",
     "Timeout",
     "Trigger",
 ]

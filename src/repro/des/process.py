@@ -4,7 +4,6 @@ A process is a Python generator that yields *waitables*:
 
 * :class:`~repro.des.simulator.Timeout` — sleep virtual time,
 * :class:`~repro.des.simulator.Trigger` — wait for a triggerable event,
-* :class:`~repro.des.resources.StoreGet` / ``StorePut`` — blocking store ops,
 * another :class:`Process` — join it.
 
 The value the waitable resolves with becomes the result of the ``yield``
@@ -98,6 +97,6 @@ class Process:
         if bind is None:
             raise TypeError(
                 f"process yielded non-waitable {waitable!r}; expected Timeout, "
-                "Trigger, Store operation, or Process"
+                "Trigger, or Process"
             )
         bind(self._sim, self._resume)

@@ -28,9 +28,9 @@ import hashlib
 import math
 import threading
 import time
-from collections import OrderedDict
 
 from repro.errors import WebServerError
+from repro.lru import ByteBudgetLRU
 from repro.steering.events import EventSequenceStore, SessionEvent
 
 __all__ = ["SessionJournal", "ReplayCursor", "step_replays"]
@@ -119,14 +119,17 @@ class SessionJournal:
         self.event_cap = int(event_cap)
         self.session_cap = int(session_cap)
         self._lock = threading.Lock()
-        self._events: OrderedDict[str, list[dict]] = OrderedDict()
-        self._blobs: OrderedDict[str, bytes] = OrderedDict()
-        self._blob_bytes = 0
+        # sid -> its rows, the least recently recorded session dropped first.
+        self._events = ByteBudgetLRU(max_entries=self.session_cap,
+                                     size=lambda _rows: 0)
+        # digest -> blob, content-addressed under the byte budget.
+        self._blobs = ByteBudgetLRU(max_bytes=self.blob_budget_bytes)
         self.events_recorded = 0
         self.blobs_recorded = 0
-        self.blob_evictions = 0
         self.events_dropped = 0
-        self.sessions_dropped = 0
+
+    blob_evictions = property(lambda self: self._blobs.evictions)
+    sessions_dropped = property(lambda self: self._events.evictions)
 
     # -- capture -----------------------------------------------------------------
 
@@ -149,21 +152,17 @@ class SessionJournal:
         :meth:`attach` found (its creation was refused); rows already
         queued for SQLite age out under the store's retention."""
         with self._lock:
-            rows = self._events.get(sid)
+            rows = self._events.peek(sid)
             if rows is not None:
                 del rows[keep:]
                 if not rows:
-                    del self._events[sid]
+                    self._events.pop(sid)
 
     def _register_locked(self, sid: str) -> list:
         rows = self._events.get(sid)
         if rows is None:
-            rows = self._events[sid] = []
-            while len(self._events) > self.session_cap:
-                self._events.popitem(last=False)
-                self.sessions_dropped += 1
-        else:
-            self._events.move_to_end(sid)
+            rows = []
+            self._events.put(sid, rows)
         return rows
 
     def record(self, sid: str, event: SessionEvent,
@@ -194,17 +193,10 @@ class SessionJournal:
 
     def _put_blob(self, digest: str, blob: bytes) -> None:
         with self._lock:
-            known = digest in self._blobs
-            if known:
-                self._blobs.move_to_end(digest)
-            else:
-                self._blobs[digest] = blob
-                self._blob_bytes += len(blob)
+            known = self._blobs.get(digest) is not None
+            if not known:
+                self._blobs.put(digest, blob)
                 self.blobs_recorded += 1
-                while self._blob_bytes > self.blob_budget_bytes and len(self._blobs) > 1:
-                    _, evicted = self._blobs.popitem(last=False)
-                    self._blob_bytes -= len(evicted)
-                    self.blob_evictions += 1
         if self.store is not None and not known:
             self.store.enqueue_blob(digest, blob)
 
@@ -220,7 +212,7 @@ class SessionJournal:
     def rows(self, sid: str) -> list[dict]:
         """The journaled rows for ``sid`` (memory first, then SQLite)."""
         with self._lock:
-            rows = self._events.get(sid)
+            rows = self._events.peek(sid)
             if rows:
                 return list(rows)
         if self.store is not None:
@@ -236,7 +228,6 @@ class SessionJournal:
         with self._lock:
             blob = self._blobs.get(digest)
             if blob is not None:
-                self._blobs.move_to_end(digest)
                 return blob
         if self.store is not None:
             return self.store.read_blob(digest)
@@ -276,7 +267,7 @@ class SessionJournal:
                 "sessions": len(self._events),
                 "events_recorded": self.events_recorded,
                 "blobs_recorded": self.blobs_recorded,
-                "blob_bytes": self._blob_bytes,
+                "blob_bytes": self._blobs.bytes,
                 "blob_evictions": self.blob_evictions,
                 "events_dropped": self.events_dropped,
                 "sessions_dropped": self.sessions_dropped,

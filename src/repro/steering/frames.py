@@ -26,10 +26,10 @@ reference, not by a cycle collection.  The byte formats are
 from __future__ import annotations
 
 import json
-from collections import OrderedDict
 
 from repro.adaptive.tiers import TIER_LADDER
 from repro.errors import WebServerError
+from repro.lru import ByteBudgetLRU
 from repro.wire import (
     FRAME_JSON,
     FRAME_SSE,
@@ -62,8 +62,7 @@ class DeltaFrameCache:
     is observable.
     """
 
-    __slots__ = ("capacity", "byte_limit", "bytes", "_frames", "_saved",
-                 "evictions")
+    __slots__ = ("capacity", "byte_limit", "_frames")
 
     def __init__(self, capacity: int = 16,
                  byte_limit: int = 8 * 1024 * 1024) -> None:
@@ -73,41 +72,27 @@ class DeltaFrameCache:
             raise WebServerError("frame cache byte limit must be >= 1")
         self.capacity = int(capacity)
         self.byte_limit = int(byte_limit)
-        self.bytes = 0
-        self._frames: OrderedDict[tuple, bytes] = OrderedDict()
-        self._saved: dict[tuple, int] = {}
-        self.evictions = 0
+        # key -> (frame, bytes it saved vs tier-0 delivery).  Bounded by
+        # entries AND bytes (the newest frame always stays, so large
+        # deltas are still served shared — they just do not pin the
+        # cache's memory once the herd has moved on).
+        self._frames = ByteBudgetLRU(self.byte_limit, self.capacity,
+                                     size=lambda item: len(item[0]))
+
+    bytes = property(lambda self: self._frames.bytes)
+    evictions = property(lambda self: self._frames.evictions)
 
     def get(self, key: tuple) -> bytes | None:
-        frame = self._frames.get(key)
-        if frame is not None:
-            self._frames.move_to_end(key)
-        return frame
+        item = self._frames.get(key)
+        return None if item is None else item[0]
 
     def put(self, key: tuple, frame: bytes, saved: int = 0) -> None:
-        old = self._frames.pop(key, None)
-        if old is not None:
-            self.bytes -= len(old)
-        self._frames[key] = frame
-        self.bytes += len(frame)
-        if saved:
-            self._saved[key] = saved
-        else:
-            self._saved.pop(key, None)
-        # Bounded by entries AND bytes (the newest frame always stays, so
-        # large deltas are still served shared — they just do not pin the
-        # cache's memory once the herd has moved on).
-        while len(self._frames) > self.capacity or (
-            self.bytes > self.byte_limit and len(self._frames) > 1
-        ):
-            victim, evicted = self._frames.popitem(last=False)
-            self.bytes -= len(evicted)
-            self._saved.pop(victim, None)
-            self.evictions += 1
+        self._frames.put(key, (frame, saved))
 
     def saved_for(self, key: tuple) -> int:
         """Bytes a tiered frame saved vs tier-0 delivery of its window."""
-        return self._saved.get(key, 0)
+        item = self._frames.peek(key)
+        return 0 if item is None else item[1]
 
     def __len__(self) -> int:
         return len(self._frames)

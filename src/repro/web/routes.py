@@ -54,6 +54,7 @@ __all__ = ["API_ROUTES", "Bind", "Response", "RouteContext", "Subscribe",
            "dispatch", "error_reply", "match_route"]
 
 _MAX_POLL_TIMEOUT = 30.0
+_MAX_WID = 64  # characters of a window id
 #: Snapshots past this many components are serialized off the IO loop.
 SNAPSHOT_OFFLOAD_COMPONENTS = 32
 _JSON = "application/json"
@@ -473,14 +474,19 @@ def window_set(request: HttpRequest, sid: str, ctx: RouteContext):
     store = ctx.manager.events(sid)
     source = _window_source(store)
     body = request.json_body()
-    cursor = WindowCursor.from_props(body)
-    wid = str(body.get("wid") or "default")
+    wid = _typed(body, "wid", str, "default")
+    if not 1 <= len(wid) <= _MAX_WID:
+        raise _HttpError(400, "bad_request",
+                         f"wid must be 1-{_MAX_WID} characters, got {len(wid)}")
+    # The cursor the source stores, LOD clamped: re-reading it after
+    # set_cursor could find it already evicted by other windows.
+    cursor = source.clamp(WindowCursor.from_props(body))
     metas = source.set_cursor(wid, cursor)
     payload = {
         "ok": True,
         "session": sid,
         "wid": wid,
-        "window": source.cursor(wid).to_props(),  # LOD clamped by the source
+        "window": cursor.to_props(),
         "bricks": metas,
         "version": store.seq,
     }

@@ -71,7 +71,14 @@ def decode_brick_payload(buf: bytes) -> dict:
         raise DataFormatError("bad brick payload magic")
     if fmt != 1:
         raise DataFormatError(f"unsupported brick payload format {fmt}")
+    # Every brick the octree encodes has a stride >= 1, extents >= 1 and
+    # a non-negative offset; a header claiming otherwise is lying.
+    if step < 1:
+        raise DataFormatError(f"brick payload stride {step} < 1")
     shape = (sx, sy, sz)
+    if min(shape) < 1 or min(ox, oy, oz) < 0:
+        raise DataFormatError(
+            f"impossible brick geometry: offset {(ox, oy, oz)}, shape {shape}")
     payload_shape = tuple((s + step - 1) // step for s in shape)
     n = payload_shape[0] * payload_shape[1] * payload_shape[2]
     body = buf[_HEADER.size :]

@@ -20,14 +20,17 @@ module never calls back into the store, which keeps that order acyclic.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 
 from repro.data.octree import Brick, Octree
 from repro.errors import ConfigurationError
+from repro.lru import ByteBudgetLRU
 from repro.window.bricks import brick_payload_bytes, encode_brick_payload
 from repro.window.cursor import WindowCursor
 
-__all__ = ["BrickCache", "WindowedDomainSource"]
+__all__ = ["BrickCache", "MAX_WINDOWS", "WindowedDomainSource"]
+
+# Windows one source remembers; past it the least recently used goes.
+MAX_WINDOWS = 1024
 
 
 class BrickCache:
@@ -50,20 +53,21 @@ class BrickCache:
             raise ConfigurationError("brick cache budget must be >= 1 byte")
         self.max_bytes = max_bytes
         # key -> [version, bytes, prefetched]
-        self._entries: OrderedDict[tuple, list] = OrderedDict()
-        self.bytes = 0
+        self._entries = ByteBudgetLRU(max_bytes, size=lambda entry: len(entry[1]))
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
         self.prefetch_issued = 0
         self.prefetch_hits = 0
 
+    bytes = property(lambda self: self._entries.bytes)
+    evictions = property(lambda self: self._entries.evictions)
+
     def get(self, key: tuple, version: int) -> bytes | None:
-        entry = self._entries.get(key)
+        entry = self._entries.peek(key)
         if entry is None or entry[0] != version:
-            self.misses += 1
+            self.misses += 1  # a version mismatch leaves recency alone
             return None
-        self._entries.move_to_end(key)
+        self._entries.get(key)  # a hit is now the most recently used
         self.hits += 1
         if entry[2]:
             self.prefetch_hits += 1
@@ -72,24 +76,16 @@ class BrickCache:
 
     def put(self, key: tuple, version: int, payload: bytes, *,
             prefetched: bool = False) -> None:
-        old = self._entries.get(key)
-        if old is not None:
-            if old[0] == version:
-                return
-            del self._entries[key]  # superseded: nothing asks for it again
-            self.bytes -= len(old[1])
-        self._entries[key] = [version, payload, prefetched]
-        self.bytes += len(payload)
+        if self.holds(key, version):
+            return
+        # A superseded version is replaced: nothing asks for it again.
+        self._entries.put(key, [version, payload, prefetched])
         if prefetched:
             self.prefetch_issued += 1
-        while self.bytes > self.max_bytes and len(self._entries) > 1:
-            _, (_version, old_payload, _flag) = self._entries.popitem(last=False)
-            self.bytes -= len(old_payload)
-            self.evictions += 1
 
     def holds(self, key: tuple, version: int) -> bool:
         """Whether ``key``'s entry is the payload of ``version``."""
-        entry = self._entries.get(key)
+        entry = self._entries.peek(key)
         return entry is not None and entry[0] == version
 
     def __len__(self) -> int:
@@ -123,48 +119,50 @@ class WindowedDomainSource:
         self.cache = BrickCache(cache_bytes)
         self.prefetch_limit = prefetch_limit
         self._lock = threading.RLock()
-        self._cursors: dict[str, WindowCursor] = {}
-        self._pan: dict[str, tuple[int, int, int]] = {}
+        # wid -> (cursor, its last non-zero pan vector or None).  A wid is
+        # whatever a client sends, so the registry is bounded: the least
+        # recently used window is forgotten and reads as an unknown wid.
+        self._windows = ByteBudgetLRU(max_entries=MAX_WINDOWS, size=lambda _: 0)
         # (lod, index) -> newest publish seq whose step touched the brick.
         self._versions: dict[tuple[int, int], int] = {}
         self._base_version = 0
 
     # -- cursors -----------------------------------------------------------------
 
+    def clamp(self, cursor: WindowCursor) -> WindowCursor:
+        """``cursor`` at an LOD the octree has: what :meth:`set_cursor` stores."""
+        return cursor.with_lod(self.octree.clamp_lod(cursor.lod))
+
     def set_cursor(self, wid: str, cursor: WindowCursor) -> list[dict]:
         """Register/move ``wid``'s window; returns the announce list of
         bricks the new window intersects (so a panning client learns
         newly visible bricks without waiting for a publish)."""
-        cursor = cursor.with_lod(self.octree.clamp_lod(cursor.lod))
+        cursor = self.clamp(cursor)
         with self._lock:
-            prev = self._cursors.get(wid)
-            self._cursors[wid] = cursor
+            prev, pan = self._windows.peek(wid, (None, None))
             delta = None
             if prev is not None and prev.lod == cursor.lod:
                 delta = tuple(n - p for n, p in zip(cursor.lo, prev.lo))
                 if any(delta):
-                    self._pan[wid] = delta  # type: ignore[assignment]
+                    pan = delta
                 else:
-                    delta = self._pan.get(wid)
+                    delta = pan
+            self._windows.put(wid, (cursor, pan))
             metas = [self._meta(b) for b in self._bricks_in(cursor.key())]
             if delta is not None and any(delta):
                 self._prefetch_locked(cursor, delta)
         return metas
 
     def cursor(self, wid: str) -> WindowCursor | None:
+        """``wid``'s cursor (now its most recently used window), or None."""
         with self._lock:
-            return self._cursors.get(wid)
-
-    def drop(self, wid: str) -> None:
-        with self._lock:
-            self._cursors.pop(wid, None)
-            self._pan.pop(wid, None)
+            held = self._windows.get(wid)
+        return None if held is None else held[0]
 
     def window_key(self, wid: str, lod_bias: int = 0) -> tuple | None:
         """Canonical cache key for ``wid``'s window, optionally coarsened
         by ``lod_bias`` levels (the staleness-budget demotion path)."""
-        with self._lock:
-            cur = self._cursors.get(wid)
+        cur = self.cursor(wid)
         if cur is None:
             return None
         return cur.with_lod(self.octree.clamp_lod(cur.lod + lod_bias)).key()
@@ -265,6 +263,6 @@ class WindowedDomainSource:
     def stats(self) -> dict:
         with self._lock:
             out = self.cache.stats()
-            out["windows"] = len(self._cursors)
+            out["windows"] = len(self._windows)
             out["max_lod"] = self.octree.max_lod
         return out

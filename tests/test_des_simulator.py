@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.des import Store, Trigger
+from repro.des import Trigger
 from repro.des.process import ProcessExit
 from repro.errors import ConfigurationError
 
@@ -144,72 +144,3 @@ class TestProcesses:
             sim.run()
         assert p.done
         assert isinstance(p.error, ValueError)
-
-
-class TestStore:
-    def test_fifo_order(self, sim):
-        store = Store()
-        got = []
-
-        def producer():
-            for i in range(3):
-                yield store.put(i)
-                yield sim.timeout(1.0)
-
-        def consumer():
-            for _ in range(3):
-                item = yield store.get()
-                got.append((sim.now, item))
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        assert [g[1] for g in got] == [0, 1, 2]
-
-    def test_get_blocks_until_put(self, sim):
-        store = Store()
-        got = []
-
-        def consumer():
-            item = yield store.get()
-            got.append((sim.now, item))
-
-        sim.process(consumer())
-        sim.schedule(5.0, lambda: store.try_put("late"))
-        sim.run()
-        assert got == [(5.0, "late")]
-
-    def test_capacity_blocks_put(self, sim):
-        store = Store(capacity=1)
-        events = []
-
-        def producer():
-            yield store.put("a")
-            events.append(("a-in", sim.now))
-            yield store.put("b")
-            events.append(("b-in", sim.now))
-
-        def consumer():
-            yield sim.timeout(4.0)
-            ok, item = store.try_get()
-            assert ok and item == "a"
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        assert events == [("a-in", 0.0), ("b-in", 4.0)]
-
-    def test_try_get_on_empty(self):
-        ok, item = Store().try_get()
-        assert not ok and item is None
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
-            Store(capacity=0)
-
-    def test_try_put_respects_capacity(self, sim):
-        store = Store(capacity=2)
-        assert store.try_put(1)
-        assert store.try_put(2)
-        assert not store.try_put(3)
-        assert len(store) == 2

@@ -1,8 +1,7 @@
 """Cross-cutting property-based tests on core invariants.
 
 Hypothesis-driven checks spanning several subsystems: message framing,
-fixed-size image containers, mapping validity, store FIFO behaviour,
-and transport conservation laws.
+fixed-size image containers, mapping validity and transport conservation laws.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.des import Simulator, Store
+from repro.des import Simulator
 from repro.mapping.exhaustive import compositions
 from repro.mapping.model import Mapping
 from repro.steering.messages import Message, MessageKind
@@ -85,30 +84,6 @@ class TestMappingInvariants:
 
         for q in range(1, n_items + 1):
             assert len(compositions(n_items, q)) == math.comb(n_items - 1, q - 1)
-
-
-class TestStoreFifoProperty:
-    @given(items=st.lists(st.integers(), min_size=1, max_size=30))
-    @settings(max_examples=25, deadline=None)
-    def test_store_preserves_order(self, items):
-        sim = Simulator()
-        store = Store()
-        received = []
-
-        def producer():
-            for it in items:
-                yield store.put(it)
-                yield sim.timeout(0.01)
-
-        def consumer():
-            for _ in items:
-                got = yield store.get()
-                received.append(got)
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        assert received == items
 
 
 class TestTransportConservation:

@@ -9,12 +9,17 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
+from repro.data.grid import StructuredGrid
+from repro.data.octree import Octree
 from repro.errors import WebServerError
 from repro.steering.events import EventSequenceStore
 from repro.web.delivery import Delivery
 from repro.web.longpoll import LongPollScheduler, Subscriber
+from repro.window import WindowCursor, WindowedDomainSource
+from repro.window.source import MAX_WINDOWS
 from repro.wire import (
     FRAME_JSON,
     FRAME_SSE,
@@ -235,3 +240,31 @@ class TestDeliveryErrors:
         assert not any(rec.handle.closed for rec in healthy)
         # one count per failed group: the JSON herd and the SSE group
         assert rig.delivery.delivery_errors == 2
+
+
+class TestBoundedWindowRegistry:
+    def test_a_bound_poll_keeps_its_window_while_other_wids_churn(self, rig):
+        """Delivery reads the bound window's key, which keeps it the most
+        recently used: MAX_WINDOWS - 1 strangers between two deliveries
+        cannot push it out of the registry."""
+        store = rig.stores["a"]
+        source = WindowedDomainSource(
+            Octree(StructuredGrid(np.zeros((33, 33, 33), np.float32)), leaf_cells=16))
+        store.set_window_source(source)
+        mine = WindowCursor((0, 0, 0), (17, 17, 17), 0)
+        source.set_cursor("mine", mine)
+        strangers = 0
+        for step in range(3):
+            for _ in range(MAX_WINDOWS - 1):
+                source.set_cursor(f"stranger{strangers}",
+                                  WindowCursor((16, 16, 16), (33, 33, 33), 0))
+                strangers += 1
+            poll = rig.poll("a", store.seq)
+            poll.handle.window_source, poll.handle.window_wid = source, "mine"
+            seq = store.publish_window_step(step)
+            rig.delivery.deliver(rig.scheduler.notify("a", seq))
+            delta = json.loads(poll.handle.sent[0].split(b"|", 1)[1])
+            assert delta["window"] == mine.to_props()
+            assert {m["brick"] for m in delta["bricks"]} == {0}
+        assert source.stats()["windows"] == MAX_WINDOWS
+        assert source.cursor("stranger0") is None

@@ -405,6 +405,21 @@ class TestBodies:
         body = b'{"lo": [0, 0, 0], "hi": [9, 9, 9], "anything": ' + literal + b"}"
         assert _error(ctx, "POST", tail, body) == (400, "bad_request")
 
+    @pytest.mark.parametrize("wid", ["x" * 65, "", 5, ["w"], {"w": 1}, True])
+    def test_window_refuses_a_wid_that_is_not_1_to_64_characters(self, ctx, wid):
+        source = ctx.store.window_source()
+        before = source.stats()["windows"]
+        body = {"lo": [0, 0, 0], "hi": [9, 9, 9], "wid": wid}
+        assert _error(ctx, "POST", "mon/window", body) == (400, "bad_request")
+        assert source.stats()["windows"] == before  # nothing was registered
+
+    def test_window_takes_a_64_character_wid_and_defaults_a_missing_one(self, ctx):
+        for wid, expect in (("x" * 64, "x" * 64), (None, "default")):
+            code, payload = _call(ctx, "POST", "mon/window",
+                                  {"lo": [0, 0, 0], "hi": [9, 9, 9], "wid": wid})
+            assert (code, payload["wid"]) == (200, expect)
+            assert ctx.store.window_source().cursor(expect) is not None
+
     @pytest.mark.parametrize("body", [
         {"rate_hz": "abc"}, {"rate_hz": [1]}, {"rate_hz": -1}, {"rate_hz": "inf"},
         b'{"rate_hz": Infinity}', b"[1]",

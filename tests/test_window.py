@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from repro.adaptive.controller import AdaptiveDeliveryController
 from repro.costmodel.calibration import default_calibration
 from repro.data.grid import StructuredGrid
 from repro.data.octree import Octree
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DataFormatError
 from repro.net import build_paper_testbed
 from repro.net.measurement import PathEstimate
 from repro.steering import CentralManager, SteeringClient
@@ -27,6 +28,7 @@ from repro.window import (
     decode_brick_payload,
     encode_brick_payload,
 )
+from repro.window.source import MAX_WINDOWS
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +67,115 @@ class TestBrickTiling:
         assert dec["version"] == 42
         assert dec["step"] == brick.step
         np.testing.assert_array_equal(dec["values"], tree.brick_values(brick))
+
+
+_HEADER = struct.Struct("<4sBBHI3i3iI")  # the RBK1 header, spelled independently
+_SMALL_OR_ANY = st.integers(-3, 6) | st.integers(-2**31, 2**31 - 1)
+
+
+def _valid_geometry(dec: dict, body_len: int) -> bool:
+    step, shape, offset = dec["step"], dec["shape"], dec["offset"]
+    return (step >= 1 and min(shape) >= 1 and min(offset) >= 0
+            and dec["values"].shape == tuple(-(-s // step) for s in shape)
+            and 4 * dec["values"].size == body_len)
+
+
+class TestBrickDecodeProperty:
+    """``decode_brick_payload`` trusts nothing a lying server sends: it
+    returns geometry an octree could have produced, or raises
+    ``DataFormatError`` — never another exception type."""
+
+    @given(dims=st.tuples(*[st.integers(2, 40)] * 3),
+           leaf=st.sampled_from([2, 4, 8, 16]), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_encoded_bricks_round_trip_and_every_prefix_is_refused(
+            self, dims, leaf, data):
+        vals = np.arange(np.prod(dims), dtype=np.float32).reshape(dims)
+        tree = Octree(StructuredGrid(vals), leaf_cells=leaf)
+        lod = data.draw(st.integers(0, tree.max_lod))
+        brick = data.draw(st.sampled_from(tree.bricks(lod)))
+        values = tree.brick_values(brick)
+        payload = encode_brick_payload(brick, values, 9)
+        dec = decode_brick_payload(payload)
+        assert (dec["lod"], dec["step"], dec["brick"], dec["version"]) == (
+            brick.lod, brick.step, brick.index, 9)
+        assert (dec["offset"], dec["shape"]) == (tuple(brick.offset), tuple(brick.shape))
+        np.testing.assert_array_equal(dec["values"], values)
+        assert _valid_geometry(dec, len(payload) - _HEADER.size)
+        cut = data.draw(st.integers(0, len(payload) - 1))
+        with pytest.raises(DataFormatError):
+            decode_brick_payload(payload[:cut])
+
+    @given(fmt=st.sampled_from([1, 1, 1, 0, 2]), lod=st.integers(0, 255),
+           step=st.integers(0, 4) | st.integers(0, 2**16 - 1),
+           index=st.integers(0, 2**32 - 1),
+           offset=st.tuples(*[_SMALL_OR_ANY] * 3), shape=st.tuples(*[_SMALL_OR_ANY] * 3),
+           version=st.integers(0, 2**32 - 1),
+           body=st.none() | st.binary(max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_any_header_decodes_to_possible_geometry_or_is_refused(
+            self, fmt, lod, step, index, offset, shape, version, body):
+        if body is None:  # the body length the header claims, when small
+            n = 1
+            for s in shape:
+                n *= -(-s // step) if step > 0 else 1
+            body = bytes(4 * n) if 0 <= n <= 1024 else b""
+        buf = _HEADER.pack(b"RBK1", fmt, lod, step, index, *offset, *shape,
+                           version) + body
+        try:
+            dec = decode_brick_payload(buf)
+        except DataFormatError:
+            return
+        assert _valid_geometry(dec, len(body))
+
+    @given(buf=st.binary(max_size=80))
+    @settings(max_examples=200, deadline=None)
+    def test_random_bytes_are_refused_or_possible(self, buf):
+        try:
+            dec = decode_brick_payload(b"RBK1" + buf)
+        except DataFormatError:
+            return
+        assert _valid_geometry(dec, len(buf) + 4 - _HEADER.size)
+
+    @pytest.mark.parametrize("step, offset, shape, body", [
+        (0, (0, 0, 0), (2, 2, 2), bytes(32)),        # stride 0: was ZeroDivisionError
+        (1, (0, 0, 0), (-1, -1, 1), bytes(4)),       # negative extents: was ValueError
+        (2, (0, 0, 0), (-1, 2, 2), b""),             # accepted an empty brick
+        (1, (-5, -7, -2**31), (1, 1, 1), bytes(4)),  # accepted a negative offset
+    ])
+    def test_impossible_geometry_is_a_format_error(self, step, offset, shape, body):
+        buf = _HEADER.pack(b"RBK1", 1, 0, step, 0, *offset, *shape, 0) + body
+        with pytest.raises(DataFormatError):
+            decode_brick_payload(buf)
+
+
+class TestWindowRegistryBound:
+    """A wid is the client's choice, so the registry is an LRU of
+    ``MAX_WINDOWS`` windows per source."""
+
+    def test_registry_keeps_the_most_recently_used_windows(self, tree):
+        source = WindowedDomainSource(tree)
+        cursor = WindowCursor((0, 0, 0), (17, 17, 17), 0)
+        for i in range(2000):
+            source.set_cursor(f"w{i}", cursor)
+        assert source.stats()["windows"] == MAX_WINDOWS
+        assert source.cursor("w0") is None and source.window_key("w975") is None
+        held = [f"w{i}" for i in range(2000 - MAX_WINDOWS, 2000)]
+        assert all(source.cursor(wid) == cursor for wid in held)
+
+    def test_an_evicted_window_forgets_its_pan(self, tree):
+        source = WindowedDomainSource(tree)
+        source.set_cursor("p", WindowCursor((0, 0, 0), (17, 17, 17), 0))
+        source.set_cursor("p", WindowCursor((16, 0, 0), (33, 17, 17), 0))
+        for i in range(MAX_WINDOWS):
+            source.set_cursor(f"w{i}", WindowCursor((0, 0, 0), (17, 17, 17), 0))
+        assert source.cursor("p") is None
+        issued = source.cache.prefetch_issued
+        # Registered anew, then re-sent in place: a held window would
+        # prefetch along its remembered +x pan here, a new one has none.
+        source.set_cursor("p", WindowCursor((32, 0, 0), (49, 17, 17), 0))
+        source.set_cursor("p", WindowCursor((32, 0, 0), (49, 17, 17), 0))
+        assert source.cache.prefetch_issued == issued
 
 
 class TestWindowEdgeCases:
