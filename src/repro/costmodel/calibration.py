@@ -18,10 +18,9 @@ host, the reference "power-1 node" of the whole cost system.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from repro.costmodel.isosurface_cost import IsosurfaceCostModel
 from repro.costmodel.raycast_cost import RaycastCostModel
@@ -42,7 +41,66 @@ __all__ = [
     "calibrate_streamline",
     "default_calibration",
     "make_calibration_grids",
+    "nnls",
 ]
+
+
+def nnls(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """Solve ``min ||A x - b||_2`` subject to ``x >= 0``.
+
+    Lawson & Hanson's active-set method ("Solving Least Squares
+    Problems", ch. 23): free the variable with the largest positive
+    gradient ``w = A^T (b - A x)``, solve least squares on the free
+    set, and step back towards the last feasible point whenever a free
+    variable goes non-positive.  A variable whose own least-squares
+    coefficient comes out non-positive on entry is passed over (its
+    column is numerically dependent on the free set), as in the
+    reference algorithm.  Each column is scaled to a largest entry of 1
+    first, so a column's entry test does not depend on its units.  Returns
+    ``(x, ||A x - b||_2)``.
+    """
+    A = np.asarray(A, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    m, n = A.shape
+    peaks = np.abs(A).max(axis=0, initial=0.0)
+    # A zero column has no gradient; it keeps x_j = 0 and never enters.
+    scale = np.where(peaks > 0.0, peaks, np.inf)
+    U = A / scale
+    tol = 10 * max(m, n) * np.finfo(np.float64).eps * np.linalg.norm(b)
+
+    def solve(free: np.ndarray) -> np.ndarray:
+        z = np.zeros(n)
+        z[free] = np.linalg.lstsq(U[:, free], b, rcond=None)[0]
+        return z
+
+    y = np.zeros(n)
+    free = np.zeros(n, dtype=bool)
+    w = U.T @ b
+    for _ in range(3 * n + 1):
+        candidates = ~free & (w > tol)
+        if not candidates.any():
+            break
+        j = int(np.argmax(np.where(candidates, w, -np.inf)))
+        free[j] = True
+        z = solve(free)
+        if z[j] <= 0.0:
+            free[j] = False
+            w[j] = 0.0
+            continue
+        while (z[free] <= 0.0).any():
+            hit = np.flatnonzero(free & (z <= 0.0))
+            ratio = y[hit] / (y[hit] - z[hit])
+            y += ratio.min() * (z - y)
+            y[hit[np.argmin(ratio)]] = 0.0
+            free &= y > 0.0
+            y[~free] = 0.0
+            z = solve(free)
+        y = z
+        w = U.T @ (b - U @ y)
+    else:
+        raise CalibrationError(f"nnls did not converge in {3 * n + 1} iterations")
+    x = y / scale
+    return x, float(np.linalg.norm(A @ x - b))
 
 
 def calibrate_isosurface(

@@ -21,27 +21,56 @@ from repro.errors import InfeasibleMappingError
 from repro.mapping.dp import map_pipeline
 from repro.mapping.exhaustive import exhaustive_map
 from repro.mapping.greedy import greedy_map
-__all__ = ["ScalingPoint", "run_dp_scaling", "run_dp_optimality", "run_greedy_gap"]
+from repro.net.topology import LinkSpec, NodeSpec, Topology
+
+__all__ = [
+    "ScalingPoint",
+    "random_topology",
+    "run_dp_scaling",
+    "run_dp_optimality",
+    "run_greedy_gap",
+]
+
+ALL_CAPS = frozenset({"source", "filter", "extract", "render", "display"})
 
 
-def _random_topology(rng: np.random.Generator, n_nodes: int, p_edge: float):
-    import networkx as nx
+def _connected(n_nodes: int, edges: list[tuple[int, int]]) -> bool:
+    adj: list[list[int]] = [[] for _ in range(n_nodes)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        for v in adj[frontier.pop()]:
+            if v not in seen:
+                seen.add(v)
+                frontier.append(v)
+    return len(seen) == n_nodes
 
-    from repro.net.topology import LinkSpec, NodeSpec, Topology
 
-    caps = frozenset({"source", "filter", "extract", "render", "display"})
+def random_topology(rng: np.random.Generator, n_nodes: int, p_edge: float) -> Topology:
+    """Seeded connected G(n, p) overlay named ``n0 .. n{n-1}``.
+
+    Each pair ``(u, v)``, ``u < v`` in lexicographic order, is a link
+    with probability ``p_edge``; the graph is redrawn from ``rng`` until
+    every node is reachable from ``n0``.  Nodes get random powers and
+    every capability, links random bandwidths and delays.
+    """
+    pairs = [(u, v) for u in range(n_nodes) for v in range(u + 1, n_nodes)]
     while True:
-        g = nx.gnp_random_graph(n_nodes, p_edge, seed=int(rng.integers(0, 2**31)))
-        if nx.is_connected(g):
+        keep = rng.random(len(pairs)) < p_edge
+        edges = [pair for pair, k in zip(pairs, keep) if k]
+        if _connected(n_nodes, edges):
             break
     nodes = [
-        NodeSpec(f"n{i}", power=float(rng.uniform(0.5, 4.0)), capabilities=caps)
+        NodeSpec(f"n{i}", power=float(rng.uniform(0.5, 4.0)), capabilities=ALL_CAPS)
         for i in range(n_nodes)
     ]
     links = [
         LinkSpec(f"n{u}", f"n{v}", float(rng.uniform(1e5, 1e7)),
                  float(rng.uniform(0.001, 0.05)))
-        for u, v in g.edges
+        for u, v in edges
     ]
     return Topology.from_specs(nodes, links)
 
@@ -86,7 +115,7 @@ def run_dp_scaling(
     rng = np.random.default_rng(seed)
     points: list[ScalingPoint] = []
     for n_nodes in node_counts:
-        topo = _random_topology(rng, n_nodes, p_edge)
+        topo = random_topology(rng, n_nodes, p_edge)
         for n_modules in module_counts:
             pipeline = _random_pipeline(rng, n_modules)
             res = map_pipeline(pipeline, topo, "n0", f"n{n_nodes - 1}")
@@ -119,7 +148,7 @@ def run_dp_optimality(trials: int = 20, seed: int = 0) -> tuple[int, float]:
     done = 0
     while done < trials:
         n_nodes = int(rng.integers(3, 6))
-        topo = _random_topology(rng, n_nodes, 0.5)
+        topo = random_topology(rng, n_nodes, 0.5)
         pipeline = _random_pipeline(rng, int(rng.integers(3, 6)))
         try:
             dp = map_pipeline(pipeline, topo, "n0", f"n{n_nodes - 1}")
@@ -146,7 +175,7 @@ def run_greedy_gap(trials: int = 30, seed: int = 1) -> tuple[float, float]:
     ratios = []
     while len(ratios) < trials:
         n_nodes = int(rng.integers(4, 10))
-        topo = _random_topology(rng, n_nodes, 0.4)
+        topo = random_topology(rng, n_nodes, 0.4)
         pipeline = _random_pipeline(rng, int(rng.integers(4, 8)))
         try:
             dp = map_pipeline(pipeline, topo, "n0", f"n{n_nodes - 1}")

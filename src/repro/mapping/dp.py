@@ -28,7 +28,13 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import InfeasibleMappingError, MappingError
-from repro.mapping.model import DelayBreakdown, Mapping, evaluate_mapping, link_bandwidth
+from repro.mapping.model import (
+    DelayBreakdown,
+    Mapping,
+    evaluate_mapping,
+    link_bandwidth,
+    require_endpoints,
+)
 from repro.net.topology import Topology
 from repro.viz.pipeline import VisualizationPipeline
 
@@ -84,10 +90,7 @@ def map_pipeline(
     check_feasibility:
         Enforce module-kind capabilities at every placement.
     """
-    if source not in topology.node_names:
-        raise MappingError(f"unknown source node {source!r}")
-    if destination not in topology.node_names:
-        raise MappingError(f"unknown destination node {destination!r}")
+    require_endpoints(topology, source, destination)
 
     n = pipeline.n_messages
     sizes = pipeline.message_sizes()  # m_1 .. m_n

@@ -14,8 +14,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from repro.errors import InfeasibleMappingError, MappingError
-from repro.mapping.model import DelayBreakdown, Mapping, evaluate_mapping
+from repro.errors import InfeasibleMappingError
+from repro.mapping.model import DelayBreakdown, Mapping, evaluate_mapping, require_endpoints
 from repro.net.topology import Topology
 from repro.viz.pipeline import VisualizationPipeline
 
@@ -82,6 +82,7 @@ def exhaustive_map(
     check_feasibility: bool = True,
 ) -> ExhaustiveResult:
     """Evaluate every (walk, composition) candidate; return the minimum."""
+    require_endpoints(topology, source, destination)
     n_modules = pipeline.n_modules
     best_delay = math.inf
     best: tuple[Mapping, DelayBreakdown] | None = None

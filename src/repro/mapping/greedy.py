@@ -18,10 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.errors import InfeasibleMappingError
-from repro.mapping.model import DelayBreakdown, Mapping, evaluate_mapping, link_bandwidth
+from repro.mapping.model import (
+    DelayBreakdown,
+    Mapping,
+    evaluate_mapping,
+    link_bandwidth,
+    require_endpoints,
+)
 from repro.net.topology import Topology
 from repro.viz.pipeline import VisualizationPipeline
 
@@ -47,6 +51,7 @@ def greedy_map(
     include_parallel_overhead: bool = True,
 ) -> GreedyResult:
     """Greedy module placement along the shortest transport path."""
+    require_endpoints(topology, source, destination)
     sizes = pipeline.message_sizes()
     comps = pipeline.complexities()
     reqs = pipeline.requirements()
@@ -54,15 +59,14 @@ def greedy_map(
 
     m1 = sizes[0]
 
-    def weight(u: str, v: str, _attrs: dict) -> float:
+    def weight(u: str, v: str) -> float:
         return m1 / link_bandwidth(topology, u, v, bandwidths)
 
-    try:
-        path = nx.shortest_path(topology.graph(), source, destination, weight=weight)
-    except nx.NetworkXNoPath as exc:
+    path = topology.shortest_path(source, destination, weight)
+    if path is None:
         raise InfeasibleMappingError(
             f"greedy: no path from {source!r} to {destination!r}"
-        ) from exc
+        )
     q = len(path)
     if q > n + 1:
         raise InfeasibleMappingError(

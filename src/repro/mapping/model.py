@@ -24,7 +24,13 @@ from repro.errors import InfeasibleMappingError, MappingError
 from repro.net.topology import Topology
 from repro.viz.pipeline import VisualizationPipeline
 
-__all__ = ["Mapping", "DelayBreakdown", "evaluate_mapping", "link_bandwidth"]
+__all__ = [
+    "Mapping",
+    "DelayBreakdown",
+    "evaluate_mapping",
+    "link_bandwidth",
+    "require_endpoints",
+]
 
 
 @dataclass(frozen=True)
@@ -87,6 +93,13 @@ class DelayBreakdown:
     overhead: float
     per_group_compute: list[float] = field(default_factory=list)
     per_link_transport: list[float] = field(default_factory=list)
+
+
+def require_endpoints(topology: Topology, source: str, destination: str) -> None:
+    """Raise :class:`MappingError` naming an endpoint the topology lacks."""
+    for role, name in (("source", source), ("destination", destination)):
+        if name not in topology:
+            raise MappingError(f"unknown {role} node {name!r}")
 
 
 def link_bandwidth(

@@ -10,10 +10,10 @@ executing certain visualization modules").
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass, asdict
-from typing import Iterable, Iterator
-
-import networkx as nx
+from typing import Callable, Iterable, Iterator
 
 from repro.errors import TopologyError
 
@@ -101,29 +101,34 @@ class LinkSpec:
 class Topology:
     """The overlay graph ``G = (V, E)`` with spec-typed nodes and links.
 
-    Thin wrapper over :class:`networkx.Graph` that enforces spec objects
-    and gives O(1) typed access.  Links are undirected (the paper's
-    virtual links are symmetric overlay paths); per-direction channel
-    state lives in :class:`repro.net.channel.SimLink`.
+    Nodes live in a name -> :class:`NodeSpec` map and links in an
+    adjacency map ``u -> {v: LinkSpec}`` holding each link under both
+    endpoints, so lookups are O(1) and every iteration order is
+    insertion order.  Links are undirected (the paper's virtual links
+    are symmetric overlay paths); per-direction channel state lives in
+    :class:`repro.net.channel.SimLink`.
     """
 
     def __init__(self) -> None:
-        self._g = nx.Graph()
+        self._nodes: dict[str, NodeSpec] = {}
+        self._adj: dict[str, dict[str, LinkSpec]] = {}
 
     # -- construction ---------------------------------------------------------
 
     def add_node(self, spec: NodeSpec) -> None:
         """Add a node; re-adding the same name replaces its spec."""
-        self._g.add_node(spec.name, spec=spec)
+        self._nodes[spec.name] = spec
+        self._adj.setdefault(spec.name, {})
 
     def add_link(self, spec: LinkSpec) -> None:
         """Add a link; both endpoints must already exist."""
         for end in (spec.u, spec.v):
-            if end not in self._g:
+            if end not in self._nodes:
                 raise TopologyError(f"link references unknown node {end!r}")
         if spec.u == spec.v:
             raise TopologyError(f"self-loop on {spec.u!r} not allowed")
-        self._g.add_edge(spec.u, spec.v, spec=spec)
+        self._adj[spec.u][spec.v] = spec
+        self._adj[spec.v][spec.u] = spec
 
     @classmethod
     def from_specs(
@@ -140,53 +145,54 @@ class Topology:
     # -- queries --------------------------------------------------------------
 
     def __contains__(self, name: str) -> bool:
-        return name in self._g
+        return name in self._nodes
 
     @property
     def node_names(self) -> list[str]:
         """Node names in insertion order."""
-        return list(self._g.nodes)
+        return list(self._nodes)
 
     @property
     def num_nodes(self) -> int:
-        return self._g.number_of_nodes()
+        return len(self._nodes)
 
     @property
     def num_links(self) -> int:
-        return self._g.number_of_edges()
+        return sum(len(nbrs) for nbrs in self._adj.values()) // 2
 
     def node(self, name: str) -> NodeSpec:
         """Spec of node ``name`` (raises :class:`TopologyError` if absent)."""
         try:
-            return self._g.nodes[name]["spec"]
+            return self._nodes[name]
         except KeyError:
             raise TopologyError(f"unknown node {name!r}") from None
 
     def has_link(self, u: str, v: str) -> bool:
-        return self._g.has_edge(u, v)
+        return v in self._adj.get(u, ())
 
     def link(self, u: str, v: str) -> LinkSpec:
         """Spec of link ``(u, v)`` (order-insensitive)."""
         try:
-            return self._g.edges[u, v]["spec"]
+            return self._adj[u][v]
         except KeyError:
             raise TopologyError(f"no link between {u!r} and {v!r}") from None
 
     def neighbors(self, name: str) -> list[str]:
-        """Adjacent node names (``adj(v_i)`` in Eq. 9)."""
-        if name not in self._g:
-            raise TopologyError(f"unknown node {name!r}")
-        return list(self._g.neighbors(name))
+        """Adjacent node names (``adj(v_i)`` in Eq. 9), in link insertion order."""
+        return list(self._nbrs(name))
 
     def links(self) -> Iterator[LinkSpec]:
-        """Iterate over all link specs."""
-        for _, _, data in self._g.edges(data=True):
-            yield data["spec"]
+        """Iterate over all link specs, each once, from its earlier-added end."""
+        seen: set[str] = set()
+        for u, nbrs in self._adj.items():
+            for v, spec in nbrs.items():
+                if v not in seen:
+                    yield spec
+            seen.add(u)
 
     def nodes(self) -> Iterator[NodeSpec]:
         """Iterate over all node specs."""
-        for _, data in self._g.nodes(data=True):
-            yield data["spec"]
+        return iter(self._nodes.values())
 
     def bandwidth(self, u: str, v: str) -> float:
         """Link bandwidth ``b_{u,v}`` in bytes/second."""
@@ -203,13 +209,69 @@ class Topology:
         return [self.link(u, v) for u, v in zip(path[:-1], path[1:])]
 
     def simple_paths(self, src: str, dst: str, max_hops: int | None = None) -> list[list[str]]:
-        """All simple paths from ``src`` to ``dst`` (for exhaustive search)."""
+        """All simple paths ``src`` -> ``dst`` of at most ``max_hops`` links
+        (default ``num_nodes - 1``), depth first in adjacency order
+        (for exhaustive search).  ``src == dst`` gives ``[[src]]``."""
+        first = self._nbrs(src)
+        self._nbrs(dst)
         cutoff = max_hops if max_hops is not None else self.num_nodes - 1
-        return [list(p) for p in nx.all_simple_paths(self._g, src, dst, cutoff=cutoff)]
+        if src == dst:
+            return [[src]] if cutoff >= 0 else []
+        paths: list[list[str]] = []
+        path = [src]
 
-    def graph(self) -> nx.Graph:
-        """The underlying networkx graph (treat as read-only)."""
-        return self._g
+        def extend(nbrs: dict[str, LinkSpec]) -> None:
+            for nxt in nbrs:
+                if nxt == dst:
+                    paths.append([*path, dst])
+                elif nxt not in path and len(path) < cutoff:
+                    path.append(nxt)
+                    extend(self._adj[nxt])
+                    path.pop()
+
+        if cutoff >= 1:
+            extend(first)
+        return paths
+
+    def shortest_path(
+        self, src: str, dst: str, weight: Callable[[str, str], float]
+    ) -> list[str] | None:
+        """Least-cost path ``src`` -> ``dst`` where crossing ``u -> v``
+        costs ``weight(u, v) >= 0`` (Dijkstra; on a cost tie a node keeps
+        the predecessor that reached it first).  ``None`` when ``dst`` is
+        unreachable."""
+        self._nbrs(src)
+        self._nbrs(dst)
+        dist = {src: 0.0}
+        prev: dict[str, str] = {}
+        done: set[str] = set()
+        order = itertools.count()
+        heap = [(0.0, next(order), src)]
+        while heap:
+            d, _, u = heapq.heappop(heap)
+            if u in done:
+                continue
+            if u == dst:
+                path = [dst]
+                while path[-1] != src:
+                    path.append(prev[path[-1]])
+                return path[::-1]
+            done.add(u)
+            for v in self._adj[u]:
+                if v in done:
+                    continue
+                cost = d + weight(u, v)
+                if v not in dist or cost < dist[v]:
+                    dist[v] = cost
+                    prev[v] = u
+                    heapq.heappush(heap, (cost, next(order), v))
+        return None
+
+    def _nbrs(self, name: str) -> dict[str, LinkSpec]:
+        try:
+            return self._adj[name]
+        except KeyError:
+            raise TopologyError(f"unknown node {name!r}") from None
 
     # -- serialization ----------------------------------------------------------
 

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import networkx as nx
-
-from repro.errors import InfeasibleMappingError
+from repro.errors import InfeasibleMappingError, MappingError
+from repro.experiments.dp_scaling import ALL_CAPS, random_topology
 from repro.mapping import (
     evaluate_mapping,
     exhaustive_map,
@@ -20,29 +19,6 @@ from repro.net import LinkSpec, NodeSpec, Topology, build_paper_testbed
 from repro.viz.pipeline import ModuleSpec, VisualizationPipeline
 
 from tests.test_mapping_model import chain_topology, simple_pipeline
-
-ALL_CAPS = frozenset({"source", "filter", "extract", "render", "display"})
-
-
-def random_topology(rng: np.random.Generator, n_nodes: int, p_edge: float) -> Topology:
-    """Random connected graph with random powers and bandwidths."""
-    while True:
-        g = nx.gnp_random_graph(n_nodes, p_edge, seed=int(rng.integers(0, 2**31)))
-        if nx.is_connected(g):
-            break
-    nodes = [
-        NodeSpec(f"n{i}", power=float(rng.uniform(0.5, 4.0)), capabilities=ALL_CAPS)
-        for i in range(n_nodes)
-    ]
-    links = [
-        LinkSpec(
-            f"n{u}", f"n{v}",
-            bandwidth=float(rng.uniform(1e5, 1e7)),
-            prop_delay=float(rng.uniform(0.001, 0.05)),
-        )
-        for u, v in g.edges
-    ]
-    return Topology.from_specs(nodes, links)
 
 
 def random_pipeline(rng: np.random.Generator, n_modules: int) -> VisualizationPipeline:
@@ -94,11 +70,15 @@ class TestDPBasics:
         assert res.mapping.node_of_module(1) == "n0"
         assert res.mapping.node_of_module(2) == "n0"
 
-    def test_unknown_nodes_raise(self):
+    @pytest.mark.parametrize("mapper", [map_pipeline, exhaustive_map, greedy_map],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("ends", [("ghost", "n1"), ("n0", "ghost")],
+                             ids=["source", "destination"])
+    def test_unknown_nodes_raise(self, mapper, ends):
         topo = chain_topology()
         p = simple_pipeline()
-        with pytest.raises(Exception):
-            map_pipeline(p, topo, "ghost", "n1")
+        with pytest.raises(MappingError, match="unknown .* node 'ghost'"):
+            mapper(p, topo, *ends)
 
     def test_unreachable_destination(self):
         nodes = [NodeSpec("a", capabilities=ALL_CAPS), NodeSpec("b", capabilities=ALL_CAPS),
