@@ -13,5 +13,5 @@ setup(
     version="1.0.0",
     package_dir={"": "src"},
     packages=find_packages("src"),
-    install_requires=["numpy", "scipy"],
+    install_requires=["numpy"],
 )

@@ -23,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from repro.data.grid import StructuredGrid
+from repro.data.interp import zoom
 from repro.errors import ConfigurationError
 from repro.rng import derive_rng
 from repro.units import MB
@@ -64,20 +65,13 @@ def _smooth_noise(
     shape: tuple[int, int, int], rng: np.random.Generator, octaves: int = 3
 ) -> np.ndarray:
     """Band-limited noise by upsampling coarse random lattices."""
-    from scipy.ndimage import zoom
-
     out = np.zeros(shape, dtype=np.float32)
     amp = 1.0
     for o in range(octaves):
         coarse_shape = tuple(max(2, s // (2 ** (octaves - o))) for s in shape)
         coarse = rng.standard_normal(coarse_shape).astype(np.float32)
         factors = [s / c for s, c in zip(shape, coarse_shape)]
-        fine = zoom(coarse, factors, order=1, mode="nearest")
-        fine = fine[: shape[0], : shape[1], : shape[2]]
-        pad = [(0, shape[i] - fine.shape[i]) for i in range(3)]
-        if any(p[1] > 0 for p in pad):
-            fine = np.pad(fine, pad, mode="edge")
-        out += amp * fine
+        out += amp * zoom(coarse, factors)  # round(c * (s / c)) == s samples
         amp *= 0.5
     denom = float(np.abs(out).max())
     return out / denom if denom > 0 else out

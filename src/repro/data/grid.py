@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.data.interp import gather, stencil, trilinear
 from repro.errors import ConfigurationError
 
 __all__ = ["StructuredGrid", "VectorField"]
@@ -142,13 +143,9 @@ class StructuredGrid:
 
     def sample_world(self, points: np.ndarray) -> np.ndarray:
         """Trilinear interpolation at world-space points (N, 3)."""
-        from scipy.ndimage import map_coordinates
-
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         idx = (pts - np.asarray(self.origin)) / np.asarray(self.spacing)
-        return map_coordinates(
-            self.values, idx.T, order=1, mode="nearest"
-        ).astype(np.float32)
+        return trilinear(self.values, idx.T)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -197,15 +194,11 @@ class VectorField:
         )
 
     def sample_world(self, points: np.ndarray) -> np.ndarray:
-        """Trilinear interpolation of all components at points (N, 3)."""
-        from scipy.ndimage import map_coordinates
-
+        """Trilinear interpolation of all components at points (N, 3), one stencil."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         idx = ((pts - np.asarray(self.origin)) / np.asarray(self.spacing)).T
-        out = np.empty((pts.shape[0], 3), dtype=np.float32)
-        for i, comp in enumerate((self.u, self.v, self.w)):
-            out[:, i] = map_coordinates(comp, idx, order=1, mode="nearest")
-        return out
+        comps = gather([self.u, self.v, self.w], stencil(idx, self.shape))
+        return np.stack(comps, axis=1).astype(np.float32)
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         lo = np.asarray(self.origin, dtype=float)

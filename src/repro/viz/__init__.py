@@ -9,12 +9,7 @@ partitions (Fig. 4).
 """
 
 from repro.viz.camera import OrthoCamera
-from repro.viz.filtering import (
-    DownsampleFilter,
-    GaussianSmoothFilter,
-    SubsetFilter,
-    ValueClampFilter,
-)
+from repro.viz.filtering import SubsetFilter
 from repro.viz.image import Image, decode_fixed_size, encode_fixed_size
 from repro.viz.isosurface import (
     TriangleMesh,
@@ -31,8 +26,6 @@ from repro.viz.streamline import trace_streamlines
 from repro.viz.transfer import TransferFunction
 
 __all__ = [
-    "DownsampleFilter",
-    "GaussianSmoothFilter",
     "Image",
     "MC_CASE_CLASS",
     "ModuleSpec",
@@ -42,7 +35,6 @@ __all__ = [
     "TRIANGLES_PER_CONFIG",
     "TransferFunction",
     "TriangleMesh",
-    "ValueClampFilter",
     "VisualizationPipeline",
     "classify_cells",
     "decode_fixed_size",

@@ -2,28 +2,20 @@
 
 "The filtering module extracts the information of interest from the raw
 data and performs necessary preprocessing to improve processing
-efficiency and save communication resources."  These filters transform a
-:class:`~repro.data.grid.StructuredGrid` into a smaller or cleaner one;
-each declares its *output ratio* (bytes out / bytes in) so the mapping
-optimizer can size the downstream messages.
+efficiency and save communication resources."  A filter transforms a
+:class:`~repro.data.grid.StructuredGrid` into a smaller one and declares
+its *output ratio* (bytes out / bytes in) so the mapping optimizer can
+size the downstream messages.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.ndimage import gaussian_filter
-
 from repro.data.grid import StructuredGrid
 from repro.errors import ConfigurationError
 
-__all__ = [
-    "SubsetFilter",
-    "DownsampleFilter",
-    "GaussianSmoothFilter",
-    "ValueClampFilter",
-]
+__all__ = ["SubsetFilter"]
 
 
 @dataclass(frozen=True)
@@ -49,60 +41,3 @@ class SubsetFilter:
         if self.octant < 0:
             return grid
         return grid.octant(self.octant)
-
-
-@dataclass(frozen=True)
-class DownsampleFilter:
-    """Strided decimation by an integer factor per axis."""
-
-    factor: int = 2
-
-    def __post_init__(self) -> None:
-        if self.factor < 1:
-            raise ConfigurationError("factor must be >= 1")
-
-    @property
-    def output_ratio(self) -> float:
-        return 1.0 / float(self.factor**3)
-
-    def __call__(self, grid: StructuredGrid) -> StructuredGrid:
-        return grid.downsample(self.factor)
-
-
-@dataclass(frozen=True)
-class GaussianSmoothFilter:
-    """Gaussian denoising; size-preserving."""
-
-    sigma: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.sigma <= 0:
-            raise ConfigurationError("sigma must be positive")
-
-    @property
-    def output_ratio(self) -> float:
-        return 1.0
-
-    def __call__(self, grid: StructuredGrid) -> StructuredGrid:
-        vals = gaussian_filter(grid.values, sigma=self.sigma, mode="nearest")
-        return StructuredGrid(vals, grid.spacing, grid.origin, grid.name)
-
-
-@dataclass(frozen=True)
-class ValueClampFilter:
-    """Clamp values into a window of interest; size-preserving."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if not (self.lo < self.hi):
-            raise ConfigurationError("need lo < hi")
-
-    @property
-    def output_ratio(self) -> float:
-        return 1.0
-
-    def __call__(self, grid: StructuredGrid) -> StructuredGrid:
-        vals = np.clip(grid.values, self.lo, self.hi)
-        return StructuredGrid(vals, grid.spacing, grid.origin, grid.name)

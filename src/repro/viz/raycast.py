@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from repro.data.grid import StructuredGrid
+from repro.data.interp import trilinear
 from repro.errors import ConfigurationError
 from repro.viz.camera import OrthoCamera
 from repro.viz.image import Image
@@ -98,9 +98,7 @@ def raycast(
         pts = pos[active]
         idx = ((pts - origin) / spacing).T  # (3, A)
         # Skip samples outside the volume entirely (cval=nan marks them).
-        vals = map_coordinates(
-            grid.values, idx, order=1, mode="constant", cval=np.nan
-        )
+        vals = trilinear(grid.values, idx, mode="constant", cval=np.nan)
         inside = ~np.isnan(vals)
         samples_attempted += int(vals.size)
         samples_done += int(inside.sum())

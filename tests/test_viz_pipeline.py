@@ -5,16 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.data import StructuredGrid
 from repro.errors import ConfigurationError, DataFormatError, MappingError
 from repro.viz import (
-    DownsampleFilter,
-    GaussianSmoothFilter,
     Image,
     ModuleSpec,
     SubsetFilter,
     TransferFunction,
-    ValueClampFilter,
     VisualizationPipeline,
     decode_fixed_size,
     encode_fixed_size,
@@ -123,33 +119,9 @@ class TestFilters:
         assert f(g) is g
         assert f.output_ratio == 1.0
 
-    def test_downsample_filter(self):
-        g = sphere_grid(16)
-        f = DownsampleFilter(2)
-        assert f(g).shape == (8, 8, 8)
-        assert f.output_ratio == pytest.approx(1 / 8)
-
-    def test_gaussian_preserves_shape_and_smooths(self):
-        rng = np.random.default_rng(0)
-        g = StructuredGrid(rng.normal(size=(12, 12, 12)).astype(np.float32))
-        out = GaussianSmoothFilter(1.5)(g)
-        assert out.shape == g.shape
-        assert out.values.std() < g.values.std()
-
-    def test_clamp_filter(self):
-        g = sphere_grid(8)
-        out = ValueClampFilter(0.2, 0.8)(g)
-        assert out.vmin >= 0.2 - 1e-6 and out.vmax <= 0.8 + 1e-6
-
     def test_filter_validation(self):
         with pytest.raises(ConfigurationError):
             SubsetFilter(9)
-        with pytest.raises(ConfigurationError):
-            DownsampleFilter(0)
-        with pytest.raises(ConfigurationError):
-            GaussianSmoothFilter(0.0)
-        with pytest.raises(ConfigurationError):
-            ValueClampFilter(1.0, 0.0)
 
 
 class TestImage:
