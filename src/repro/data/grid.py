@@ -105,16 +105,6 @@ class StructuredGrid:
             name=f"grad({self.name})",
         )
 
-    def downsample(self, factor: int) -> "StructuredGrid":
-        """Strided downsampling by an integer factor (>= 1)."""
-        if factor < 1:
-            raise ConfigurationError("downsample factor must be >= 1")
-        if factor == 1:
-            return self
-        vals = self.values[::factor, ::factor, ::factor]
-        sp = tuple(s * factor for s in self.spacing)
-        return StructuredGrid(vals, sp, self.origin, self.name)  # type: ignore[arg-type]
-
     def octant(self, index: int) -> "StructuredGrid":
         """One of the eight octree subsets the paper's GUI exposes.
 

@@ -427,13 +427,16 @@ class EventSequenceStore:
         frame plane: a publish that wakes N waiters parked at the same
         cursor costs one ``json.dumps`` per group, and the returned
         ``bytes`` object is immutable and safe to share across N
-        connection write queues without copying.
+        connection write queues without copying.  A ``ws+bin`` frame is
+        joined from its gather tuple here, a copy per call; the serving
+        path takes :meth:`framed_delta_with_head` and queues the tuple.
         """
-        return self.framed_delta_with_head(since, framing, tier, window)[0]
+        frame = self.framed_delta_with_head(since, framing, tier, window)[0]
+        return frame if type(frame) is bytes else b"".join(frame)
 
     def framed_delta_with_head(self, since: int, framing: str = FRAME_JSON,
                                tier: int = 0,
-                               window: tuple | None = None) -> tuple[bytes, int]:
+                               window: tuple | None = None) -> tuple[bytes | tuple, int]:
         """:meth:`framed_delta` plus the head seq the frame covers (see
         :meth:`repro.steering.frames.FramePlane.framed_delta_with_head`)."""
         self._last_poll = time.monotonic()

@@ -44,6 +44,11 @@ from repro.wire import (
 __all__ = ["DeltaFrameCache", "FramePlane"]
 
 
+def _frame_size(frame: bytes | tuple) -> int:
+    """Wire bytes of a frame: ``bytes``, or a ``ws+bin`` gather tuple."""
+    return len(frame) if type(frame) is bytes else sum(map(len, frame))
+
+
 class DeltaFrameCache:
     """Bounded LRU of serialized delta frames.
 
@@ -77,16 +82,16 @@ class DeltaFrameCache:
         # deltas are still served shared — they just do not pin the
         # cache's memory once the herd has moved on).
         self._frames = ByteBudgetLRU(self.byte_limit, self.capacity,
-                                     size=lambda item: len(item[0]))
+                                     size=lambda item: _frame_size(item[0]))
 
     bytes = property(lambda self: self._frames.bytes)
     evictions = property(lambda self: self._frames.evictions)
 
-    def get(self, key: tuple) -> bytes | None:
+    def get(self, key: tuple) -> bytes | tuple | None:
         item = self._frames.get(key)
         return None if item is None else item[0]
 
-    def put(self, key: tuple, frame: bytes, saved: int = 0) -> None:
+    def put(self, key: tuple, frame: bytes | tuple, saved: int = 0) -> None:
         self._frames.put(key, (frame, saved))
 
     def saved_for(self, key: tuple) -> int:
@@ -110,9 +115,11 @@ class FramePlane:
         self.json_encodes = 0
 
     def framed_delta_with_head(self, source, since: int, framing: str, tier: int,
-                               window: tuple | None) -> tuple[bytes, int]:
+                               window: tuple | None) -> tuple[bytes | tuple, int]:
         """``source``'s delta past ``since`` pre-framed for one wire
-        transport, plus the head seq the frame covers.
+        transport, plus the head seq the frame covers.  A ``ws+bin``
+        frame is :func:`repro.wire.ws_binary_frame`'s gather tuple, so the
+        cache shares the image ring's blobs instead of a copy of each.
 
         The push path advances each subscriber's cursor to exactly the
         head that was serialized — reading the head separately could

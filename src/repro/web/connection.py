@@ -494,7 +494,7 @@ class _IOLoop:
         if handler.mode == "sse":
             handler.inbuf.clear()
             return
-        while (not handler.closed and handler.subscriber is None
+        while (handler.inbuf and not handler.closed and handler.subscriber is None
                and not handler.busy and handler.mode == "http"):
             try:
                 request = parse_request(handler.inbuf)

@@ -128,6 +128,9 @@ class Delivery:
             if not members:
                 return
         frame, head = store.framed_delta_with_head(since, framing, tier, window)
+        # ws+bin is a gather tuple: its head, then the image ring's blobs.
+        parts = frame if type(frame) is tuple else (frame,)
+        size = sum(map(len, parts))
         saved = store.frame_saved(since, head, framing, tier, window) if tier else 0
         now = time.monotonic()
         responses: dict[bool, bytes] = {}
@@ -136,10 +139,10 @@ class Delivery:
             self.tier_bytes_saved[tier] += saved
             if rec.woken_at:
                 self._note_wake(now - rec.woken_at)
-            self.count_tx(rec.transport, len(frame))
+            self.count_tx(rec.transport, size)
             if rec.deadline is None:
                 rec.since = head  # advance to exactly what was framed
-                self._enqueue(conn, (frame,))
+                self._enqueue(conn, parts)
                 continue
             conn.subscriber = None
             self.polls_served += 1

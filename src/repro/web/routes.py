@@ -566,19 +566,6 @@ class _Route:
     action: str
     handler: Callable
 
-    def match(self, segments: list) -> tuple[bool, str | None]:
-        """(path matched, bound sid); the method is the caller's to compare
-        (a path that exists under another method is a 405, not a 404)."""
-        if len(segments) != len(self.pattern):
-            return False, None
-        sid = None
-        for want, got in zip(self.pattern, segments):
-            if want == "{sid}":
-                sid = got
-            elif want != got:
-                return False, None
-        return True, sid
-
 
 #: The whole API surface, declaratively, mounted under ``/api/v1/...``.
 #: Literal patterns precede ``{sid}`` wildcards of the same length so
@@ -604,6 +591,14 @@ API_ROUTES = (
     _Route("POST", ("{sid}", "stop"), "stop", stop),
 )
 
+#: pattern -> method -> route, and the ``(length, index)`` of every
+#: ``{sid}`` wildcard in table order: what :func:`match_route` looks up.
+_ROUTES: dict[tuple, dict[str, _Route]] = {}
+for _route in API_ROUTES:
+    _ROUTES.setdefault(_route.pattern, {}).setdefault(_route.method, _route)
+_SID_SLOTS = tuple(dict.fromkeys((len(r.pattern), r.pattern.index("{sid}"))
+                                 for r in API_ROUTES if "{sid}" in r.pattern))
+
 
 def match_route(method: str, path: str) -> tuple[str | None, _Route]:
     """Match ``method`` + ``path`` against :data:`API_ROUTES`.
@@ -611,18 +606,27 @@ def match_route(method: str, path: str) -> tuple[str | None, _Route]:
     Returns ``(sid, route)``: ``sid`` is the bound ``{sid}`` wildcard
     (None for sessionless routes).  Raises :class:`_HttpError` 404 for a
     path outside ``/api/v1`` or matching no route, and 405 when the path
-    exists under another method.
+    exists under another method.  The path's literal key is looked up
+    first, then each ``{sid}`` key it fits, in table order — the first
+    route in the table that the linear scan of it would have found.
     """
     segments = [s for s in path.split("/") if s]
     if segments[:2] != ["api", "v1"]:
         raise _HttpError(404, "not_found", f"no route {path}")
-    rest = segments[2:]
+    rest = tuple(segments[2:])
+    keys = [rest]
+    keys += [rest[:i] + ("{sid}",) + rest[i + 1:]
+             for n, i in _SID_SLOTS if n == len(rest)]
     path_matched = False
-    for route in API_ROUTES:
-        matched, sid = route.match(rest)
-        if matched and route.method == method:
-            return sid, route
-        path_matched = path_matched or matched
+    for key in keys:
+        methods = _ROUTES.get(key)
+        if methods is None:
+            continue
+        route = methods.get(method)
+        if route is not None:
+            pattern = route.pattern
+            return (rest[pattern.index("{sid}")] if "{sid}" in pattern else None), route
+        path_matched = True
     if path_matched:
         raise _HttpError(405, "method_not_allowed",
                          f"method {method} not allowed for {path}")

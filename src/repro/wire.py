@@ -34,7 +34,7 @@ import json
 import os
 import re
 import struct
-import urllib.parse
+from urllib.parse import unquote
 
 import numpy as np
 
@@ -110,6 +110,30 @@ def _refuse_constant(name: str):
 _BODY_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
 
 
+def _split_target(target: str) -> tuple[str, dict[str, list[str]]]:
+    """A request target's path, still percent-encoded, and its query.
+
+    Origin-form (``/p?q``) and absolute-form (``http://host/p?q``, which
+    a server must accept, RFC 9112 §3.2.2) alike; a fragment is dropped
+    and ``;`` is path data (RFC 3986).  Query names and values decode by
+    the form-urlencoded rule — ``+`` is a space, then ``%XX`` is UTF-8
+    (U+FFFD where it is not) — and every value of a repeated name is
+    kept in order; a pair with no ``=`` or an empty value is skipped.
+    """
+    path, _, query = target.partition("#")[0].partition("?")
+    if path[:1] != "/":
+        _, absolute, rest = path.partition("://")
+        if absolute:  # the path starts where the authority ends
+            path = rest[rest.find("/"):] if "/" in rest else ""
+    params: dict[str, list[str]] = {}
+    for pair in query.split("&"):
+        name, _, value = pair.partition("=")
+        if value:
+            params.setdefault(unquote(name.replace("+", " ")), []).append(
+                unquote(value.replace("+", " ")))
+    return path, params
+
+
 class HttpRequest:
     """One parsed HTTP request."""
 
@@ -117,10 +141,8 @@ class HttpRequest:
 
     def __init__(self, method: str, target: str, version: str,
                  headers: dict[str, str], body: bytes) -> None:
-        parsed = urllib.parse.urlparse(target)
         self.method = method
-        self.path = parsed.path
-        self.query = urllib.parse.parse_qs(parsed.query)
+        self.path, self.query = _split_target(target)
         self.headers = headers
         self.body = body
         self.http11 = version == "HTTP/1.1"
@@ -151,17 +173,25 @@ def _split_head(buf: bytearray, what: str) -> tuple[str, dict[str, str], int] | 
     """The head at the front of ``buf`` (never consumed here): its start
     line, its headers (names lower-cased) and the offset its body starts
     at.  None until the blank line is buffered; a head that outgrows the
-    header limit first is refused."""
+    header limit first is refused, and so is a header line that is not
+    ``name: value`` — no colon, whitespace before it, an obs-fold
+    continuation (RFC 9112 §5.1, §5.2) — and a second ``Content-Length``
+    that disagrees with the first (§6.3: which one frames the body?)."""
     end = buf.find(b"\r\n\r\n")
     if end < 0:
         if len(buf) > _MAX_HEADER_BYTES:
             raise WebServerError(f"{what} head exceeds the header limit")
         return None
-    lines = bytes(buf[:end]).decode("latin-1").split("\r\n")
+    lines = buf[:end].decode("latin-1").split("\r\n")
     headers: dict[str, str] = {}
     for line in lines[1:]:
-        name, _, value = line.partition(":")
-        headers[name.strip().lower()] = value.strip()
+        name, colon, value = line.partition(":")
+        if not colon or not name or name.strip() != name:
+            raise WebServerError(f"malformed header line {line[:64]!r}")
+        name, value = name.lower(), value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            raise WebServerError("conflicting Content-Length headers")
+        headers[name] = value
     return lines[0], headers, end + 4
 
 
@@ -183,10 +213,11 @@ def parse_request(buf: bytearray) -> HttpRequest | None:
     Incremental: returns None (leaving ``buf`` untouched) until the head
     and the ``Content-Length`` body are both buffered.  Raises
     :class:`WebServerError` for a head the connection cannot recover
-    from — oversized, a malformed request line, a ``Content-Length``
-    that is not plain ASCII digits or exceeds the body cap, or any
-    ``Transfer-Encoding`` (request bodies are length-framed only; a
-    chunked body read as length 0 would be parsed as the next request).
+    from — oversized, a malformed request line or header line (see
+    :func:`_split_head`), a ``Content-Length`` that is not plain ASCII
+    digits or exceeds the body cap, or any ``Transfer-Encoding``
+    (request bodies are length-framed only; a chunked body read as
+    length 0 would be parsed as the next request).
     """
     head = _split_head(buf, "request")
     if head is None:
@@ -341,16 +372,18 @@ def parse_ws_frames(buf: bytearray, require_mask: bool) -> list[tuple[int, bytes
 
 # -- the ws+bin delta: [u32 json length][json][raw blobs] ----------------------
 
-def ws_binary_frame(base: bytes, blobs: list[bytes]) -> bytes:
-    """The ``FRAME_WS_BINARY`` frame for a delta's JSON and its raw blobs.
+def ws_binary_frame(base: bytes, blobs: list[bytes]) -> tuple[bytes, ...]:
+    """The ``FRAME_WS_BINARY`` frame for a delta's JSON and its raw blobs,
+    as a gather tuple: the frame header, length prefix and JSON in one
+    ``bytes``, then the blobs themselves — written by reference, never
+    copied into a frame of their own (``b"".join`` gives the wire bytes).
 
     The JSON's image components point into the blob section with
-    ``blob_offset`` / ``blob_len``.  One join: the frame is the only
-    copy made of each 256 KiB blob.
+    ``blob_offset`` / ``blob_len``.
     """
     length = 4 + len(base) + sum(map(len, blobs))
-    return b"".join((ws_header(length, WS_BINARY),
-                     struct.pack(">I", len(base)), base, *blobs))
+    return (ws_header(length, WS_BINARY) + struct.pack(">I", len(base)) + base,
+            *blobs)
 
 
 def binary_delta_json(payload: bytes) -> bytes:

@@ -49,17 +49,6 @@ class TestStructuredGrid:
         g = StructuredGrid(np.full((4, 4, 4), 7.0))
         assert g.normalized().vmax == 0.0
 
-    def test_downsample(self):
-        g = sphere_grid(16)
-        d = g.downsample(2)
-        assert d.shape == (8, 8, 8)
-        assert d.spacing == (2.0, 2.0, 2.0)
-        assert g.downsample(1) is g
-
-    def test_downsample_invalid(self):
-        with pytest.raises(ConfigurationError):
-            sphere_grid().downsample(0)
-
     def test_octants_cover_volume_with_shared_plane(self):
         g = sphere_grid(16)
         total = 0

@@ -165,7 +165,7 @@ class TestFramePlane:
         assert parse_ws_frames(bytearray(herd[3][0]), False) == [(1, base)]
         frame, _ = plane.framed_delta_with_head(source, 0, FRAME_WS_BINARY, 0, None)
         assert (plane.json_encodes, source.built) == (2, 2)
-        [(opcode, payload)] = parse_ws_frames(bytearray(frame), False)
+        [(opcode, payload)] = parse_ws_frames(bytearray(b"".join(frame)), False)
         assert opcode == 2 and decode_binary_delta(payload) == json.loads(base)
 
     def test_wrapping_first_caches_the_json_base_too(self):
@@ -195,10 +195,13 @@ class TestFramePlane:
             for seq in (1, 3):  # version 2 has left the ring: meta only
                 ring.append_locked(seq, 0, full, {}, image)
         frame, head = plane.framed_delta_with_head(source, 0, FRAME_WS_BINARY, 1, None)
-        [(_, payload)] = parse_ws_frames(bytearray(frame), False)
+        [(_, payload)] = parse_ws_frames(bytearray(b"".join(frame)), False)
         got = {c["version"]: c["props"] for c in decode_binary_delta(payload)["components"]}
         small = ring.blob(ring.find_locked(1), 2)
         assert got[1]["blob"] == got[3]["blob"] == small and "blob" not in got[2]
+        # the frame gathers the ring's own blobs: it holds no copy of them
+        assert frame[1:] == (small, ring.blob(ring.find_locked(3), 2))
+        assert frame[1] is small
         assert plane.cache.saved_for(
             (0, head, FRAME_WS_BINARY, 1, None)) == 2 * (len(full) - len(small))
         # a snapshot tier elides versions 1 and 2: the full blob of the one

@@ -159,6 +159,25 @@ def test_malformed_request_line_is_rejected(line):
         parse_request(bytearray(line + b"\r\nHost: x\r\n\r\n"))
 
 
+@pytest.mark.parametrize("header", [
+    b"Content-Length : 2",                           # whitespace before the colon (RFC 9112 §5.1)
+    b"no colon here",                                # not a field line at all
+    b": no name",
+    b"Host: x\r\n folded: 2",                        # obs-fold continuation (§5.2)
+    b"Host: x\r\n\tfolded",
+    b"Content-Length: 2\r\nContent-Length: 20",      # which one frames the body? (§6.3)
+])
+def test_a_header_line_that_is_not_name_colon_value_is_rejected(header):
+    with pytest.raises(WebServerError):
+        parse_request(bytearray(b"POST /api/v1/s/view HTTP/1.1\r\n" + header
+                                + b"\r\n\r\n{}" + b"x" * 18))
+
+
+def test_a_repeated_content_length_that_agrees_is_one_length():
+    buf = bytearray(b"POST /p HTTP/1.1\r\nContent-Length: 2\r\ncontent-length:  2\r\n\r\n{}")
+    assert parse_request(buf).body == b"{}" and not buf
+
+
 @pytest.mark.parametrize("body, want", [
     (b"", {}),
     (b'{"zoom": 2}', {"zoom": 2}),
