@@ -18,15 +18,13 @@ from benchmarks.conftest import record_report
 
 
 @pytest.fixture(scope="module")
-def fig10_result(calibration):
-    return run_fig10(calibration=calibration)
+def fig10_result():
+    return run_fig10()
 
 
 class TestBenchFig10:
-    def test_bench_fig10_regeneration(self, benchmark, calibration, fig10_result):
-        result = benchmark.pedantic(
-            lambda: run_fig10(calibration=calibration), rounds=3, iterations=1
-        )
+    def test_bench_fig10_regeneration(self, benchmark, fig10_result):
+        result = benchmark.pedantic(run_fig10, rounds=3, iterations=1)
         record_report(result.to_table())
         assert len(result.rows) == 3
 
@@ -41,15 +39,9 @@ class TestBenchFig10:
         for row in fig10_result.rows:
             assert 1.0 < row.ratio < 2.0, row.dataset
 
-    def test_overhead_knobs_scale_the_gap(self, benchmark, calibration):
+    def test_overhead_knobs_scale_the_gap(self, benchmark):
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-        light = run_fig10(
-            calibration=calibration,
-            paraview=ParaViewModel(1.05, 1.02, 0.1),
-        )
-        heavy = run_fig10(
-            calibration=calibration,
-            paraview=ParaViewModel(1.6, 1.4, 1.5),
-        )
+        light = run_fig10(paraview=ParaViewModel(1.05, 1.02, 0.1))
+        heavy = run_fig10(paraview=ParaViewModel(1.6, 1.4, 1.5))
         for l, h in zip(light.rows, heavy.rows):
             assert l.ratio < h.ratio

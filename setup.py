@@ -13,5 +13,6 @@ setup(
     version="1.0.0",
     package_dir={"": "src"},
     packages=find_packages("src"),
+    package_data={"repro.experiments": ["fig_calibration.json"]},
     install_requires=["numpy"],
 )

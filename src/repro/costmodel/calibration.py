@@ -112,8 +112,9 @@ def calibrate_isosurface(
 
     For each grid we march ``isovalues_per_grid`` isovalues spanning the
     value range and record, per active block, the 15-class histogram and
-    the measured wall time; ``T_Case`` solves the non-negative least
-    squares system ``histogram @ T_case ~= seconds``.
+    the measured wall time; ``t_call`` is the fastest block's time and
+    ``T_Case`` solves the non-negative least squares system
+    ``histogram @ T_case ~= seconds - t_call``.
     """
     rows: list[np.ndarray] = []
     times: list[float] = []
@@ -135,7 +136,10 @@ def calibrate_isosurface(
         )
     A = np.vstack(rows)
     b = np.asarray(times)
-    t_case, _residual = nnls(A, b)
+    # The fastest block is the kernel's per-call floor (timing noise only
+    # adds); the per-class terms fit what each block costs beyond it.
+    t_call = float(b.min())
+    t_case, _residual = nnls(A, b - t_call)
     # Classes never observed get the median positive cost so predictions
     # on unseen data stay finite and sane.
     seen = A.sum(axis=0) > 0
@@ -144,7 +148,7 @@ def calibrate_isosurface(
     t_case = np.where(seen, t_case, fallback)
     # Class 0 (empty) cells still pay the configuration scan; nnls may
     # zero it out on noisy data, which is fine (it is a lower-order term).
-    return IsosurfaceCostModel(t_case=t_case)
+    return IsosurfaceCostModel(t_case=t_case, t_call=t_call)
 
 
 def calibrate_raycast(

@@ -5,7 +5,7 @@
     t_{extraction}(n_{blocks}, S_{block}) = n_{blocks} \\times t_{block}(S_{block})
     \\qquad (Eq.\\ 4)
 
-    t_{block}(S_{block}) = S_{block} \\times \\sum_{i=0}^{14}
+    t_{block}(S_{block}) = t_{call} + S_{block} \\times \\sum_{i=0}^{14}
         T_{Case}(i) P_{Case}(i) \\qquad (Eq.\\ 5)
 
     t_{rendering} = n_{blocks} S_{block} \\sum_{i=0}^{14}
@@ -14,6 +14,9 @@
 
 ``T_Case(i)`` is fitted offline by the calibration harness; class
 probabilities ``P_Case(i)`` come from :class:`~repro.costmodel.base.DatasetStats`.
+``t_call`` is the extraction kernel's cost per block whatever its cells
+(0 in the paper's Eq. 5); a batched kernel's per-call constant, which
+no per-cell term can fit across block sizes.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ class IsosurfaceCostModel:
 
     t_case: np.ndarray
     n_triangle: np.ndarray = None  # type: ignore[assignment]
+    t_call: float = 0.0
 
     def __post_init__(self) -> None:
         t = np.asarray(self.t_case, dtype=float)
@@ -56,7 +60,7 @@ class IsosurfaceCostModel:
 
     def t_block(self, s_block: int, p_case: np.ndarray) -> float:
         """Average extraction seconds for one block of ``s_block`` cells."""
-        return float(s_block) * float(np.dot(self.t_case, p_case))
+        return self.t_call + float(s_block) * float(np.dot(self.t_case, p_case))
 
     # -- Eq. 4 -------------------------------------------------------------------
 
@@ -112,6 +116,7 @@ class IsosurfaceCostModel:
         return {
             "t_case": self.t_case.tolist(),
             "n_triangle": self.n_triangle.tolist(),
+            "t_call": self.t_call,
         }
 
     @classmethod
@@ -119,4 +124,5 @@ class IsosurfaceCostModel:
         return cls(
             t_case=np.asarray(data["t_case"], dtype=float),
             n_triangle=np.asarray(data["n_triangle"], dtype=float),
+            t_call=float(data.get("t_call", 0.0)),
         )

@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 
 from repro.baselines.paraview import ParaViewModel
 from repro.baselines.static_loops import FIG9_LOOPS, evaluate_loop
-from repro.costmodel.calibration import CalibrationStore, default_calibration
+from repro.costmodel.calibration import CalibrationStore
 from repro.costmodel.pipeline_builder import build_calibrated_pipeline
-from repro.experiments.fig9 import DATASETS, DATASET_ISO_FRACTIONS, _dataset_stats
+from repro.experiments.fig9 import (DATASETS, DATASET_ISO_FRACTIONS, _dataset_stats,
+                                   pinned_calibration)
 from repro.experiments.reporting import format_table
 from repro.net.testbed import build_paper_testbed
 
@@ -59,8 +60,8 @@ def run_fig10(
     calibration: CalibrationStore | None = None,
     paraview: ParaViewModel | None = None,
 ) -> Fig10Result:
-    """Regenerate Fig. 10 (modeled mode, same machinery as Fig. 9)."""
-    calib = calibration if calibration is not None else default_calibration(seed)
+    """Regenerate Fig. 10 (modeled mode, same machinery and calibration as Fig. 9)."""
+    calib = calibration if calibration is not None else pinned_calibration()
     pv = paraview if paraview is not None else ParaViewModel()
     topology, _ = build_paper_testbed(with_cross_traffic=False)
     loop1 = FIG9_LOOPS[0]

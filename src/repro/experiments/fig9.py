@@ -15,11 +15,13 @@ scales compute by node power, for an end-to-end sanity run.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from repro.baselines.static_loops import FIG9_LOOPS, LoopDefinition, evaluate_loop
 from repro.costmodel.base import compute_dataset_stats
-from repro.costmodel.calibration import CalibrationStore, default_calibration
+from repro.costmodel.calibration import CalibrationStore
 from repro.costmodel.pipeline_builder import build_calibrated_pipeline
 from repro.costmodel.transport_cost import bandwidth_table, profile_links
 from repro.data.datasets import DATASET_REGISTRY, make_dataset
@@ -30,7 +32,7 @@ from repro.net.testbed import build_paper_testbed
 from repro.experiments.reporting import format_table
 from repro.units import MB
 
-__all__ = ["Fig9Row", "Fig9Result", "run_fig9", "DATASETS"]
+__all__ = ["Fig9Row", "Fig9Result", "run_fig9", "pinned_calibration", "DATASETS"]
 
 #: (name, full MB) triplets, the paper's order.
 DATASETS: tuple[tuple[str, int], ...] = (("jet", 16), ("rage", 64), ("viswoman", 108))
@@ -96,6 +98,14 @@ class Fig9Result:
         )
 
 
+def pinned_calibration() -> CalibrationStore:
+    """Figs. 9 and 10's default cost model: one ``default_calibration(0)``
+    run (``produced_by`` names its commit, host and command), so the figures
+    do not move with the speed of the host's kernels."""
+    path = Path(__file__).with_name("fig_calibration.json")
+    return CalibrationStore.from_dict(json.loads(path.read_text()))
+
+
 #: Full-resolution octree leaf size (cells per axis), as in Section 4.4.1.
 FULL_BLOCK_CELLS = 16
 
@@ -140,12 +150,14 @@ def run_fig9(
     scale:
         Linear scale of the replica used for class statistics (and for
         live execution).
+    calibration:
+        Default :func:`pinned_calibration`.
     use_measured_bandwidth:
         Profile per-link EPB actively (slower) instead of spec values.
     """
     if mode not in ("modeled", "live"):
         raise ConfigurationError(f"unknown mode {mode!r}")
-    calib = calibration if calibration is not None else default_calibration(seed)
+    calib = calibration if calibration is not None else pinned_calibration()
     topology, _roles = build_paper_testbed(with_cross_traffic=False)
     bandwidths = (
         bandwidth_table(profile_links(topology, repeats=1, no_cross_traffic=True))

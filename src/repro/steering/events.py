@@ -35,7 +35,10 @@ it).  What the log itself guarantees:
 
 Publish never blocks on pollers: waiters are woken through the store's
 condition variable and through registered listeners (the web tier's
-long-poll scheduler), both O(1) amortised per publish.
+long-poll scheduler), both O(1) amortised per publish.  A publish holds
+the publish lock from its append to the end of its announce, and deltas
+and snapshots take it too: listeners, taps and readers see seq n, fully
+announced, before n + 1.  Lock order: publish lock -> _cond -> window source.
 """
 
 from __future__ import annotations
@@ -115,6 +118,7 @@ class EventSequenceStore:
         self.capacity = int(capacity)
         self.component_limit = int(component_limit)
         self._cond = threading.Condition()
+        self._publishing = threading.RLock()  # re-entrant: listeners may publish
         self._seq = 0
         self._events: deque[SessionEvent] = deque()
         self._components: dict[str, dict] = {}
@@ -191,7 +195,9 @@ class EventSequenceStore:
         return False
 
     def add_listener(self, fn: Callable[[int], None]) -> None:
-        """Call ``fn(seq)`` after every publish (outside the store lock)."""
+        """Call ``fn(seq)`` after every publish, in seq order, on the
+        publisher's thread: outside the store lock, inside the publish lock
+        (other threads' publishes wait for it; ``fn`` may publish itself)."""
         with self._cond:
             self._listeners += (fn,)
 
@@ -200,7 +206,8 @@ class EventSequenceStore:
 
         Taps are the journal's capture point: they see the appended
         event verbatim (plus the encoded blob for image events) on the
-        publisher's thread, after listeners.  A failing tap is isolated
+        publisher's thread, after listeners and inside the publish lock,
+        so a journal's rows are in seq order.  A failing tap is isolated
         — observability must never break publishing.
         """
         with self._cond:
@@ -238,8 +245,8 @@ class EventSequenceStore:
 
     def _announce(self, event: SessionEvent, blob: bytes | None = None,
                   journal: bool = True) -> int:
-        # The one publish epilogue.  Caller must NOT hold self._cond:
-        # listeners re-enter the store and taps write to disk.
+        # The one publish epilogue.  Caller holds self._publishing, NOT
+        # self._cond: listeners re-enter the store and taps write to disk.
         for fn in self._listeners:
             fn(event.seq)
         if journal:
@@ -252,9 +259,10 @@ class EventSequenceStore:
 
     def _append(self, kind: str, component: str, cycle: int, props: dict) -> int:
         # Caller must NOT hold self._cond.
-        with self._cond:
-            event = self._append_locked(kind, component, cycle, props)
-        return self._announce(event)
+        with self._publishing:
+            with self._cond:
+                event = self._append_locked(kind, component, cycle, props)
+            return self._announce(event)
 
     def publish_image(self, image: Image, cycle: int = 0, meta: dict | None = None) -> int:
         """Encode ``image`` once, cache the blob, append an image event."""
@@ -262,14 +270,15 @@ class EventSequenceStore:
         meta = dict(meta or {})
         # Append the image record under the same lock as the event so the
         # blob for version v exists before any poller can learn about v.
-        with self._cond:
-            self.encode_count += 1
-            seq = self._seq + 1  # the seq _append_locked is about to assign
-            self._images.append_locked(seq, cycle, blob, meta, image)
-            event = self._append_locked(
-                "image", "image", cycle, {"version": seq, "cycle": cycle, **meta}
-            )
-        return self._announce(event, blob)
+        with self._publishing:
+            with self._cond:
+                self.encode_count += 1
+                seq = self._seq + 1  # the seq _append_locked is about to assign
+                self._images.append_locked(seq, cycle, blob, meta, image)
+                event = self._append_locked(
+                    "image", "image", cycle, {"version": seq, "cycle": cycle, **meta}
+                )
+            return self._announce(event, blob)
 
     def restore_event(self, kind: str, component: str, cycle: int,
                       props: dict, *, seq: int | None = None,
@@ -288,19 +297,20 @@ class EventSequenceStore:
         replayed session is never re-journaled.
         """
         props = dict(props)
-        with self._cond:
-            if seq is not None:
-                if seq <= self._seq:
-                    raise WebServerError(
-                        f"cannot restore seq {seq}: store already at {self._seq}"
-                    )
-                self._seq = seq - 1
-            if kind == "image" and blob is not None:
-                meta = {k: v for k, v in props.items()
-                        if k not in ("version", "cycle")}
-                self._images.append_locked(self._seq + 1, cycle, blob, meta)
-            event = self._append_locked(kind, component, cycle, props)
-        return self._announce(event, journal=False)
+        with self._publishing:
+            with self._cond:
+                if seq is not None:
+                    if seq <= self._seq:
+                        raise WebServerError(
+                            f"cannot restore seq {seq}: store already at {self._seq}"
+                        )
+                    self._seq = seq - 1
+                if kind == "image" and blob is not None:
+                    meta = {k: v for k, v in props.items()
+                            if k not in ("version", "cycle")}
+                    self._images.append_locked(self._seq + 1, cycle, blob, meta)
+                event = self._append_locked(kind, component, cycle, props)
+            return self._announce(event, journal=False)
 
     def publish_status(self, component: str = "session", cycle: int = 0, /,
                        **props: Any) -> int:
@@ -341,17 +351,18 @@ class EventSequenceStore:
         sees the new brick versions — a client can never observe the
         event without its announce list.
         """
-        with self._cond:
-            seq = self._seq + 1  # the seq _append_locked is about to assign
-            source = self._window_source
-            if source is not None:
-                # Lock order store._cond -> source._lock, same as the
-                # delta path; the source never calls back into the store.
-                source.mark_step(seq, box)
-            event = self._append_locked(
-                "brick", "domain", cycle, {"version": seq, "cycle": cycle, **props}
-            )
-        return self._announce(event)
+        with self._publishing:
+            with self._cond:
+                seq = self._seq + 1  # the seq _append_locked is about to assign
+                source = self._window_source
+                if source is not None:
+                    # Lock order store._cond -> source._lock, same as the
+                    # delta path; the source never calls back into the store.
+                    source.mark_step(seq, box)
+                event = self._append_locked(
+                    "brick", "domain", cycle, {"version": seq, "cycle": cycle, **props}
+                )
+            return self._announce(event)
 
     # -- polling -----------------------------------------------------------------
 
@@ -416,7 +427,7 @@ class EventSequenceStore:
               window: tuple | None = None) -> dict:
         """Events past ``since`` (non-blocking), with gap accounting."""
         self._last_poll = time.monotonic()
-        with self._cond:
+        with self._publishing, self._cond:
             return self.delta_locked(since, clamp_tier(tier), window=window)
 
     def framed_delta(self, since: int, framing: str = FRAME_JSON,
@@ -440,8 +451,9 @@ class EventSequenceStore:
         """:meth:`framed_delta` plus the head seq the frame covers (see
         :meth:`repro.steering.frames.FramePlane.framed_delta_with_head`)."""
         self._last_poll = time.monotonic()
-        return self._frames.framed_delta_with_head(
-            self, since, framing, clamp_tier(tier), window)
+        with self._publishing:
+            return self._frames.framed_delta_with_head(
+                self, since, framing, clamp_tier(tier), window)
 
     def frame_saved(self, since: int, head: int, framing: str,
                     tier: int = 0, window: tuple | None = None) -> int:
@@ -460,7 +472,7 @@ class EventSequenceStore:
     def snapshot(self) -> dict:
         """Merged per-component state (full page load / gap resync)."""
         self._last_poll = time.monotonic()
-        with self._cond:
+        with self._publishing, self._cond:
             return {
                 "version": self._seq,
                 "components": [

@@ -167,6 +167,29 @@ def estimate_triangles(values: np.ndarray, iso: float) -> int:
     return int(TRIANGLES_PER_CONFIG[cfg.ravel()].sum())
 
 
+def _gather_tables() -> tuple[np.ndarray, ...]:
+    """Per group key ``(tet * 16 + case) * 2 + k`` (triangle k of the case):
+    its edges' cube vertices (a, b), a's offset and b - a per axis, and the
+    summed offsets and count of the tet's inside vertices."""
+    ends = np.zeros((2, 3, 192), dtype=np.intp)
+    inside = np.zeros((3, 192))
+    n_inside = np.ones(192)
+    for t, tet in enumerate(TET_DECOMPOSITION):
+        for case in range(1, 15):
+            verts = [v for i, v in enumerate(tet) if (case >> i) & 1]
+            for k, tri_edges in enumerate(TET_CASE_TRIS[case]):
+                key = (t * 16 + case) * 2 + k
+                ends[:, :, key] = tet[np.array(tri_edges)].T
+                inside[:, key] = CUBE_VERTICES[verts].sum(axis=0)
+                n_inside[key] = len(verts)
+    xyz = CUBE_VERTICES.T.astype(np.float64)
+    return ends, xyz[:, ends[0]], xyz[:, ends[1]] - xyz[:, ends[0]], inside, n_inside
+
+
+_TRI_ENDS, _EDGE_OFFSET, _EDGE_STEP, _INSIDE_SUM, _N_INSIDE = _gather_tables()
+_N_TRIS = np.array([len(TET_CASE_TRIS[case]) for case in range(16)])
+
+
 def extract_cells(
     values: np.ndarray,
     iso: float,
@@ -175,7 +198,10 @@ def extract_cells(
 ) -> np.ndarray:
     """Marching-tetrahedra extraction over a raw sample array.
 
-    Returns a float32 triangle array of shape (M, 3, 3) in world space.
+    Returns a float32 triangle array of shape (M, 3, 3) in world space,
+    ordered by (tet, case, triangle, cell).  One axis-major gather over all
+    triangles, each float64 operation that of the per-(tet, case) loop in
+    ``tests/iso_oracle.py``, so the bytes do not depend on the batching.
     """
     values = np.asarray(values, dtype=np.float32)
     if values.ndim != 3 or min(values.shape) < 2:
@@ -186,65 +212,52 @@ def extract_cells(
         return np.zeros((0, 3, 3), dtype=np.float32)
 
     ci, cj, ck = np.unravel_index(active, cfg.shape)
-    corners = np.stack([ci, cj, ck], axis=1).astype(np.float64)  # (A, 3)
+    corners = np.stack([ci, cj, ck]).astype(np.float64)  # (3, A)
 
     # Gather the 8 corner values of each active cell: (A, 8).
     cell_vals = np.empty((active.size, 8), dtype=np.float64)
     for vi, (dx, dy, dz) in enumerate(CUBE_VERTICES):
         cell_vals[:, vi] = values[ci + dx, cj + dy, ck + dz]
 
-    spacing_arr = np.asarray(spacing, dtype=np.float64)
-    origin_arr = np.asarray(origin, dtype=np.float64)
-    verts_local = CUBE_VERTICES.astype(np.float64)
+    # One entry per triangle: all first triangles, then the quads' second
+    # ones, each in (cell, tet) order, so a stable sort on the group key
+    # leaves the cells ascending within a group.
+    cases = ((cell_vals[:, TET_DECOMPOSITION] > iso) @ (1, 2, 4, 8)).ravel()
+    n_tris = _N_TRIS[cases]
+    slots = np.concatenate([np.flatnonzero(n_tris > 0), np.flatnonzero(n_tris > 1)])
+    second = np.arange(slots.size) >= np.count_nonzero(n_tris)
+    row, tet = np.divmod(slots, 6)
+    key = (tet * 16 + cases[slots]) * 2 + second
+    order = np.argsort(key.astype(np.uint8), kind="stable")
+    row, key = row[order], key[order]
 
-    tris_out: list[np.ndarray] = []
-    for tet in TET_DECOMPOSITION:
-        tvals = cell_vals[:, tet]  # (A, 4)
-        tmask = (
-            (tvals[:, 0] > iso).astype(np.int8)
-            | ((tvals[:, 1] > iso).astype(np.int8) << 1)
-            | ((tvals[:, 2] > iso).astype(np.int8) << 2)
-            | ((tvals[:, 3] > iso).astype(np.int8) << 3)
-        )
-        for case in range(1, 15):
-            rows = np.flatnonzero(tmask == case)
-            if rows.size == 0:
-                continue
-            base = corners[rows]  # (R, 3) cell corner indices
-            vals = tvals[rows]  # (R, 4)
-            inside_bits = [i for i in range(4) if (case >> i) & 1]
-            # Centroid of the inside vertices, used to orient normals
-            # outward from the inside (> iso) region.
-            inside_pts = np.zeros((rows.size, 3))
-            for i in inside_bits:
-                inside_pts += base + verts_local[tet[i]]
-            inside_pts /= len(inside_bits)
+    # Interpolate along the 3 edges of every triangle: (axis, vertex, N).
+    a, b = _TRI_ENDS.take(key, axis=2) + row * 8
+    fa, fb = cell_vals.ravel().take(a), cell_vals.ravel().take(b)
+    denom = fb - fa
+    denom = np.where(np.abs(denom) < 1e-30, 1e-30, denom)
+    t = np.clip((iso - fa) / denom, 0.0, 1.0)
+    base = corners.take(row, axis=1)[:, None]
+    pts = _EDGE_STEP.take(key, axis=2)  # pa + t * (pb - pa), pb - pa exact
+    pts *= t
+    pts += base + _EDGE_OFFSET.take(key, axis=2)
 
-            for tri_edges in TET_CASE_TRIS[case]:
-                pts = np.empty((rows.size, 3, 3))
-                for t_i, (a, b) in enumerate(tri_edges):
-                    fa = vals[:, a]
-                    fb = vals[:, b]
-                    denom = fb - fa
-                    denom = np.where(np.abs(denom) < 1e-30, 1e-30, denom)
-                    t = np.clip((iso - fa) / denom, 0.0, 1.0)
-                    pa = base + verts_local[tet[a]]
-                    pb = base + verts_local[tet[b]]
-                    pts[:, t_i, :] = pa + t[:, None] * (pb - pa)
-                # Normalize winding: face normal must point away from the
-                # inside region (consistent orientation across the mesh).
-                n = np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])
-                to_inside = inside_pts - pts.mean(axis=1)
-                flip = np.einsum("ij,ij->i", n, to_inside) > 0
-                if np.any(flip):
-                    pts[flip] = pts[flip][:, [0, 2, 1], :]
-                tris_out.append(pts)
+    # Normalize winding: the face normal must point away from the inside
+    # (> iso) vertices' centroid.  np.cross and mean, per axis; the dot
+    # stays an einsum over (N, 3) rows (its summation order is its own).
+    (x1, y1, z1), (x2, y2, z2) = pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]
+    n = np.stack([y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2], axis=1)
+    n_inside = _N_INSIDE.take(key)
+    inside = (base[:, 0] * n_inside + _INSIDE_SUM.take(key, axis=1)) / n_inside
+    to_inside = np.stack(list(inside - (pts[:, 0] + pts[:, 1] + pts[:, 2]) / 3), axis=1)
+    flip = np.einsum("ij,ij->i", n, to_inside) > 0
+    pts[:, 1], pts[:, 2] = np.where(flip, pts[:, 2], pts[:, 1]), np.where(flip, pts[:, 1], pts[:, 2])
 
-    if not tris_out:
-        return np.zeros((0, 3, 3), dtype=np.float32)
-    tris = np.concatenate(tris_out, axis=0)
-    tris = tris * spacing_arr + origin_arr
-    return tris.astype(np.float32)
+    pts *= np.asarray(spacing, dtype=np.float64)[:, None, None]
+    pts += np.asarray(origin, dtype=np.float64)[:, None, None]
+    tris = np.empty((row.size, 3, 3), dtype=np.float32)
+    tris.transpose(2, 1, 0)[...] = pts
+    return tris
 
 
 def extract_isosurface(grid: StructuredGrid, iso: float) -> TriangleMesh:

@@ -301,3 +301,88 @@ def test_the_record_is_appended_under_the_lock_that_appends_its_event():
         lambda seq: seen.append((seq, len(store.image_blob(seq)))))
     store.publish_image(_noise(5), cycle=1)
     assert seen == [(1, store.file_size)]
+
+
+# -- one store, two publishing threads: one order for everything -------------------
+
+def test_publishes_from_two_threads_are_announced_in_seq_order():
+    # ``POST steer`` publishes on the IO thread while the session thread
+    # publishes images.  Hold the steering announce open on its listener
+    # until the image publish has either finished (nothing orders the two)
+    # or been kept waiting: every listener, tap and journal row must then
+    # see seq 1 before seq 2, and the journal must rehydrate.
+    store = EventSequenceStore(file_size=16 * 1024)
+    journal = SessionJournal()
+    journal.attach("s", store)
+    seen: list[int] = []
+    steering_announced = threading.Event()
+    image_done = threading.Event()
+
+    def listener(seq: int) -> None:
+        if seq == 1:
+            steering_announced.set()
+            image_done.wait(timeout=0.5)
+        seen.append(seq)
+
+    store.add_listener(listener)
+
+    def publish_image() -> None:
+        steering_announced.wait()
+        store.publish_image(_noise(1), cycle=1)
+        image_done.set()
+
+    imager = threading.Thread(target=publish_image)
+    imager.start()
+    store.publish_steering({"wind_speed": 5.0})
+    imager.join(timeout=5)
+    assert not imager.is_alive()
+    assert seen == [1, 2]
+    assert [row["seq"] for row in journal.rows("s")] == [1, 2]
+    replay, skipped = journal.rehydrate("s", file_size=store.file_size)
+    assert (replay.seq, skipped) == (2, 0)
+    assert replay.framed_delta(0) == store.framed_delta(0)
+
+
+def test_a_reader_never_sees_an_event_whose_announce_is_in_flight():
+    # A viewer that is not parked may poll while a listener of the newest
+    # event is still running; its delta waits for that announce to end.
+    store = EventSequenceStore(file_size=16 * 1024)
+    in_listener, release, read = threading.Event(), threading.Event(), threading.Event()
+    frames: list[bytes] = []
+
+    def listener(seq: int) -> None:
+        in_listener.set()
+        release.wait(timeout=5)
+
+    store.add_listener(listener)
+    publisher = threading.Thread(target=store.publish_steering, args=({"alpha": 1},))
+    publisher.start()
+    assert in_listener.wait(timeout=5)
+    reader = threading.Thread(target=lambda: (frames.append(store.framed_delta(0)), read.set()))
+    reader.start()
+    assert not read.wait(timeout=0.2)  # blocked behind the announce
+    release.set()
+    for thread in (publisher, reader):
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+    assert [c["version"] for c in json.loads(frames[0])["components"]] == [1]
+
+
+def test_a_listener_may_publish_to_its_own_store():
+    store = EventSequenceStore(file_size=16 * 1024)
+    seen: list[int] = []
+
+    def listener(seq: int) -> None:
+        seen.append(seq)
+        if seq == 1:
+            store.publish_status("echo", 0, of=seq)  # re-enters the publish lock
+
+    store.add_listener(listener)
+    publisher = threading.Thread(target=store.publish_steering, args=({"alpha": 1},))
+    publisher.start()
+    publisher.join(timeout=5)
+    assert not publisher.is_alive()
+    assert seen == [1, 2] and store.seq == 2
+    assert store.snapshot()["components"][-1] == {"id": "echo", "props": {"of": 1}, "version": 2}
+    store.publish_status("after", 0)  # the lock was released by the other thread
+    assert seen == [1, 2, 3]
