@@ -6,6 +6,10 @@ sweepz`` — three 1-D hydrodynamic updates applied along each axis per
 cycle.  Each sweep is a vectorized HLL finite-volume update treating the
 orthogonal axes as a batch dimension.
 
+A sweep computes in place, in views of one work pool allocated once per
+simulation; each element's arithmetic is the allocating formula's, in the
+same order, so the state is bit-identical to it (``tests/vh1_oracle.py``).
+
 Boundary conditions are outflow by default; subclasses (the bow-shock
 setup) override :meth:`apply_boundaries` to inject inflow winds and
 internal obstacles.
@@ -24,6 +28,9 @@ __all__ = ["VH1Simulation"]
 # Conserved variables: [rho, rho*vx, rho*vy, rho*vz, E] -> axis 0.
 NVAR = 5
 
+# Conserved index of the normal and transverse momenta per sweep axis.
+_MOMENTA = ((1, 2, 3), (2, 1, 3), (3, 2, 1))
+
 
 def _primitive(U: np.ndarray, gamma: float):
     rho = np.maximum(U[0], 1e-12)
@@ -33,33 +40,6 @@ def _primitive(U: np.ndarray, gamma: float):
     kinetic = 0.5 * rho * (vx**2 + vy**2 + vz**2)
     p = np.maximum((gamma - 1.0) * (U[4] - kinetic), 1e-12)
     return rho, vx, vy, vz, p
-
-
-def _flux_x(U: np.ndarray, gamma: float) -> np.ndarray:
-    """Physical flux along axis 0 of the state block."""
-    rho, vx, vy, vz, p = _primitive(U, gamma)
-    return np.stack(
-        [
-            rho * vx,
-            rho * vx**2 + p,
-            rho * vx * vy,
-            rho * vx * vz,
-            (U[4] + p) * vx,
-        ]
-    )
-
-
-def _hll_x(U_l: np.ndarray, U_r: np.ndarray, gamma: float) -> np.ndarray:
-    rho_l, vx_l, _, _, p_l = _primitive(U_l, gamma)
-    rho_r, vx_r, _, _, p_r = _primitive(U_r, gamma)
-    a_l = np.sqrt(gamma * p_l / rho_l)
-    a_r = np.sqrt(gamma * p_r / rho_r)
-    s_l = np.minimum(vx_l - a_l, vx_r - a_r)
-    s_r = np.maximum(vx_l + a_l, vx_r + a_r)
-    F_l = _flux_x(U_l, gamma)
-    F_r = _flux_x(U_r, gamma)
-    mid = (s_r * F_l - s_l * F_r + s_l * s_r * (U_r - U_l)) / (s_r - s_l + 1e-300)
-    return np.where(s_l >= 0, F_l, np.where(s_r <= 0, F_r, mid))
 
 
 class VH1Simulation(SteerableSimulation):
@@ -83,6 +63,11 @@ class VH1Simulation(SteerableSimulation):
         self.shape = tuple(int(s) for s in shape)
         self.setup = setup
         self.dx = 1.0 / self.shape[0]
+        # _sweep's work pool: 16 ghosted + 8 interface float rows and one
+        # interface row of flags, for the axis that needs the most.
+        cells = int(np.prod(self.shape))
+        self._pool = np.empty(max((16 * (n + 2) + 8 * (n + 1)) * cells // n for n in self.shape))
+        self._flags = np.empty(max((n + 1) * cells // n for n in self.shape), dtype=bool)
         super().__init__()
         self._initialize()
 
@@ -140,25 +125,90 @@ class VH1Simulation(SteerableSimulation):
     def _sweep(self, axis: int, dt: float) -> None:
         """One 1-D HLL update along ``axis`` (0 = x, 1 = y, 2 = z).
 
-        The state is rolled so the sweep axis is axis 1 of the array;
-        velocity components are permuted so the sweep direction plays
-        the role of ``vx``.
+        The state, seen with the sweep axis as array axis 1, is copied with
+        one outflow ghost cell per end into ``self._pool``; primitives and
+        fluxes are computed once on that block (left and right states are
+        its slices ``[:, :-1]`` and ``[:, 1:]``), every intermediate goes
+        ``out=`` into a pool view, and the update is subtracted in place.
+        Each element keeps the allocating formula's operation order —
+        ``(v_n² + v_t1²) + v_t2²``, ``(s_l·s_r)·(U_r − U_l)``, ``F_l`` where
+        ``s_l >= 0``, else ``F_r`` where ``s_r <= 0``, else the HLL mean — so
+        the state is bit-identical to it.
         """
         gamma = self.params["gamma"]
-        # velocity component order after permutation: sweep axis first
-        perm = {0: [0, 1, 2, 3, 4], 1: [0, 2, 1, 3, 4], 2: [0, 3, 2, 1, 4]}[axis]
-        U = self.U[perm]
-        U = np.moveaxis(U, 1 + axis, 1)  # sweep axis -> array axis 1
+        mn, mt1, mt2 = _MOMENTA[axis]
+        U = np.moveaxis(self.U, 1 + axis, 1)  # a view: sweep axis -> array axis 1
+        _, n, b1, b2 = U.shape
+        g, i = (n + 2) * b1 * b2, (n + 1) * b1 * b2
+        w = self._pool
+        Ug = w[: 5 * g].reshape(5, n + 2, b1, b2)
+        F = w[5 * g : 10 * g].reshape(5, n + 2, b1, b2)
+        rho, vn, vt1, vt2, p, a = w[10 * g : 16 * g].reshape(6, n + 2, b1, b2)
+        T = w[10 * g : 10 * g + 5 * i].reshape(5, n + 1, b1, b2)  # over the dead primitives
+        s_l, s_r, t = w[16 * g : 16 * g + 3 * i].reshape(3, n + 1, b1, b2)
+        H = w[16 * g + 3 * i : 16 * g + 8 * i].reshape(5, n + 1, b1, b2)
+        flag = self._flags[:i].reshape(n + 1, b1, b2)
 
-        # Outflow ghost cells.
-        Ug = np.concatenate([U[:, :1], U, U[:, -1:]], axis=1)
-        U_l = Ug[:, :-1]
-        U_r = Ug[:, 1:]
-        F = _hll_x(U_l, U_r, gamma)
-        U = U - dt / self.dx * (F[:, 1:] - F[:, :-1])
+        Ug[:, 1:-1] = U
+        Ug[:, :: n + 1] = U[:, :: n - 1]  # outflow ghost cells: copies of the end cells
 
-        U = np.moveaxis(U, 1, 1 + axis)
-        self.U = U[perm]  # the permutation is its own inverse
+        # Primitives (the kinetic sum borrows the flux rows 0 and 1).
+        kin, sq = F[0], F[1]
+        np.maximum(Ug[0], 1e-12, out=rho)
+        np.divide(Ug[mn], rho, out=vn)
+        np.divide(Ug[mt1], rho, out=vt1)
+        np.divide(Ug[mt2], rho, out=vt2)
+        np.square(vn, out=kin)
+        np.square(vt1, out=sq)
+        kin += sq
+        np.square(vt2, out=sq)
+        kin += sq
+        np.multiply(rho, 0.5, out=sq)
+        kin *= sq
+        np.subtract(Ug[4], kin, out=p)
+        p *= gamma - 1.0
+        np.maximum(p, 1e-12, out=p)
+        np.multiply(p, gamma, out=a)
+        a /= rho
+        np.sqrt(a, out=a)
+
+        # Physical fluxes, in conserved-variable order.
+        np.multiply(rho, vn, out=F[0])
+        np.square(vn, out=F[mn])
+        F[mn] *= rho
+        F[mn] += p
+        np.multiply(F[0], vt1, out=F[mt1])
+        np.multiply(F[0], vt2, out=F[mt2])
+        np.add(Ug[4], p, out=F[4])
+        F[4] *= vn
+
+        # HLL wave speeds and interface flux.
+        np.subtract(vn[:-1], a[:-1], out=s_l)
+        np.subtract(vn[1:], a[1:], out=t)
+        np.minimum(s_l, t, out=s_l)
+        np.add(vn[:-1], a[:-1], out=s_r)
+        np.add(vn[1:], a[1:], out=t)
+        np.maximum(s_r, t, out=s_r)
+        F_l, F_r = F[:, :-1], F[:, 1:]
+        np.multiply(s_r, F_l, out=H)
+        np.multiply(s_l, F_r, out=T)
+        H -= T
+        np.multiply(s_l, s_r, out=t)
+        np.subtract(Ug[:, 1:], Ug[:, :-1], out=T)
+        T *= t
+        H += T
+        np.subtract(s_r, s_l, out=t)
+        t += 1e-300
+        H /= t
+        np.less_equal(s_r, 0, out=flag)
+        np.copyto(H, F_r, where=flag)
+        np.greater_equal(s_l, 0, out=flag)
+        np.copyto(H, F_l, where=flag)
+
+        D = T.reshape(-1)[: 5 * n * b1 * b2].reshape(5, n, b1, b2)
+        np.subtract(H[:, 1:], H[:, :-1], out=D)
+        D *= dt / self.dx
+        U -= D
 
     def apply_boundaries(self) -> None:
         """Hook: enforce problem-specific boundary/internal conditions."""

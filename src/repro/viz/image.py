@@ -84,7 +84,8 @@ class Image:
     @classmethod
     def blank(cls, width: int, height: int, color=(0, 0, 0, 255)) -> "Image":
         px = np.empty((height, width, 4), dtype=np.uint8)
-        px[:] = np.asarray(color, dtype=np.uint8)
+        # One 32-bit word per pixel: the colour's four bytes in memory order.
+        px.reshape(-1).view(np.uint32).fill(np.asarray(color, np.uint8).view(np.uint32)[0])
         return cls(px)
 
     @classmethod

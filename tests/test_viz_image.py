@@ -145,6 +145,18 @@ def _png_chunks(png: bytes) -> list[tuple[bytes, bytes]]:
     return chunks
 
 
+@settings(max_examples=200, deadline=None)
+@given(h=st.integers(1, 50), w=st.integers(1, 50),
+       color=st.tuples(*[st.integers(0, 255)] * 4))
+def test_blank_fills_the_bytes_of_the_broadcast_colour(h, w, color):
+    """``Image.blank``'s one 32-bit fill == assigning the 4-byte colour per pixel."""
+    want = np.empty((h, w, 4), dtype=np.uint8)
+    want[:] = np.asarray(color, dtype=np.uint8)
+    got = Image.blank(w, h, color).pixels
+    assert got.dtype == np.uint8 and got.shape == (h, w, 4)
+    assert got.tobytes() == want.tobytes()
+
+
 # -- the fixed-size container --------------------------------------------------
 
 def _payload(blob: bytes) -> bytes:
