@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import http.client
 import json
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -32,12 +31,8 @@ from repro.steering.manager import SessionManager
 from repro.web.server import AjaxWebServer
 
 __all__ = [
-    "BackendCompareCell",
-    "BackendCompareResult",
     "ExecutorCell",
     "ExecutorScalingResult",
-    "burn_cpu",
-    "run_backend_compare",
     "run_executor_scaling",
 ]
 
@@ -199,150 +194,3 @@ def run_executor_scaling(
         cycles_completed=completed,
         stats_http=stats_http,
     )
-
-
-# ---------------------------------------------------------------------------
-# Backend comparison: CPU-bound work on the threaded vs process executor.
-# ---------------------------------------------------------------------------
-
-
-def burn_cpu(n: int) -> int:
-    """Pure-Python CPU-bound work unit (a 32-bit LCG walked ``n`` steps).
-
-    Module-level so it pickles across the process executor's pipes; pure
-    Python so it never releases the GIL — the workload where threads
-    cannot scale and worker processes (one interpreter, one GIL each)
-    can.
-    """
-    acc = 0
-    for i in range(n):
-        acc = (acc * 1103515245 + i) & 0xFFFFFFFF
-    return acc
-
-
-@dataclass
-class BackendCompareCell:
-    """One executor backend's best-of-N wall time on a CPU-bound batch."""
-
-    backend: str  # "thread" | "process"
-    calls: int
-    burn_iters: int
-    workers: int
-    wall_seconds: float
-    worker_threads: int
-    worker_processes: int
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-
-@dataclass
-class BackendCompareResult:
-    calls: int
-    burn_iters: int
-    workers: int
-    cells: list[BackendCompareCell] = field(default_factory=list)
-
-    def cell(self, backend: str) -> BackendCompareCell:
-        for c in self.cells:
-            if c.backend == backend:
-                return c
-        raise KeyError(backend)
-
-    @property
-    def process_speedup(self) -> float:
-        """Threaded wall time over process wall time (>1 = process wins)."""
-        return self.cell("thread").wall_seconds / max(
-            self.cell("process").wall_seconds, 1e-9
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "experiment": "executor_backend_compare",
-            "calls": self.calls,
-            "burn_iters": self.burn_iters,
-            "workers": self.workers,
-            # The speedup is only interpretable against the host's
-            # parallelism: on one core both backends are bound by the
-            # same cycles and the ratio hovers at ~1.0 by physics.
-            "cpu_cores": os.cpu_count() or 1,
-            "process_speedup": round(self.process_speedup, 3),
-            "cells": [c.to_dict() for c in self.cells],
-        }
-
-    def to_table(self) -> str:
-        lines = [
-            "Executor backends - CPU-bound batch, threads (one GIL) vs processes",
-            f"  {'backend':>8} {'calls':>6} {'workers':>8} {'threads':>8} "
-            f"{'procs':>6} {'wall s':>8}",
-        ]
-        for c in self.cells:
-            lines.append(
-                f"  {c.backend:>8} {c.calls:>6} {c.workers:>8} "
-                f"{c.worker_threads:>8} {c.worker_processes:>6} "
-                f"{c.wall_seconds:>8.3f}"
-            )
-        lines.append(f"  process speedup: {self.process_speedup:.2f}x")
-        return "\n".join(lines)
-
-
-def _time_backend(executor, calls: int, burn_iters: int) -> tuple[float, dict]:
-    """Warm the pool, then time ``calls`` CPU-bound submissions to drain."""
-    from functools import partial
-
-    executor.submit_call(partial(burn_cpu, 1000), "warm").result(timeout=60.0)
-    stats = executor.stats()
-    t0 = time.monotonic()
-    handles = [
-        executor.submit_call(partial(burn_cpu, burn_iters), f"burn{i}")
-        for i in range(calls)
-    ]
-    results = [h.result(timeout=300.0) for h in handles]
-    wall = time.monotonic() - t0
-    if len(set(results)) != 1:  # identical inputs must agree
-        raise RuntimeError("backend returned wrong results for the burn batch")
-    return wall, stats
-
-
-def run_backend_compare(
-    calls: int = 6,
-    burn_iters: int = 1_500_000,
-    workers: int = 2,
-    repeats: int = 3,
-) -> BackendCompareResult:
-    """Race the threaded and process executors on a CPU-bound batch.
-
-    The workload the process backend exists for: ``calls`` pure-Python
-    burns that never release the GIL.  The threaded pool serializes them
-    behind one interpreter lock (plus convoy overhead even on one core);
-    the process pool runs one interpreter per worker.  Each backend gets
-    ``repeats`` fresh pools and reports its best wall time — standard
-    best-of-N for a wall-clock cell.  Worker thread/process budgets are
-    captured mid-run for the benchmark's budget assertions.
-    """
-    from repro.steering.executor import SimulationExecutor
-    from repro.steering.process_executor import ProcessSimulationExecutor
-
-    result = BackendCompareResult(calls, burn_iters, workers)
-    for name, cls in (("thread", SimulationExecutor),
-                      ("process", ProcessSimulationExecutor)):
-        best: float | None = None
-        stats: dict = {}
-        for _ in range(max(1, int(repeats))):
-            executor = cls(workers=workers)
-            try:
-                wall, run_stats = _time_backend(executor, calls, burn_iters)
-            finally:
-                executor.shutdown(wait=True, timeout=30.0)
-            if best is None or wall < best:
-                best, stats = wall, run_stats
-        result.cells.append(BackendCompareCell(
-            backend=name,
-            calls=calls,
-            burn_iters=burn_iters,
-            workers=workers,
-            wall_seconds=round(best, 4),
-            worker_threads=stats.get("worker_threads", -1),
-            worker_processes=stats.get("worker_processes", -1),
-        ))
-    return result

@@ -16,7 +16,7 @@ from repro.sims.euler1d import SodShockTube
 from repro.sims.heat import HeatDiffusionSimulation
 from repro.sims.vh1 import VH1Simulation
 
-__all__ = ["available_simulations", "create_simulation", "register_simulation"]
+__all__ = ["available_simulations", "create_simulation"]
 
 _FACTORIES: dict[str, Callable[..., SteerableSimulation]] = {
     "sod": SodShockTube,
@@ -29,11 +29,6 @@ _FACTORIES: dict[str, Callable[..., SteerableSimulation]] = {
 def available_simulations() -> list[str]:
     """Registered simulation code names."""
     return sorted(_FACTORIES)
-
-
-def register_simulation(name: str, factory: Callable[..., SteerableSimulation]) -> None:
-    """Register a user simulation code (overwrites duplicates)."""
-    _FACTORIES[name] = factory
 
 
 def create_simulation(name: str, **kwargs) -> SteerableSimulation:

@@ -20,8 +20,6 @@ implementation.  The pieces:
   with create/attach/detach, idle eviction and capped capacity,
 * :mod:`~repro.steering.executor` — the shared SimulationExecutor: every
   session's simulation loop as step-slices on one bounded worker pool,
-* :mod:`~repro.steering.process_executor` — the multiprocess backend of
-  the same surface: step-slices in worker processes, one GIL each,
 * :mod:`~repro.steering.loop` — executes a visualization loop (live
   module execution + modelled WAN transport),
 * :mod:`~repro.steering.client` — the steering/monitoring client,
@@ -40,10 +38,6 @@ from repro.steering.computing_service import ComputingServiceNode
 from repro.steering.data_source import DataSourceNode
 from repro.steering.events import EventSequenceStore, SessionEvent
 from repro.steering.executor import SessionTask, SimulationExecutor
-from repro.steering.process_executor import (
-    ProcessSimulationExecutor,
-    ProcessTask,
-)
 from repro.steering.loop import LoopResult, VisualizationLoopRunner
 from repro.steering.manager import ManagedSession, SessionManager
 from repro.steering.messages import Message, MessageKind
@@ -61,8 +55,6 @@ __all__ = [
     "Message",
     "MessageBus",
     "MessageKind",
-    "ProcessSimulationExecutor",
-    "ProcessTask",
     "SessionEvent",
     "SessionManager",
     "SessionState",

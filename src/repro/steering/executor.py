@@ -24,8 +24,7 @@ for steering sessions, "nobody polled this session's event store
 recently") requeues onto the **cold** deque and only runs when no hot
 work exists, or on an anti-starvation tick every
 :data:`STARVATION_LIMIT` hot pops.  Stepping a session nobody is watching
-never delays one being watched.  That policy is :class:`RunQueue`; the
-process backend's workers drive the same class.
+never delays one being watched.  That policy is :class:`RunQueue`.
 
 Lifecycle: per-session :meth:`pause` / :meth:`resume` / :meth:`cancel`
 take effect at slice boundaries (cooperative — a slice is never
@@ -66,8 +65,7 @@ class RunQueue:
     ``pop`` serves the hot deque first; a cold item runs when no hot work
     exists, or after :data:`STARVATION_LIMIT` consecutive hot pops, so a
     fully loaded hot deque cannot park cold items forever.  Not
-    thread-safe: the owner serialises access (the thread pool under its
-    condition, a worker process by being single-threaded).
+    thread-safe: the pool serialises access under its condition.
     """
 
     __slots__ = ("_hot", "_cold", "_hot_streak")
@@ -180,11 +178,6 @@ class CallHandle:
 class SimulationExecutor:
     """Bounded, priority-aware pool running all sessions' step-slices."""
 
-    #: Which plane slices run on; the multiprocess sibling
-    #: (:class:`~repro.steering.process_executor.ProcessSimulationExecutor`)
-    #: reports "process".  Sessions branch on this to pick the submit path.
-    backend = "thread"
-
     def __init__(
         self,
         workers: int | None = None,
@@ -219,7 +212,7 @@ class SimulationExecutor:
     #: Every key :meth:`stats` reports; the single source for the
     #: "executor not started yet" zero payload in ``/api/v1/stats``.
     STAT_KEYS = (
-        "workers", "worker_threads", "worker_processes", "steps_executed",
+        "workers", "worker_threads", "steps_executed",
         "sessions_runnable", "executor_queue_depth", "sessions_registered",
         "deprioritized_steps", "sessions_completed", "sessions_cancelled",
     )
@@ -228,8 +221,6 @@ class SimulationExecutor:
         with self._cond:
             depth = len(self._queue)
             return {
-                "backend": self.backend,
-                "worker_processes": 0,  # slices run in-process on threads
                 "workers": self.workers,
                 "worker_threads": sum(1 for t in self._threads if t.is_alive()),
                 "steps_executed": self.steps_executed,

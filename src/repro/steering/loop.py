@@ -71,24 +71,20 @@ class VisualizationLoopRunner:
         and the compute-time scaling.
     bandwidths:
         Optional measured EPB table overriding spec bandwidths.
-    scale_compute_by_power:
-        When True (default), measured module times on this host are
-        divided by the hosting node's normalized power — this machine
-        plays every node, so a power-4 cluster runs 4x faster than
-        measured.
+
+    Measured module times on this host are divided by the hosting node's
+    normalized power — this machine plays every node, so a power-4
+    cluster runs 4x faster than measured — and every hop pays its link's
+    propagation delay on top of its transfer time.
     """
 
     def __init__(
         self,
         topology: Topology,
         bandwidths: dict[tuple[str, str], float] | None = None,
-        scale_compute_by_power: bool = True,
-        include_min_delay: bool = True,
     ) -> None:
         self.topology = topology
         self.bandwidths = bandwidths
-        self.scale_compute_by_power = scale_compute_by_power
-        self.include_min_delay = include_min_delay
 
     # -- module execution --------------------------------------------------------
 
@@ -152,9 +148,7 @@ class VisualizationLoopRunner:
             out_bytes = float(getattr(data, "nbytes", 0.0))
             for mod_name in entry.module_names:
                 data, out_bytes = self._run_module(mod_name, data, params)
-            compute = time.perf_counter() - t0
-            if self.scale_compute_by_power:
-                compute = compute / node.power
+            compute = (time.perf_counter() - t0) / node.power
             if node.cluster_size > 1:
                 compute += node.parallel_overhead
 
@@ -163,9 +157,8 @@ class VisualizationLoopRunner:
                 b = link_bandwidth(
                     self.topology, entry.node, entry.next_hop, self.bandwidths
                 )
-                transport = out_bytes / b
-                if self.include_min_delay:
-                    transport += self.topology.prop_delay(entry.node, entry.next_hop)
+                transport = (out_bytes / b
+                             + self.topology.prop_delay(entry.node, entry.next_hop))
 
             stages.append(
                 StageTiming(

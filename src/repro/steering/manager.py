@@ -67,16 +67,10 @@ class SessionManager:
         clock=time.monotonic,
         executor: SimulationExecutor | None = None,
         executor_workers: int | None = None,
-        executor_backend: str = "thread",
         journal=None,
     ) -> None:
         if capacity < 1:
             raise WebServerError("session capacity must be >= 1")
-        if executor_backend not in ("thread", "process"):
-            raise SteeringError(
-                f"unknown executor backend {executor_backend!r}; "
-                "expected 'thread' or 'process'"
-            )
         self.cm = cm
         self.capacity = int(capacity)
         self.idle_timeout = float(idle_timeout)
@@ -88,7 +82,6 @@ class SessionManager:
         self._counter = 0
         self.evictions = 0
         self.executor_workers = executor_workers
-        self.executor_backend = executor_backend
         self._executor = executor
         self._owns_executor = executor is None
         self._executor_lock = threading.Lock()
@@ -128,18 +121,9 @@ class SessionManager:
             if self._executor is None or (
                 self._owns_executor and self._executor.is_shut_down()
             ):
-                if self.executor_backend == "process":
-                    from repro.steering.process_executor import (
-                        ProcessSimulationExecutor,
-                    )
-
-                    self._executor = ProcessSimulationExecutor(
-                        workers=self.executor_workers
-                    )
-                else:
-                    self._executor = SimulationExecutor(
-                        workers=self.executor_workers
-                    )
+                self._executor = SimulationExecutor(
+                    workers=self.executor_workers
+                )
                 self._owns_executor = True
             return self._executor
 
@@ -148,8 +132,7 @@ class SessionManager:
         with self._executor_lock:
             executor = self._executor
         if executor is None:
-            return {**dict.fromkeys(SimulationExecutor.STAT_KEYS, 0),
-                    "backend": "none"}
+            return dict.fromkeys(SimulationExecutor.STAT_KEYS, 0)
         return executor.stats()
 
     # -- creation ----------------------------------------------------------------

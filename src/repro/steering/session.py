@@ -68,13 +68,13 @@ class SteeringSession:
             bus if bus is not None else MessageBus(),
             session_id, simulator, technique,
             variable=variable, isovalue_fraction=isovalue_fraction,
-            push_every=push_every, sim_kwargs=sim_kwargs, executor=executor,
+            push_every=push_every, executor=executor,
         )
         if cm is not None:
             from repro.sims.registry import create_simulation
             from repro.steering.api import RICSA_StartupSimulationServer
 
-            self.simulation = create_simulation(simulator, **self._sim_kwargs)
+            self.simulation = create_simulation(simulator, **(sim_kwargs or {}))
             self.variable = variable or self.simulation.variables()[0]
             self.server = RICSA_StartupSimulationServer(
                 self.simulation,
@@ -87,8 +87,7 @@ class SteeringSession:
 
     def _init_state(
         self, cm, events, bus, session_id, simulator, technique, *,
-        variable=None, isovalue_fraction=0.5, push_every=1, sim_kwargs=None,
-        executor=None,
+        variable=None, isovalue_fraction=0.5, push_every=1, executor=None,
     ) -> None:
         """Every instance attribute, assigned here for both constructors."""
         self.cm = cm
@@ -103,9 +102,6 @@ class SteeringSession:
         self.simulation = None
         self.server = None
         self.variable = variable
-        # Kept for the process-executor path: the worker rebuilds the
-        # simulation from (simulator, sim_kwargs, params) on its side.
-        self._sim_kwargs = dict(sim_kwargs or {})
         self.decision = None
         self.runner: VisualizationLoopRunner | None = None
         self.loop_results: deque = deque(maxlen=LOOP_RESULTS_KEPT)
@@ -230,8 +226,6 @@ class SteeringSession:
         if executor is None:
             raise SteeringError(
                 f"session {self.session_id!r} was given no executor to run on")
-        if getattr(executor, "backend", "thread") == "process":
-            return self._start_on_process_executor(executor, n_cycles)
         from repro.steering.api import steered_cycle_slices
 
         if self.decision is None:
@@ -256,64 +250,6 @@ class SteeringSession:
             backpressure=self._pollers_stalled,
         )
         return self._task
-
-    def _start_on_process_executor(self, executor, n_cycles: int):
-        """Submit the run as a picklable spec to a worker process.
-
-        The worker owns the live simulation; this session keeps its
-        parent-side instance only as a mirror for metadata and local
-        steering validation.  Marshalled field pushes re-enter through
-        :meth:`_on_worker_event` and travel the identical visualization
-        and event-store path the in-process backends use.
-        """
-        if self.decision is None:
-            self.configure()
-        sim = self.simulation
-        spec = {
-            "simulator": self.simulator_name,
-            "sim_kwargs": dict(self._sim_kwargs),
-            "variable": self.variable,
-            "n_cycles": int(n_cycles),
-            "push_every": int(self.push_every),
-            # Everything already applied or staged locally seeds the worker.
-            "params": {**sim.params, **sim._pending},
-        }
-        self._run_error = None
-        self._done.clear()
-        self._task = executor.submit(
-            self.session_id,
-            spec=spec,
-            sink=self._on_worker_event,
-            on_done=self._on_executor_done,
-            backpressure=self._pollers_stalled,
-        )
-        return self._task
-
-    def _on_worker_event(self, kind: str, payload: dict) -> None:
-        """Handle a marshalled event from the worker (drain thread)."""
-        if kind == "field":
-            import numpy as np
-
-            from repro.data.grid import StructuredGrid
-
-            values = np.frombuffer(
-                payload["values"], dtype=payload["dtype"]
-            ).reshape(payload["shape"]).copy()
-            grid = StructuredGrid(
-                values,
-                spacing=tuple(payload["spacing"]),
-                origin=tuple(payload["origin"]),
-                name=payload["name"],
-            )
-            cycle = int(payload["cycle"])
-            self.simulation.cycle = cycle  # mirror the worker's progress
-            self._on_data_push(grid, cycle)
-        elif kind == "done":
-            self.simulation.cycle = int(payload["cycle"])
-        elif kind == "steer_failed":
-            self.events.publish_status(
-                "session", steer_error=str(payload.get("error"))
-            )
 
     def _pollers_stalled(self) -> bool:
         """Backpressure probe: nobody is consuming this session's events —
@@ -341,25 +277,9 @@ class SteeringSession:
 
     # -- client-facing ops ----------------------------------------------------------
 
-    def _process_task_active(self) -> bool:
-        """True while this run's live simulation is in a worker process."""
-        return (
-            self._task is not None
-            and not self._task.finished
-            and getattr(self._executor, "backend", "thread") == "process"
-        )
-
     def steer(self, params: dict) -> None:
         """Send a steering update over the bus (client -> simulator)."""
         self._require_simulation()
-        if self._process_task_active():
-            # Validate against the parameter specs locally (raises before
-            # anything crosses the pipe) and mirror into the parent-side
-            # sim, then forward to the worker owning the live state.
-            self.simulation.apply_steering(params)
-            self._executor.steer(self.session_id, params)
-            self.events.publish_steering(params)
-            return
         self.bus.send(
             self.server.node_name,
             Message.steering_update(params, session=self.session_id),
@@ -381,11 +301,6 @@ class SteeringSession:
 
     def request_shutdown(self) -> None:
         self._require_simulation()
-        if self._process_task_active():
-            # The worker retires the run (DONE, not cancelled) at its
-            # next slice boundary — the SHUTDOWN bus message's analog.
-            self._executor.request_stop(self.session_id)
-            return
         self.bus.send(
             self.server.node_name,
             Message(MessageKind.SHUTDOWN, session=self.session_id),

@@ -15,7 +15,6 @@ threads (the MPI-cluster substitute).
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -290,23 +289,15 @@ def extract_blocks(
     grid: StructuredGrid,
     blocks: list[Block],
     iso: float,
-    parallel: bool = False,
-    max_workers: int = 4,
     skip_empty: bool = True,
 ) -> tuple[TriangleMesh, list[BlockExtractionRecord]]:
     """Block-level extraction per the paper's Eq. 4 formulation.
 
     Blocks whose value range excludes ``iso`` are skipped (that is the
-    octree's whole point); the rest are marched serially or in a thread
-    pool (the large numpy kernels release the GIL).
+    octree's whole point); the rest are marched one after another.
     """
     todo = [b for b in blocks if (not skip_empty) or b.contains_isovalue(iso)]
-    results: list[tuple[np.ndarray, BlockExtractionRecord]] = []
-    if parallel and len(todo) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(lambda b: _extract_one_block(grid, b, iso), todo))
-    else:
-        results = [_extract_one_block(grid, b, iso) for b in todo]
+    results = [_extract_one_block(grid, b, iso) for b in todo]
 
     meshes = [TriangleMesh(t, iso) for t, _ in results]
     records = [r for _, r in results]

@@ -111,8 +111,7 @@ class _Handler:
         self.last_activity = time.monotonic()
         self.tier = 0
         self.max_tier = MAX_TIER
-        self.estimator = (ClientLinkEstimator()
-                          if loop.server.adaptive else None)
+        self.estimator = ClientLinkEstimator()
         # Sliding-window state: the client's window id within its
         # session, the owning session's domain source and the extra LOD
         # coarsening the staleness ladder currently applies; delivery
@@ -421,12 +420,11 @@ class _IOLoop:
             handler.last_activity = time.monotonic()
             handler.out_bytes -= sent
             self.bytes_sent += sent
-            if handler.estimator is not None:
-                # Passive EPB measurement: inside a constrained window
-                # (backlog observed earlier) the drain rate IS the path
-                # bandwidth; unconstrained inline flushes are ignored.
-                handler.estimator.on_drain(sent, handler.out_bytes,
-                                           handler.last_activity)
+            # Passive EPB measurement: inside a constrained window
+            # (backlog observed earlier) the drain rate IS the path
+            # bandwidth; unconstrained inline flushes are ignored.
+            handler.estimator.on_drain(sent, handler.out_bytes,
+                                       handler.last_activity)
             # Retire fully written buffers; slice the partial one in place
             # (a zero-copy narrowing of the memoryview, not a data copy).
             while sent > 0:
@@ -469,13 +467,12 @@ class _IOLoop:
             return
         server = self.server
         est = handler.estimator
-        if est is not None:
-            now = time.monotonic()
-            est.on_backlog(handler.out_bytes, now)
-            heavy = handler.out_bytes > server.write_budget // 2
-            stale = est.backlog_age(now) > server.staleness_budget
-            if heavy or stale:
-                self._regrade(handler, heavy, stale)
+        now = time.monotonic()
+        est.on_backlog(handler.out_bytes, now)
+        heavy = handler.out_bytes > server.write_budget // 2
+        stale = est.backlog_age(now) > server.staleness_budget
+        if heavy or stale:
+            self._regrade(handler, heavy, stale)
         if handler.out_bytes > server.write_budget:
             self._drop_slow(handler)
 
@@ -623,13 +620,11 @@ class _IOLoop:
 
     def _housekeeping(self, now: float) -> None:
         server = self.server
-        if server.controller is not None:
-            # Controller pass: piggybacks the tick, 0 extra threads.  Every
-            # connection has an estimator exactly when there is a controller.
-            for handler in list(self._handlers):
-                self._regrade(handler, controller=server.controller,
-                              stale=(handler.estimator.backlog_age(now)
-                                     > server.staleness_budget))
+        # Controller pass: piggybacks the tick, 0 extra threads.
+        for handler in list(self._handlers):
+            self._regrade(handler, controller=server.controller,
+                          stale=(handler.estimator.backlog_age(now)
+                                 > server.staleness_budget))
         if server.obs is not None:
             # Metrics capture piggybacks the housekeeping tick (the
             # recorder adds zero threads); a sampling failure must

@@ -108,7 +108,6 @@ class AjaxWebServer:
         housekeeping_interval: float = 1.0,
         workers: int | None = None,
         write_budget: int = 8 * 1024 * 1024,
-        adaptive: bool = True,
         staleness_budget: float = 0.25,
         sndbuf: int | None = None,
         obs=None,
@@ -126,15 +125,11 @@ class AjaxWebServer:
         # Adaptive delivery plane: per-connection passive link estimators
         # feed a controller that re-runs the DP mapping with live
         # estimates at the housekeeping cadence (no extra threads).
-        self.adaptive = bool(adaptive)
         self.staleness_budget = float(staleness_budget)
         self.sndbuf = None if sndbuf is None else int(sndbuf)
-        self.controller = (
-            AdaptiveDeliveryController(
-                image_bytes=self.manager.file_size,
-                staleness_budget=self.staleness_budget,
-            )
-            if self.adaptive else None
+        self.controller = AdaptiveDeliveryController(
+            image_bytes=self.manager.file_size,
+            staleness_budget=self.staleness_budget,
         )
         self._keepalive_suffix = (
             "Cache-Control: no-store\r\nServer: RICSA/2.0\r\n"
@@ -259,7 +254,6 @@ class AjaxWebServer:
                 name: {"active": active.get(name, 0), **counters}
                 for name, counters in delivery.transports.items()
             },
-            "adaptive": self.adaptive,
             "tiers": self._tier_gauges(),
             "tier_promotions": loop.tier_promotions,
             "tier_demotions": loop.tier_demotions,

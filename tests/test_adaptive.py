@@ -245,7 +245,6 @@ class TestServingPlane:
             assert delta["tier"] == 0  # healthy loopback: full quality
             assert wc.tier == 0
             stats = server.stats()
-            assert stats["adaptive"] is True
             assert len(stats["tiers"]) == MAX_TIER + 1
 
     def test_tiered_image_fetch(self, cm):
@@ -323,17 +322,6 @@ class TestServingPlane:
             finally:
                 stalled.close()
 
-    def test_adaptive_off_disables_the_controller(self, cm):
-        client = SteeringClient(cm)
-        with AjaxWebServer(client, port=0, adaptive=False) as server:
-            assert server.controller is None
-            store = client.manager.open_monitor("static")
-            store.publish_status("session", tick=1)
-            wc = SteeringWebClient(server.url, session="static")
-            delta = wc.poll(timeout=1.0)
-            assert delta["tier"] == 0
-            assert server.stats()["adaptive"] is False
-
 
 class TestStatsConsistency:
     def test_transport_bytes_include_heartbeats_and_farewells(self, cm):
@@ -402,8 +390,7 @@ class TestStatsConsistency:
         with AjaxWebServer(client, port=0) as server:
             wc = SteeringWebClient(server.url)
             stats = json.loads(wc._get("/api/v1/stats").decode("utf-8"))
-            for key in ("adaptive", "tiers", "tier_promotions",
-                        "tier_demotions"):
+            for key in ("tiers", "tier_promotions", "tier_demotions"):
                 assert key in stats
             for t in stats["transports"].values():
                 for key in ("delivered", "bytes_sent", "heartbeats",

@@ -120,11 +120,12 @@ def test_every_module_imports_with_only_declared_requirements():
     assert any(name.startswith("repro.web.") for name in report["loaded"])
 
 
-def test_serving_process_loads_neither_networkx_nor_scipy():
+def test_serving_process_loads_neither_networkx_scipy_nor_multiprocessing():
     """About 50 MB of resident size: the fit, the overlay graph and the
-    trilinear kernels are in-repo."""
+    trilinear kernels are in-repo.  Simulations step on the shared
+    executor's threads, so no module reaches for a process pool."""
     loaded = set(_import_every_module(())["loaded"])
     assert {"repro.costmodel.calibration", "repro.mapping.greedy",
-            "repro.data.interp"} <= loaded
-    assert not {name for name in loaded
-                if name.split(".")[0] in ("networkx", "scipy")}
+            "repro.data.interp", "repro.steering.executor"} <= loaded
+    assert not {name for name in loaded if name.split(".")[0]
+                in ("networkx", "scipy", "multiprocessing")}

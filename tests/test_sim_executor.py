@@ -2,8 +2,7 @@
 
 The edges that matter in production: cancellation mid-step, shutdown
 with steps still queued, pause/resume ordering, backpressure
-deprioritization — and the hot/cold run-queue policy both executor
-backends drive.
+deprioritization — and the hot/cold run-queue policy the pool drives.
 """
 
 from __future__ import annotations

@@ -194,14 +194,6 @@ class TestBlockExtraction:
         _, recs = extract_blocks(g, blocks, 0.25)  # small sphere: few blocks
         assert len(recs) < len(blocks)
 
-    def test_parallel_matches_serial(self):
-        g = sphere_grid(17)
-        blocks = build_blocks(g, block_cells=8)
-        serial, _ = extract_blocks(g, blocks, 0.6, parallel=False)
-        parallel, _ = extract_blocks(g, blocks, 0.6, parallel=True, max_workers=4)
-        assert serial.n_triangles == parallel.n_triangles
-        assert serial.areas().sum() == pytest.approx(parallel.areas().sum(), rel=1e-5)
-
     def test_records_carry_stats(self):
         g = sphere_grid(17)
         blocks = build_blocks(g, block_cells=8)
