@@ -2,15 +2,17 @@
 
 A steerable simulation exposes typed parameters that a remote client may
 change *while the computation runs* — the essence of computational
-steering.  ``apply_steering`` validates updates against the parameter
-specs and takes effect on the next :meth:`step` (cycle), mirroring the
-``RICSA_UpdateSimulationParameters`` hook of Fig. 7.
+steering.  ``validate_steering`` judges updates against the parameter
+specs; ``apply_steering`` stages them, and :meth:`apply_pending` (called
+by the next :meth:`step`, or by the ``RICSA_UpdateSimulationParameters``
+hook of Fig. 7) makes them take effect.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Any
 
 from repro.data.grid import StructuredGrid
@@ -38,6 +40,9 @@ class ParamSpec:
                 v = float(value)
             except (TypeError, ValueError):
                 raise SimulationError(f"{self.name}: expected float, got {value!r}")
+            if not math.isfinite(v):
+                # NaN fails both bound checks below, so it must be refused here.
+                raise SimulationError(f"{self.name}: expected a finite float, got {value!r}")
         elif self.kind == "int":
             try:
                 v = int(value)
@@ -94,9 +99,15 @@ class SteerableSimulation(abc.ABC):
 
     # -- steering machinery ------------------------------------------------------
 
-    def apply_steering(self, updates: dict[str, Any]) -> None:
-        """Validate and stage parameter updates for the next cycle."""
-        specs = {s.name: s for s in self.param_specs()}
+    @classmethod
+    def validate_steering(cls, updates: dict[str, Any]) -> dict[str, Any]:
+        """The coerced values of ``updates``; raises
+        :class:`SimulationError` on an unknown name or a bad value.
+
+        Pure: it reads only the parameter specs, so a request can be
+        judged off the simulation's thread before it is sent.
+        """
+        specs = {s.name: s for s in cls.param_specs()}
         staged = {}
         for key, value in updates.items():
             if key not in specs:
@@ -104,15 +115,23 @@ class SteerableSimulation(abc.ABC):
                     f"unknown parameter {key!r}; steerable: {sorted(specs)}"
                 )
             staged[key] = specs[key].validate(value)
-        self._pending.update(staged)
+        return staged
 
-    def step(self) -> None:
-        """Apply any staged steering, then advance one cycle."""
+    def apply_steering(self, updates: dict[str, Any]) -> None:
+        """Validate and stage parameter updates for the next cycle."""
+        self._pending.update(self.validate_steering(updates))
+
+    def apply_pending(self) -> None:
+        """Make the staged updates take effect, recording when."""
         if self._pending:
             self.params.update(self._pending)
             self.steering_events.append((self.cycle, dict(self._pending)))
             self._pending.clear()
             self.on_params_changed()
+
+    def step(self) -> None:
+        """Apply any staged steering, then advance one cycle."""
+        self.apply_pending()
         self._advance()
         self.cycle += 1
 

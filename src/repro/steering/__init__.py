@@ -3,15 +3,16 @@
 Message-driven, state-machine based — the paper's own description of its
 implementation.  The pieces:
 
-* :mod:`~repro.steering.messages` — wire messages + binary framing,
-* :mod:`~repro.steering.bus` — in-process message transport between the
-  virtual component nodes (socket stand-in; the web package exposes the
-  same traffic over real HTTP),
+* :mod:`~repro.steering.messages` — the messages of the Fig. 7 hop
+  (simulation request, steering update, shutdown),
+* :mod:`~repro.steering.bus` — in-process delivery of those messages from
+  the client side to each simulator's mailbox (socket stand-in; the web
+  package exposes the same traffic over real HTTP),
 * :mod:`~repro.steering.protocol` — the session state machine,
 * :mod:`~repro.steering.api` — the six ``RICSA_*`` calls of Fig. 7 that
   instrument a simulation code,
 * :mod:`~repro.steering.central_manager` — CM node: profiling + DP
-  mapping -> VRT (thread-safe, per-session decision history),
+  mapping -> VRT (read-only per request; each session keeps its decision),
 * :mod:`~repro.steering.events` — per-session monotonic event-sequence
   store (images, status, steering), composing the image ring of
   :mod:`~repro.steering.images` (shared-encode caching) and the frame
@@ -20,8 +21,8 @@ implementation.  The pieces:
   with create/attach/detach, idle eviction and capped capacity,
 * :mod:`~repro.steering.executor` — the shared SimulationExecutor: every
   session's simulation loop as step-slices on one bounded worker pool,
-* :mod:`~repro.steering.loop` — executes a visualization loop (live
-  module execution + modelled WAN transport),
+* :mod:`~repro.steering.loop` — executes a visualization loop along the
+  VRT: every CS node's modules run live, transport is modelled,
 * :mod:`~repro.steering.client` — the steering/monitoring client,
 * :mod:`~repro.steering.session` — end-to-end steering session.
 """
@@ -34,8 +35,6 @@ from repro.steering.api import (
 from repro.steering.bus import Mailbox, MessageBus
 from repro.steering.central_manager import CentralManager, VizRequest
 from repro.steering.client import SteeringClient
-from repro.steering.computing_service import ComputingServiceNode
-from repro.steering.data_source import DataSourceNode
 from repro.steering.events import EventSequenceStore, SessionEvent
 from repro.steering.executor import SessionTask, SimulationExecutor
 from repro.steering.loop import LoopResult, VisualizationLoopRunner
@@ -46,8 +45,6 @@ from repro.steering.session import SteeringSession
 
 __all__ = [
     "CentralManager",
-    "ComputingServiceNode",
-    "DataSourceNode",
     "EventSequenceStore",
     "LoopResult",
     "Mailbox",

@@ -53,9 +53,6 @@ class SteeringServer:
         self.data_consumer = data_consumer
         self.machine = SessionStateMachine()
         self.monitored_variable: str | None = None
-        self.client: str = ""
-        self.pushes = 0
-        self.handled = 0
         self.shutdown_requested = False
 
     # -- Fig. 7 API -------------------------------------------------------------
@@ -66,11 +63,10 @@ class SteeringServer:
             msg = self.mailbox.recv(timeout=timeout)
             if msg.kind is MessageKind.SIMULATION_REQUEST:
                 break
-            # Pre-connection noise is acknowledged and dropped (the Fig. 7
-            # do/while loop: keep handling until a SimulationReq).
+            # Pre-connection messages are dropped (the Fig. 7 do/while
+            # loop: keep handling until a SimulationReq).
         self.machine.check_accepts(msg.kind)
         self.machine.transition(SessionState.REQUESTED)
-        self.client = msg.sender or "client"
         self.monitored_variable = msg.payload.get("variable")
         initial = msg.payload.get("params") or {}
         if initial:
@@ -85,7 +81,6 @@ class SteeringServer:
         if msg is None:
             return None
         self.machine.check_accepts(msg.kind)
-        self.handled += 1
         if msg.kind is MessageKind.SIMULATION_PARAMS:
             self.simulation.apply_steering(msg.payload.get("params", {}))
         elif msg.kind is MessageKind.SHUTDOWN:
@@ -96,12 +91,7 @@ class SteeringServer:
 
     def RICSA_UpdateSimulationParameters(self) -> None:
         """Apply staged parameters immediately (next step would anyway)."""
-        sim = self.simulation
-        if sim._pending:
-            sim.params.update(sim._pending)
-            sim.steering_events.append((sim.cycle, dict(sim._pending)))
-            sim._pending.clear()
-            sim.on_params_changed()
+        self.simulation.apply_pending()
 
     def RICSA_PushDataToVizNode(self, variable: str | None = None) -> StructuredGrid:
         """Hand the current monitored field to the visualization loop."""
@@ -109,7 +99,6 @@ class SteeringServer:
         grid = self.simulation.get_field(var)
         if self.data_consumer is not None:
             self.data_consumer(grid, self.simulation.cycle)
-        self.pushes += 1
         return grid
 
     def RICSA_ShutdownSimulationServer(self) -> None:

@@ -1,10 +1,10 @@
 """In-process message bus between the RICSA component nodes.
 
 Stands in for the socket plumbing of the paper's shared C++ library: each
-virtual node (client, front end, CM, DS, CS) registers a mailbox and
-sends :class:`~repro.steering.messages.Message` objects by node name.
-Thread-safe; the web server threads and the simulation thread share one
-bus.
+simulator registers a mailbox under its node name, and the client side
+sends it :class:`~repro.steering.messages.Message` objects by that name
+(the Fig. 7 hop).  Thread-safe; the web server threads and the executor
+workers share one bus.
 """
 
 from __future__ import annotations
@@ -39,9 +39,6 @@ class Mailbox:
         except queue.Empty:
             return None
 
-    def __len__(self) -> int:
-        return self._q.qsize()
-
     def _deliver(self, msg: Message) -> None:
         self._q.put(msg)
 
@@ -52,7 +49,6 @@ class MessageBus:
     def __init__(self) -> None:
         self._boxes: dict[str, Mailbox] = {}
         self._lock = threading.Lock()
-        self.delivered = 0
 
     def register(self, name: str) -> Mailbox:
         """Create (or return the existing) mailbox for ``name``."""
@@ -68,8 +64,3 @@ class MessageBus:
         if box is None:
             raise SteeringError(f"no mailbox registered for {to!r}")
         box._deliver(msg)
-        self.delivered += 1
-
-    def endpoints(self) -> list[str]:
-        with self._lock:
-            return sorted(self._boxes)

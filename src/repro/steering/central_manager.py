@@ -10,9 +10,7 @@ routing table.
 
 from __future__ import annotations
 
-import threading
-from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.costmodel.base import DatasetStats
 from repro.costmodel.calibration import CalibrationStore, default_calibration
@@ -38,7 +36,6 @@ class VizRequest:
     isovalue: float = 0.5
     octant: int = -1
     image_bytes: float = 256 * 1024
-    session: str = "default"
 
 
 @dataclass
@@ -55,9 +52,9 @@ class ConfigurationDecision:
 class CentralManager:
     """Holds global knowledge: topology, roles, calibration, bandwidths.
 
-    One CM serves every session concurrently, so configuration is
-    serialised by an internal lock and decisions are kept both globally
-    (in arrival order) and keyed by session id.
+    One CM serves every session concurrently.  :meth:`configure` only
+    reads the CM's state, so it needs no lock, and the CM keeps nothing
+    per session: each session holds its own decision.
     """
 
     def __init__(
@@ -71,15 +68,6 @@ class CentralManager:
         self.roles = roles
         self.calibration = calibration if calibration is not None else default_calibration()
         self.bandwidths = bandwidths
-        self.decisions: list[ConfigurationDecision] = []
-        self.decisions_by_session: dict[str, list[ConfigurationDecision]] = defaultdict(list)
-        self._lock = threading.Lock()
-
-    def session_decision(self, session: str) -> ConfigurationDecision | None:
-        """Most recent decision taken for ``session`` (None if never seen)."""
-        with self._lock:
-            history = self.decisions_by_session.get(session)
-            return history[-1] if history else None
 
     def choose_source(self, request: VizRequest) -> str:
         """Pick the data-source node (request override or first DS)."""
@@ -97,31 +85,27 @@ class CentralManager:
         stats: DatasetStats,
     ) -> ConfigurationDecision:
         """Run the full CM decision: pipeline -> DP -> VRT."""
-        with self._lock:
-            source = self.choose_source(request)
-            destination = self.roles.client
-            filter_ratio = 0.125 if request.octant >= 0 else 1.0
-            pipeline = build_calibrated_pipeline(
-                request.technique,
-                stats,
-                self.calibration,
-                image_bytes=request.image_bytes,
-                filter_ratio=filter_ratio,
-            )
-            dp = map_pipeline(
-                pipeline,
-                self.topology,
-                source,
-                destination,
-                bandwidths=self.bandwidths,
-            )
-            control_path = (destination, self.roles.central_manager, source)
-            vrt = VisualizationRoutingTable.from_mapping(
-                pipeline, dp.mapping, control_path=control_path, expected_delay=dp.delay
-            )
-            decision = ConfigurationDecision(
-                vrt=vrt, pipeline=pipeline, dp=dp, source=source, destination=destination
-            )
-            self.decisions.append(decision)
-            self.decisions_by_session[request.session].append(decision)
-            return decision
+        source = self.choose_source(request)
+        destination = self.roles.client
+        filter_ratio = 0.125 if request.octant >= 0 else 1.0
+        pipeline = build_calibrated_pipeline(
+            request.technique,
+            stats,
+            self.calibration,
+            image_bytes=request.image_bytes,
+            filter_ratio=filter_ratio,
+        )
+        dp = map_pipeline(
+            pipeline,
+            self.topology,
+            source,
+            destination,
+            bandwidths=self.bandwidths,
+        )
+        control_path = (destination, self.roles.central_manager, source)
+        vrt = VisualizationRoutingTable.from_mapping(
+            pipeline, dp.mapping, control_path=control_path, expected_delay=dp.delay
+        )
+        return ConfigurationDecision(
+            vrt=vrt, pipeline=pipeline, dp=dp, source=source, destination=destination
+        )

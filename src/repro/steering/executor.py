@@ -37,14 +37,13 @@ by the web tier's ``GET /api/v1/stats`` route.
 
 from __future__ import annotations
 
-import itertools
 import os
 import threading
 from collections import deque
 
 from repro.errors import SteeringError
 
-__all__ = ["RunQueue", "SessionTask", "CallHandle", "SimulationExecutor"]
+__all__ = ["RunQueue", "SessionTask", "SimulationExecutor"]
 
 # Task states.  RUNNABLE tasks sit on exactly one of the two run queues;
 # RUNNING tasks are owned by a worker; PAUSED tasks are held aside in
@@ -154,27 +153,6 @@ class SessionTask:
         self.done.set()
 
 
-class CallHandle:
-    """Future-style handle for a one-shot work unit (:meth:`submit_call`)."""
-
-    __slots__ = ("task", "_box")
-
-    def __init__(self, task: SessionTask, box: list) -> None:
-        self.task = task
-        self._box = box
-
-    def result(self, timeout: float | None = None):
-        if not self.task.join(timeout):
-            raise SteeringError("executor call timed out")
-        if self.task.error is not None:
-            raise SteeringError(
-                f"executor call failed: {self.task.error!r}"
-            ) from self.task.error
-        if self.task.cancelled:
-            raise SteeringError("executor call cancelled")
-        return self._box[0]
-
-
 class SimulationExecutor:
     """Bounded, priority-aware pool running all sessions' step-slices."""
 
@@ -193,7 +171,6 @@ class SimulationExecutor:
         self._threads: list[threading.Thread] = []
         self._active = 0  # tasks currently inside a worker's slice
         self._stop = False
-        self._call_ids = itertools.count()
         self.steps_executed = 0
         self.deprioritized_steps = 0
         self.sessions_completed = 0
@@ -264,17 +241,6 @@ class SimulationExecutor:
             self._enqueue_locked(task)
             self._cond.notify()
         return task
-
-    def submit_call(self, fn, label: str = "call") -> CallHandle:
-        """Run a one-shot work unit on the pool; returns a result handle."""
-        task_id = f"{label}#{next(self._call_ids)}"
-        box: list = []
-
-        def step() -> bool:
-            box.append(fn())
-            return False
-
-        return CallHandle(self.submit(task_id, step), box)
 
     # -- per-session control -----------------------------------------------------
 

@@ -1,95 +1,34 @@
-"""Steering wire messages and binary framing.
+"""Steering messages: what travels the Fig. 7 client-to-simulator hop.
 
-Every message is a JSON header (kind + payload) optionally followed by a
-binary blob (dataset bytes, encoded images).  Framing::
-
-    b"RMSG" | u32 header_len | header JSON | blob
-
-The same encoding serves the in-process bus (for inspection), the tests
-(corruption cases) and the HTTP endpoints (blob bodies).
+The in-process bus passes :class:`Message` objects by reference; nothing
+is framed or decoded on the way (the HTTP wire formats live in
+:mod:`repro.wire`).
 """
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass, field
 from enum import Enum
 
-from repro.errors import ProtocolError
-
 __all__ = ["MessageKind", "Message"]
-
-_MAGIC = b"RMSG"
 
 
 class MessageKind(str, Enum):
-    """Message types flowing through the steering loop (Fig. 1)."""
+    """Message types the steering loop sends (Fig. 1)."""
 
     SIMULATION_REQUEST = "SIMULATION_REQUEST"  # client -> CM -> simulator
     SIMULATION_PARAMS = "SIMULATION_PARAMS"  # steering updates
-    VIZ_REQUEST = "VIZ_REQUEST"  # client viz parameters
-    VRT_DISTRIBUTE = "VRT_DISTRIBUTE"  # CM -> loop nodes
-    DATA_PUSH = "DATA_PUSH"  # simulator/DS -> CS chain
-    IMAGE_RESULT = "IMAGE_RESULT"  # CS -> front end
-    ACK = "ACK"
-    ERROR = "ERROR"
-    SESSION_STATE = "SESSION_STATE"
     SHUTDOWN = "SHUTDOWN"
 
 
 @dataclass(slots=True)
 class Message:
-    """A steering message: kind, JSON-safe payload, optional binary blob."""
+    """A steering message: kind and payload, addressed from a session."""
 
     kind: MessageKind
     payload: dict = field(default_factory=dict)
-    blob: bytes = b""
     sender: str = ""
     session: str = ""
-
-    # -- encoding -----------------------------------------------------------------
-
-    def encode(self) -> bytes:
-        header = json.dumps(
-            {
-                "kind": self.kind.value,
-                "payload": self.payload,
-                "sender": self.sender,
-                "session": self.session,
-                "blob_len": len(self.blob),
-            }
-        ).encode("utf-8")
-        return _MAGIC + struct.pack("<I", len(header)) + header + self.blob
-
-    @classmethod
-    def decode(cls, data: bytes) -> "Message":
-        if len(data) < 8 or data[:4] != _MAGIC:
-            raise ProtocolError("not a RMSG frame")
-        (hlen,) = struct.unpack("<I", data[4:8])
-        if len(data) < 8 + hlen:
-            raise ProtocolError("truncated RMSG header")
-        try:
-            head = json.loads(data[8 : 8 + hlen].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ProtocolError(f"corrupt RMSG header: {exc}") from exc
-        try:
-            kind = MessageKind(head["kind"])
-        except (KeyError, ValueError) as exc:
-            raise ProtocolError(f"unknown message kind: {exc}") from exc
-        blob_len = int(head.get("blob_len", 0))
-        blob = data[8 + hlen : 8 + hlen + blob_len]
-        if len(blob) != blob_len:
-            raise ProtocolError("truncated RMSG blob")
-        return cls(
-            kind=kind,
-            payload=head.get("payload", {}),
-            blob=blob,
-            sender=head.get("sender", ""),
-            session=head.get("session", ""),
-        )
-
-    # -- convenience constructors ---------------------------------------------------
 
     @classmethod
     def simulation_request(
@@ -111,19 +50,3 @@ class Message:
             MessageKind.SIMULATION_PARAMS, {"params": params},
             session=session, sender=sender,
         )
-
-    @classmethod
-    def viz_request(cls, viz_params: dict, session: str = "", sender: str = "client") -> "Message":
-        return cls(MessageKind.VIZ_REQUEST, dict(viz_params), session=session, sender=sender)
-
-    @classmethod
-    def ack(cls, of: "Message", note: str = "") -> "Message":
-        return cls(
-            MessageKind.ACK,
-            {"of": of.kind.value, "note": note},
-            session=of.session,
-        )
-
-    @classmethod
-    def error(cls, reason: str, session: str = "") -> "Message":
-        return cls(MessageKind.ERROR, {"reason": reason}, session=session)

@@ -2,8 +2,8 @@
 
 The paper implements RICSA with "a message-driven programming model and a
 state machine-based methodology".  This is that state machine: a session
-moves ``IDLE -> REQUESTED -> CONFIGURED -> RUNNING`` and may loop between
-``RUNNING`` and ``STEERING`` until ``DONE``; invalid transitions raise
+moves ``IDLE -> REQUESTED -> CONFIGURED -> RUNNING -> DONE``; an invalid
+transition, or a message its state does not accept, raises
 :class:`~repro.errors.ProtocolError` instead of silently corrupting the
 loop.
 """
@@ -24,53 +24,22 @@ class SessionState(str, Enum):
     REQUESTED = "REQUESTED"
     CONFIGURED = "CONFIGURED"
     RUNNING = "RUNNING"
-    STEERING = "STEERING"
     DONE = "DONE"
-    FAILED = "FAILED"
 
 
-#: Allowed transitions: state -> set of next states.
-_TRANSITIONS: dict[SessionState, set[SessionState]] = {
-    SessionState.IDLE: {SessionState.REQUESTED, SessionState.FAILED},
-    SessionState.REQUESTED: {SessionState.CONFIGURED, SessionState.FAILED},
-    SessionState.CONFIGURED: {SessionState.RUNNING, SessionState.FAILED},
-    SessionState.RUNNING: {
-        SessionState.STEERING,
-        SessionState.RUNNING,
-        SessionState.DONE,
-        SessionState.FAILED,
-    },
-    SessionState.STEERING: {SessionState.RUNNING, SessionState.DONE, SessionState.FAILED},
-    SessionState.DONE: set(),
-    SessionState.FAILED: set(),
+#: Allowed transitions: state -> the one next state.
+_TRANSITIONS: dict[SessionState, SessionState] = {
+    SessionState.IDLE: SessionState.REQUESTED,
+    SessionState.REQUESTED: SessionState.CONFIGURED,
+    SessionState.CONFIGURED: SessionState.RUNNING,
+    SessionState.RUNNING: SessionState.DONE,
 }
 
 #: Which message kinds are legal to *process* in each state.
-_ACCEPTS: dict[SessionState, set[MessageKind]] = {
-    SessionState.IDLE: {MessageKind.SIMULATION_REQUEST, MessageKind.SHUTDOWN},
-    SessionState.REQUESTED: {MessageKind.VRT_DISTRIBUTE, MessageKind.SHUTDOWN},
-    SessionState.CONFIGURED: {
-        MessageKind.DATA_PUSH,
-        MessageKind.SESSION_STATE,
-        MessageKind.SHUTDOWN,
-    },
-    SessionState.RUNNING: {
-        MessageKind.SIMULATION_PARAMS,
-        MessageKind.VIZ_REQUEST,
-        MessageKind.DATA_PUSH,
-        MessageKind.IMAGE_RESULT,
-        MessageKind.SESSION_STATE,
-        MessageKind.SHUTDOWN,
-    },
-    SessionState.STEERING: {
-        MessageKind.SIMULATION_PARAMS,
-        MessageKind.DATA_PUSH,
-        MessageKind.IMAGE_RESULT,
-        MessageKind.SESSION_STATE,
-        MessageKind.SHUTDOWN,
-    },
-    SessionState.DONE: set(),
-    SessionState.FAILED: set(),
+_ACCEPTS: dict[SessionState, frozenset[MessageKind]] = {
+    SessionState.IDLE: frozenset({MessageKind.SIMULATION_REQUEST}),
+    SessionState.RUNNING: frozenset(
+        {MessageKind.SIMULATION_PARAMS, MessageKind.SHUTDOWN}),
 }
 
 
@@ -81,7 +50,6 @@ class SessionStateMachine:
         self.session_id = session_id
         self._state = SessionState.IDLE
         self._lock = threading.Lock()
-        self.history: list[SessionState] = [SessionState.IDLE]
 
     @property
     def state(self) -> SessionState:
@@ -91,18 +59,17 @@ class SessionStateMachine:
     def transition(self, new: SessionState) -> None:
         """Move to ``new``; raises on an illegal edge."""
         with self._lock:
-            if new not in _TRANSITIONS[self._state]:
+            if _TRANSITIONS.get(self._state) is not new:
                 raise ProtocolError(
                     f"session {self.session_id}: illegal transition "
                     f"{self._state.value} -> {new.value}"
                 )
             self._state = new
-            self.history.append(new)
 
     def check_accepts(self, kind: MessageKind) -> None:
         """Raise unless ``kind`` may be processed in the current state."""
         with self._lock:
-            if kind not in _ACCEPTS[self._state]:
+            if kind not in _ACCEPTS.get(self._state, ()):
                 raise ProtocolError(
                     f"session {self.session_id}: message {kind.value} not "
                     f"allowed in state {self._state.value}"
@@ -110,4 +77,4 @@ class SessionStateMachine:
 
     @property
     def terminal(self) -> bool:
-        return self.state in (SessionState.DONE, SessionState.FAILED)
+        return self.state is SessionState.DONE

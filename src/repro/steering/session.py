@@ -16,7 +16,6 @@ on a thread budget that does not grow with session count.
 from __future__ import annotations
 
 import threading
-from collections import deque
 
 from repro.costmodel.base import compute_dataset_stats
 from repro.errors import SteeringError
@@ -39,10 +38,6 @@ __all__ = ["SteeringSession"]
 #: the old 5-second decay window kept unwatched sessions hot for
 #: seconds after their last consumer vanished.
 STALLED_POLL_GRACE = 1.0
-
-#: How many of the most recent loop results (each holding its rendered
-#: frame) a session keeps; a long-lived session must not retain them all.
-LOOP_RESULTS_KEPT = 32
 
 
 class SteeringSession:
@@ -104,13 +99,11 @@ class SteeringSession:
         self.variable = variable
         self.decision = None
         self.runner: VisualizationLoopRunner | None = None
-        self.loop_results: deque = deque(maxlen=LOOP_RESULTS_KEPT)
         self._camera = OrthoCamera(width=192, height=192)
         self._executor = executor
         self._task = None  # SessionTask while (and after) a background run
         self._done = threading.Event()
         self._run_error: BaseException | None = None
-        self._lock = threading.Lock()
 
     @classmethod
     def monitor_only(
@@ -161,7 +154,6 @@ class SteeringSession:
             technique=self.technique,
             variable=self.variable,
             isovalue=iso,
-            session=self.session_id,
         )
         self.decision = self.cm.configure(viz_request, stats)
         self.runner = VisualizationLoopRunner(
@@ -197,8 +189,6 @@ class SteeringSession:
             params={"isovalue": iso, "camera": self._camera, "max_triangles": 60_000},
             cycle=cycle,
         )
-        with self._lock:
-            self.loop_results.append(result)
         self.events.publish_image(
             result.image,
             cycle=cycle,
@@ -277,14 +267,22 @@ class SteeringSession:
 
     # -- client-facing ops ----------------------------------------------------------
 
-    def steer(self, params: dict) -> None:
-        """Send a steering update over the bus (client -> simulator)."""
+    def steer(self, params: dict) -> dict:
+        """Judge a steering update, then send it over the bus (client ->
+        simulator); returns the coerced values sent and published.
+
+        A rejected update raises :class:`~repro.errors.SimulationError`
+        before anything reaches the bus or the event store, so a bad
+        request never ends the run.
+        """
         self._require_simulation()
+        staged = self.simulation.validate_steering(params)
         self.bus.send(
             self.server.node_name,
-            Message.steering_update(params, session=self.session_id),
+            Message.steering_update(staged, session=self.session_id),
         )
-        self.events.publish_steering(params)
+        self.events.publish_steering(staged)
+        return staged
 
     def set_camera(self, azimuth: float | None = None, elevation: float | None = None,
                    zoom: float | None = None) -> None:

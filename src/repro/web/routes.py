@@ -521,8 +521,8 @@ def steer(request: HttpRequest, sid: str, ctx: RouteContext):
     session = ctx.manager.get(sid)  # an unknown session is judged first
     body = request.json_body()
     with ctx.manager.locked(sid):
-        session.steer(body)
-    return _json({"ok": True, "session": sid, "staged": body})
+        staged = session.steer(body)
+    return _json({"ok": True, "session": sid, "staged": staged})
 
 
 def view(request: HttpRequest, sid: str, ctx: RouteContext):

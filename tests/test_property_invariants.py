@@ -1,7 +1,7 @@
 """Cross-cutting property-based tests on core invariants.
 
-Hypothesis-driven checks spanning several subsystems: message framing,
-fixed-size image containers, mapping validity and transport conservation laws.
+Hypothesis-driven checks spanning several subsystems: fixed-size image
+containers, mapping validity and transport conservation laws.
 """
 
 from __future__ import annotations
@@ -13,34 +13,11 @@ from hypothesis import given, settings, strategies as st
 from repro.des import Simulator
 from repro.mapping.exhaustive import compositions
 from repro.mapping.model import Mapping
-from repro.steering.messages import Message, MessageKind
 from repro.transport import FlowConfig, RobbinsMonroController, StabilizedUDPTransport
 from repro.units import mbit_per_s
 from repro.viz.image import Image, decode_fixed_size, encode_fixed_size
 
 from tests.conftest import make_paths, make_two_node_topology
-
-json_scalars = st.one_of(
-    st.integers(min_value=-(2**31), max_value=2**31),
-    st.floats(allow_nan=False, allow_infinity=False, width=32),
-    st.text(max_size=30),
-    st.booleans(),
-)
-
-
-class TestMessageFraming:
-    @given(
-        kind=st.sampled_from(list(MessageKind)),
-        payload=st.dictionaries(st.text(min_size=1, max_size=10), json_scalars, max_size=5),
-        blob=st.binary(max_size=256),
-    )
-    def test_encode_decode_roundtrip(self, kind, payload, blob):
-        msg = Message(kind, payload, blob=blob, sender="s", session="id")
-        back = Message.decode(msg.encode())
-        assert back.kind == kind
-        assert back.blob == blob
-        assert set(back.payload) == set(payload)
-
 
 class TestImageContainers:
     @given(

@@ -13,7 +13,7 @@ import time
 import pytest
 
 from repro.costmodel.calibration import default_calibration
-from repro.errors import SteeringError
+from repro.errors import SimulationError, SteeringError
 from repro.net import build_paper_testbed
 from repro.steering import CentralManager, SessionManager, SimulationExecutor
 from repro.steering.executor import STARVATION_LIMIT, RunQueue
@@ -320,6 +320,35 @@ class TestSteeringSessionIntegration:
         assert stats["sessions_completed"] >= 1
         manager.close_all()
 
+    def test_a_rejected_steer_leaves_the_run_alive(self, cm):
+        manager = SessionManager(cm, executor_workers=2)
+        session = manager.create("bad-steer", n_cycles=30, **SIM)
+        seq = session.events.seq
+        for bad in ({"no_such_parameter": 1}, {"alpha": 5.0}):
+            with pytest.raises(SimulationError):
+                session.steer(bad)
+        assert session.steer({"alpha": "0.12"}) == {"alpha": 0.12}
+        session.join_background(timeout=30.0)  # raises if the run died
+        assert session.simulation.cycle == 30
+        steering = [e for e in session.events.delta(seq)["components"]
+                    if e["id"] == "params"]
+        assert [e["props"] for e in steering] == [{"alpha": 0.12}]
+        manager.close_all()
+
+    def test_every_data_push_is_published(self, cm):
+        from repro.steering.session import SteeringSession
+
+        session = SteeringSession(
+            cm, session_id="pushes", simulator="heat", sim_kwargs={"shape": (8, 8, 8)}
+        )
+        session.configure()
+        grid = session.simulation.get_field(session.variable)
+        published = session.events.seq
+        for cycle in range(40):
+            session._on_data_push(grid, cycle)
+        assert session.events.seq == published + 40
+        assert session.events.image_record().cycle == 39  # the newest push
+
     def test_executor_recreated_after_close_all(self, cm):
         manager = SessionManager(cm, executor_workers=2)
         first = manager.create("one", n_cycles=3, **SIM)
@@ -330,53 +359,3 @@ class TestSteeringSessionIntegration:
         second.join_background(timeout=30.0)
         assert second.simulation.cycle == 3
         manager.close_all()
-
-
-class TestLoopResultRetention:
-    def test_loop_results_keep_only_the_most_recent(self, cm):
-        from repro.steering.session import LOOP_RESULTS_KEPT, SteeringSession
-
-        session = SteeringSession(
-            cm, session_id="retain", simulator="heat", sim_kwargs={"shape": (8, 8, 8)}
-        )
-        session.configure()
-        grid = session.simulation.get_field(session.variable)
-        pushes = LOOP_RESULTS_KEPT + 5
-        published = session.events.seq
-        for cycle in range(pushes):
-            session._on_data_push(grid, cycle)
-        assert len(session.loop_results) == LOOP_RESULTS_KEPT
-        assert session.loop_results[-1].cycle == pushes - 1  # newest last
-        assert session.loop_results[0].cycle == 5  # oldest dropped first
-        # every push was still published, whatever the window kept
-        assert session.events.seq == published + pushes
-
-    def test_monitor_only_session_is_bounded_too(self):
-        from repro.steering.events import EventSequenceStore
-        from repro.steering.session import LOOP_RESULTS_KEPT, SteeringSession
-
-        session = SteeringSession.monitor_only("ext", EventSequenceStore())
-        assert session.loop_results.maxlen == LOOP_RESULTS_KEPT
-
-
-class TestComputingServiceAsync:
-    def test_execute_async_matches_inline_execution(self, executor):
-        from repro.mapping.vrt import VRTEntry
-        from repro.net.topology import NodeSpec
-        from repro.steering import ComputingServiceNode
-
-        from tests.test_data_grid import sphere_grid
-
-        cs = ComputingServiceNode(NodeSpec("UT", power=2.0), executor=executor)
-        entry = VRTEntry(
-            node="UT",
-            module_indices=(2,),
-            module_names=("isosurface-extract",),
-            next_hop="ORNL",
-            output_bytes=0.0,
-        )
-        handle = cs.execute_async(entry, sphere_grid(12), {"isovalue": 0.6})
-        mesh, rec = handle.result(timeout=30.0)
-        assert mesh.n_triangles > 0
-        assert rec.node == "UT"
-        assert len(cs.records) == 1

@@ -104,6 +104,17 @@ class TestSodShockTube:
             sim.apply_steering({"gamma": 99.0})
         with pytest.raises(SimulationError):
             sim.apply_steering({"not_a_param": 1.0})
+        # NaN passes both bound checks; it must be refused as non-finite
+        with pytest.raises(SimulationError, match="finite"):
+            sim.apply_steering({"gamma": "nan"})
+        with pytest.raises(SimulationError, match="finite"):
+            sim.validate_steering({"gamma": float("nan")})
+        assert sim._pending == {}  # nothing rejected was staged
+
+    def test_validate_steering_coerces_without_staging(self):
+        sim = SodShockTube(n_cells=64)
+        assert sim.validate_steering({"gamma": "1.5"}) == {"gamma": 1.5}
+        assert sim._pending == {}
 
     def test_get_field_shapes(self):
         sim = SodShockTube(n_cells=64)

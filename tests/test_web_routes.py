@@ -397,6 +397,37 @@ class TestBodies:
                                               session._camera.elevation,
                                               session._camera.zoom))
 
+    @pytest.mark.parametrize("body", [
+        {"no_such_parameter": 1}, {"alpha": 5.0}, {"alpha": -1}, {"alpha": "nan"},
+        {"alpha": "inf"}, {"alpha": "x"}, {"alpha": [0.1]},
+        {"alpha": 0.1, "no_such_parameter": 1},
+    ])
+    def test_steer_refuses_what_the_simulation_would(self, ctx, body):
+        session = ctx.manager.get("sim")
+        mailbox = session.server.mailbox
+        while mailbox.poll() is not None:  # what earlier cases left unread
+            pass
+        seq = session.events.seq
+        assert _error(ctx, "POST", "sim/steer", body) == (400, "bad_request")
+        assert session.events.seq == seq  # no steering event published
+        assert mailbox.poll() is None  # and nothing sent to the simulator
+
+    def test_steer_answers_sends_and_publishes_the_coerced_values(self, ctx):
+        session = ctx.manager.get("sim")
+        mailbox = session.server.mailbox
+        while mailbox.poll() is not None:
+            pass
+        seq = session.events.seq
+        code, payload = _call(ctx, "POST", "sim/steer",
+                              {"alpha": "0.125", "source_x": 1})
+        assert code == 200
+        assert payload["staged"] == {"alpha": 0.125, "source_x": 1.0}
+        assert type(payload["staged"]["source_x"]) is float
+        assert mailbox.poll().payload["params"] == payload["staged"]
+        (params,) = [c for c in session.events.delta(seq)["components"]
+                     if c["id"] == "params"]
+        assert params["props"] == payload["staged"]
+
     @pytest.mark.parametrize("tail", ["sessions", "replay/mon", "sim/steer",
                                       "sim/view", "mon/window"])
     @pytest.mark.parametrize("literal", [b"NaN", b"Infinity", b"-Infinity"])
