@@ -18,7 +18,7 @@ from __future__ import annotations
 import threading
 
 from repro.costmodel.base import compute_dataset_stats
-from repro.errors import SteeringError
+from repro.errors import ProtocolError, SteeringError
 from repro.steering.bus import MessageBus
 from repro.steering.central_manager import CentralManager, VizRequest
 from repro.steering.events import EventSequenceStore
@@ -273,9 +273,15 @@ class SteeringSession:
 
         A rejected update raises :class:`~repro.errors.SimulationError`
         before anything reaches the bus or the event store, so a bad
-        request never ends the run.
+        request never ends the run.  A session whose run has finished
+        raises :class:`~repro.errors.ProtocolError` instead: nothing polls
+        its mailbox any more, so the update could never apply.  A steer
+        before the run starts is staged as usual.
         """
         self._require_simulation()
+        if self._task is not None and self._done.is_set():
+            raise ProtocolError(
+                f"session {self.session_id!r} has finished its run; nothing can apply a steer")
         staged = self.simulation.validate_steering(params)
         self.bus.send(
             self.server.node_name,

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
 from repro.adaptive.tiers import MAX_TIER, clamp_tier
-from repro.errors import ConfigurationError, ReproError, WebServerError
+from repro.errors import ConfigurationError, ProtocolError, ReproError, WebServerError
 from repro.web.longpoll import Subscriber
 from repro.web.static import DASHBOARD_HTML, INDEX_HTML
 from repro.window import WindowCursor
@@ -149,6 +149,9 @@ def error_reply(exc: Exception, method: str) -> Response:
         # Registry and store lookups: an unknown resource on a GET is a
         # 404; on a mutating POST the request itself was bad.
         status, code, message = 404, "not_found", str(exc)
+    elif isinstance(exc, ProtocolError):
+        # Well formed, but the resource's state refuses it (a finished run).
+        status, code, message = 409, "conflict", str(exc)
     elif isinstance(exc, ReproError):
         status, code, message = 400, "bad_request", str(exc)
     else:  # never kill the loop or a worker for one request

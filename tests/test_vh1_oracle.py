@@ -91,6 +91,31 @@ def test_every_parameter_steered_mid_run(cls):
     _run_side_by_side(_pair(cls, shape=(12, 6, 9)), schedule, n_steps)
 
 
+@settings(max_examples=100, deadline=None)
+@given(shape=_shapes, setup=st.sampled_from(["sod", "uniform"]), seed=st.integers(0, 2**32 - 1),
+       speed=st.sampled_from([0.0, 0.1, 1.0, 10.0]), holes=st.booleans(), data=st.data())
+def test_time_step_of_any_state(shape, setup, seed, speed, holes, data):
+    """The in-place CFL step returns the allocating one's ``dt``, bit for bit."""
+    rng = np.random.default_rng(seed)
+    U = np.empty((5, *shape))
+    U[0] = rng.uniform(0.05, 3.0, shape)
+    U[1:4] = rng.normal(0.0, speed, (3, *shape)) * U[0]
+    U[4] = rng.uniform(0.1, 5.0, shape) + 0.5 * (U[1:4] ** 2).sum(axis=0) / U[0]
+    if holes:
+        U[0].flat[rng.integers(0, U[0].size, 3)] = -1.0  # below the density floor
+        U.reshape(5, -1)[rng.integers(0, 5), rng.integers(0, U[0].size)] = np.nan
+    got, want = _pair(VH1Simulation, shape=shape, setup=setup)
+    steer = data.draw(_schedule(VH1Simulation, 1))
+    for sim in (got, want):
+        sim.apply_steering(steer.get(0, {}))
+        sim.apply_pending()
+        sim.U = U.copy()
+    with np.errstate(all="ignore"):
+        dt_got, dt_want = got._timestep(), want._timestep()
+    assert np.float64(dt_got).tobytes() == np.float64(dt_want).tobytes()
+    _same(got.U, want.U)
+
+
 def test_bowshock_at_the_steering_scale():
     """The ``steer_live`` grid, 120 steps, wind and obstacle steered along the way."""
     schedule = {30: {"wind_speed": 4.0}, 60: {"obstacle_radius": 0.2, "gamma": 1.6},
@@ -121,11 +146,13 @@ def test_one_sweep_of_any_state(shape, axis, seed, speed, holes, dt):
 
 
 @pytest.mark.parametrize("shape", [(24, 16, 16), (16, 24, 20)])
-def test_a_step_allocates_at_most_twice_the_state(shape):
-    """After warm-up one ``step()`` peaks at <= 2 x ``U.nbytes`` of new allocations.
+def test_a_step_allocates_at_most_half_the_state(shape):
+    """After warm-up one ``step()`` peaks at <= ``U.nbytes / 2`` of new allocations.
 
-    The sweeps write into the simulation's work pool; what a step still
-    allocates is the time step's primitive pass.  The copying sweep peaked at
+    The sweeps and the CFL step write into the simulation's work pool; what a
+    step still allocates (about 0.41 x here) is numpy's buffer for subtracting
+    the update through the y and z sweeps' strided views of ``U``.  The time
+    step's allocating primitive pass peaked at 1.6 x, the copying sweep at
     about 11 x.  The least of three steps is taken so that an allocation by
     another thread of the test process cannot fail the guard.
     """
@@ -141,4 +168,4 @@ def test_a_step_allocates_at_most_twice_the_state(shape):
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
     finally:
         tracemalloc.stop()
-    assert min(peaks) <= 2 * sim.U.nbytes, (peaks, sim.U.nbytes)
+    assert min(peaks) <= sim.U.nbytes // 2, (peaks, sim.U.nbytes)

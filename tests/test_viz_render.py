@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import tracemalloc
 from unittest import mock
 
@@ -174,6 +175,45 @@ _lattice_meshes = st.lists(
 ).map(lambda tris: TriangleMesh(np.asarray(tris, dtype=np.float32)))
 
 
+# Vertices given in screen space, at pixel centres +- 2**-k: float32 world
+# coordinates through a projection cannot hold 4 + 2**-40, so the camera hands
+# the float64 array to both rasterizers as (px, py, depth).
+class _ScreenCamera(OrthoCamera):
+    def project(self, points: np.ndarray) -> np.ndarray:
+        return np.atleast_2d(np.asarray(points, dtype=np.float64))
+
+
+def _screen_mesh(tris) -> TriangleMesh:
+    mesh = TriangleMesh(np.zeros((0, 3, 3)))
+    mesh.triangles = np.asarray(tris, dtype=np.float64).reshape(-1, 3, 3)
+    return mesh
+
+
+_SCREEN_CAMERA = _ScreenCamera(width=9, height=9)
+_near_coord = st.builds(lambda c, sign, k: c + sign * 2.0**-k, st.integers(-1, 9),
+                        st.sampled_from([-1.0, 0.0, 1.0]), st.integers(10, 52))
+_near_vertex = st.tuples(_near_coord, _near_coord, st.floats(-1.0, 1.0))
+_near_lattice_meshes = st.lists(
+    st.tuples(_near_vertex, _near_vertex, _near_vertex), min_size=1, max_size=8
+).map(_screen_mesh)
+
+
+def _boxes(screen: np.ndarray, width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pixels per triangle in ``render_mesh``'s boxes and in the ``floor``/``ceil`` boxes."""
+    xs, ys = screen[:, :, 0], screen[:, :, 1]
+    d = (ys[:, 1] - ys[:, 2]) * (xs[:, 0] - xs[:, 2]) + (xs[:, 2] - xs[:, 1]) * (
+        ys[:, 0] - ys[:, 2])
+    floor_ceil = (np.maximum(np.floor(xs.min(axis=1)), 0.0),
+                  np.minimum(np.ceil(xs.max(axis=1)), width - 1.0),
+                  np.maximum(np.floor(ys.min(axis=1)), 0.0),
+                  np.minimum(np.ceil(ys.max(axis=1)), height - 1.0))
+    sizes = []
+    for x0, x1, y0, y1 in (render_module._lattice_boxes(xs, ys, d, width, height), floor_ceil):
+        sizes.append(np.maximum(x1 - x0 + 1, 0) * np.maximum(y1 - y0 + 1, 0))
+    return sizes[0], sizes[1]
+
+
+@functools.lru_cache(maxsize=1)
 def _bowshock_mesh() -> tuple[StructuredGrid, TriangleMesh]:
     """The frame ``steer_live`` renders: a formed bow shock's pressure isosurface."""
     from repro.sims.registry import create_simulation
@@ -262,10 +302,10 @@ class TestRasterEquivalence:
 
     def test_fragments_span_several_batches(self):
         mesh = extract_isosurface(sphere_grid(24), 0.6)
-        camera = OrthoCamera.framing(*mesh.bounds(), width=128, height=128)
-        tri_px = camera.project(mesh.triangles.reshape(-1, 3))[:, :2].reshape(-1, 3, 2)
-        bbox = np.ceil(tri_px.max(axis=1)) - np.floor(tri_px.min(axis=1)) + 1
-        assert bbox.prod(axis=1).sum() > 3 * render_module._FRAGMENT_BUDGET
+        camera = OrthoCamera.framing(*mesh.bounds(), width=256, height=256)
+        boxes, _ = _boxes(camera.project(mesh.triangles.reshape(-1, 3)).reshape(-1, 3, 3),
+                          camera.width, camera.height)
+        assert boxes.sum() > 3 * render_module._FRAGMENT_BUDGET
         assert np.array_equal(render_mesh(mesh, camera).pixels,
                               render_mesh_loop(mesh, camera).pixels)
 
@@ -282,6 +322,79 @@ class TestRasterEquivalence:
             tracemalloc.stop()
         assert peak < 24 * 2**20
         assert np.array_equal(img.pixels, render_mesh_loop(mesh, camera).pixels)
+
+    @settings(max_examples=200, deadline=None)
+    @given(mesh=_near_lattice_meshes,
+           budget=st.sampled_from([1, 50, render_module._FRAGMENT_BUDGET]))
+    def test_vertices_near_the_pixel_lattice(self, mesh, budget):
+        """Extents 2**-52..2**-10 px to either side of a lattice line: the
+        tight box must still hold every pixel the -1e-9 cover test passes."""
+        expected = render_mesh_loop(mesh, _SCREEN_CAMERA)
+        with mock.patch.object(render_module, "_FRAGMENT_BUDGET", budget):
+            got = render_mesh(mesh, _SCREEN_CAMERA)
+        assert np.array_equal(got.pixels, expected.pixels)
+
+    @pytest.mark.parametrize("roll", [0, 1, 2])
+    @pytest.mark.parametrize("offset", [-(2.0**-40), 2.0**-40])
+    @pytest.mark.parametrize("span", [8.0, 100.0, 1000.0])
+    @pytest.mark.parametrize("tight", [True, False])
+    def test_slivers_either_side_of_the_ratio_threshold(self, tight, span, offset, roll):
+        """Height (L + 1) / 4096 x (1 +- 2**-20): |d| = L x height straddles
+        L(L + 1) / 4096, and row 4 lies 2**-40 px inside or outside the edge."""
+        y = 4.0 + offset
+        nudge = 1.0 + 2.0**-20 if tight else 1.0 - 2.0**-20
+        height = (span + 1.0) / render_module._TIGHT_MAX_RATIO * nudge
+        tri = [(-0.25, y, 0.0), (span - 0.25, y, 0.0), (span / 2.0, y + height, 0.0)]
+        mesh = _screen_mesh([tri[roll:] + tri[:roll]])
+        boxes, floor_ceil = _boxes(mesh.triangles, 9, 9)
+        assert (boxes[0] < floor_ceil[0]) == tight
+        img = render_mesh(mesh, _SCREEN_CAMERA)
+        assert np.array_equal(img.pixels, render_mesh_loop(mesh, _SCREEN_CAMERA).pixels)
+        painted = min(9, int(span))  # row 4 from x = 0 to the base's end or the viewport's
+        assert img.nonblank_fraction(background=(10, 10, 20)) * 81 == pytest.approx(painted)
+
+    @pytest.mark.parametrize("axis, sign", [(0, 1.0), (0, -1.0), (1, 1.0), (1, -1.0)])
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_triangles_either_side_of_the_span_guard(self, inside, axis, sign):
+        """A vertex 1024 x (1 +- 2**-20) px away along one axis, the others in the viewport."""
+        span = render_module._TIGHT_MAX_SPAN * (1.0 - 2.0**-20 if inside else 1.0 + 2.0**-20)
+        e, f = np.eye(2)[axis] * sign, np.eye(2)[1 - axis]
+        a = np.array([4.25, 4.75])
+        tri = [np.append(v, z) for v, z in
+               ((a, 0.0), (a + span * e + 0.5 * f, 1.0), (a + 0.5 * e + 6.0 * f, -1.0))]
+        mesh = _screen_mesh([tri])
+        boxes, floor_ceil = _boxes(mesh.triangles, 9, 9)
+        assert (boxes[0] < floor_ceil[0]) == inside
+        assert np.array_equal(render_mesh(mesh, _SCREEN_CAMERA).pixels,
+                              render_mesh_loop(mesh, _SCREEN_CAMERA).pixels)
+
+    def test_tight_boxes_are_at_most_40_percent_of_floor_ceil_boxes(self):
+        """The ``steer_live`` frame at 192 x 192: about 11.5k of 35.3k box pixels."""
+        grid, mesh = _bowshock_mesh()
+        camera = OrthoCamera.framing(*grid.bounds(), width=192, height=192)
+        boxes, floor_ceil = _boxes(
+            camera.project(mesh.triangles.reshape(-1, 3)).reshape(-1, 3, 3), 192, 192)
+        assert boxes.sum() <= 0.4 * floor_ceil.sum()
+
+    def test_peak_bytes_of_one_bowshock_frame(self):
+        """One call on the ``steer_live`` frame at 192 x 192 peaks at <= 2.68 MB of
+        new allocations (tracemalloc, no timing): 2.44 MB measured with numpy 2.4.6
+        plus 10 %; the floor/ceil boxes peaked at 3.21 MB.  The least of three
+        calls is taken, as in the VH1 step guard."""
+        grid, mesh = _bowshock_mesh()
+        camera = OrthoCamera.framing(*grid.bounds(), width=192, height=192)
+        render_mesh(mesh, camera)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                render_mesh(mesh, camera)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert min(peaks) <= 2_680_000, peaks
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_vertex_drops_its_triangle(self, bad):

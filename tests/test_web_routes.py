@@ -21,7 +21,7 @@ import pytest
 from repro.costmodel.calibration import default_calibration
 from repro.data.grid import StructuredGrid
 from repro.data.octree import Octree
-from repro.errors import ConfigurationError, SteeringError, WebServerError
+from repro.errors import ConfigurationError, ProtocolError, SteeringError, WebServerError
 from repro.net import build_paper_testbed
 from repro.obs import Observability
 from repro.steering import CentralManager, SteeringClient
@@ -305,6 +305,7 @@ class TestStatusRule:
         (SteeringError("monitor-only"), 400, 400),
         (ConfigurationError("bad brick"), 400, 400),
         (KeyError("boom"), 500, 500),
+        (ProtocolError("finished"), 409, 409),
     ])
     def test_error_reply_table(self, exc, get, post):
         for method, want in (("GET", get), ("POST", post)):
@@ -312,7 +313,7 @@ class TestStatusRule:
             error = json.loads(body)["error"]
             assert status == want and ctype == "application/json"
             assert error["code"] == {400: "bad_request", 404: "not_found",
-                                     405: "method_not_allowed",
+                                     405: "method_not_allowed", 409: "conflict",
                                      500: "internal"}[want]
 
     def test_a_missing_version_is_a_404_inline_and_offloaded(self, ctx):
@@ -427,6 +428,20 @@ class TestBodies:
         (params,) = [c for c in session.events.delta(seq)["components"]
                      if c["id"] == "params"]
         assert params["props"] == payload["staged"]
+
+    def test_steer_on_a_finished_run_is_a_409_and_changes_nothing(self, ctx):
+        session = ctx.manager.create("done", simulator="heat",
+                                     sim_kwargs={"shape": (8, 8, 8)}, n_cycles=3)
+        try:
+            session.join_background(timeout=60)
+            assert session.simulation.cycle == 3
+            mailbox = session.server.mailbox
+            seq = session.events.seq
+            assert _error(ctx, "POST", "done/steer", {"alpha": 0.1}) == (409, "conflict")
+            assert session.events.seq == seq  # no steering event published
+            assert mailbox.poll() is None  # and nothing queued for a run that is over
+        finally:
+            ctx.manager.close("done")
 
     @pytest.mark.parametrize("tail", ["sessions", "replay/mon", "sim/steer",
                                       "sim/view", "mon/window"])

@@ -1,14 +1,15 @@
-"""Test-only oracle: the allocating VH1 sweep ``VH1Simulation._sweep`` replaced.
+"""Test-only oracle: the allocating VH1 sweep and time step the solver replaced.
 
-``_flux_x``, ``_hll_x`` and the body of ``sweep_copying`` are the text of
-``repro.sims.vh1`` as it stood before the sweep computed in place, kept
-verbatim (only ``self`` became ``sim`` and the method a function), so that the
-tests can require a byte-identical state ``U`` from the in-place sweep after
-any run, setup and steering.  ``_primitive`` is still the solver's own: the
-time step and ``get_field`` use it.
+``_flux_x``, ``_hll_x`` and the bodies of ``sweep_copying`` and
+``timestep_allocating`` are the text of ``repro.sims.vh1`` as it stood before
+the sweep and the CFL step computed in place, kept verbatim (only ``self``
+became ``sim`` and the methods functions), so that the tests can require a
+byte-identical state ``U`` and step ``dt`` from the in-place code after any
+run, setup and steering.  ``_primitive`` is still the solver's own:
+``get_field`` uses it.
 
 Use ``oracle_class(cls)`` to get a subclass of a VH1 simulation class that
-sweeps with this code.
+sweeps and picks its time step with this code.
 """
 
 from __future__ import annotations
@@ -69,6 +70,20 @@ def sweep_copying(sim, axis: int, dt: float) -> None:
     sim.U = U[perm]  # the permutation is its own inverse
 
 
+def timestep_allocating(sim) -> float:
+    gamma = sim.params["gamma"]
+    rho, vx, vy, vz, p = _primitive(sim.U, gamma)
+    a = np.sqrt(gamma * p / rho)
+    smax = float(
+        np.max(np.abs(vx) + a)
+        + np.max(np.abs(vy) + a)
+        + np.max(np.abs(vz) + a)
+    )
+    return sim.params["cfl"] * sim.dx / max(smax, 1e-12)
+
+
 def oracle_class(cls: type) -> type:
-    """``cls`` with its sweep replaced by :func:`sweep_copying`."""
-    return type(f"Copying{cls.__name__}", (cls,), {"_sweep": sweep_copying})
+    """``cls`` with its sweep and time step replaced by :func:`sweep_copying`
+    and :func:`timestep_allocating`."""
+    return type(f"Copying{cls.__name__}", (cls,),
+                {"_sweep": sweep_copying, "_timestep": timestep_allocating})
